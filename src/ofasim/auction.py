@@ -78,17 +78,20 @@ class SolverOperation:
         bid: Amount paid to the beneficiary if this operation succeeds.
         gas_reserved: Gas reserved for the operation (used for penalties and
             admission).
-        gas_used: Gas actually consumed when the operation executes.
+        gas_used: Gas actually consumed when the operation executes; defaults
+            to ``gas_reserved``.
         behavior: Scripted outcome if the operation runs.
     """
 
     solver_id: str
     bid: Fraction
     gas_reserved: int
-    gas_used: int
+    gas_used: int | None = None
     behavior: Behavior = Behavior.REVERT
 
     def __post_init__(self) -> None:
+        if self.gas_used is None:
+            object.__setattr__(self, "gas_used", self.gas_reserved)
         if not self.solver_id:
             raise ValueError("solver_id must be non-empty")
         if self.bid < 0:
@@ -195,8 +198,8 @@ def admit_operations(
             break
         admitted.append(op)
         remaining -= op.gas_reserved
-    values = dict(private_values) if private_values else {}
-    values = {k: v for k, v in values.items() if k in {o.solver_id for o in admitted}}
+    admitted_ids = {o.solver_id for o in admitted}
+    values = {k: v for k, v in (private_values or {}).items() if k in admitted_ids}
     return AuctionTransaction(
         schedule=schedule, solver_ops=tuple(admitted), private_values=values
     )

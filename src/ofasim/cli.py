@@ -323,6 +323,8 @@ def _sweep_equilibrium(args: argparse.Namespace, out) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.kind == "equilibrium" and not args.sigma_step > 0:
+        raise ScenarioError("--sigma-step must be positive")
     out = _open_out(args.out)
     try:
         if args.kind == "censorship":

@@ -43,8 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -370,6 +368,8 @@ def optimal_bid_details(game: DiscreteTimeGame) -> BidSearchResult:
     best = None
     method = "golden-section"
     if grad_lower > 0.0 > grad_upper:
+        from scipy.optimize import brentq  # deferred: ~50 MiB and most of import time
+
         root = brentq(grad, lower, upper, xtol=1e-12, rtol=1e-10, maxiter=200)
         if util(root) >= max(util_lower, util_upper):
             best, method = float(root), "gradient-root"

@@ -1,26 +1,21 @@
 """Escrow ledger with in-flight reservation accounting.
 
-Solvers maintain escrow balances with each auctioneer. Before including an
-operation in an auction, the auctioneer reserves the operation's worst-case
-cost against the solver's balance:
+Solvers keep escrow balances with each auctioneer. Before an operation enters
+an auction, the auctioneer reserves its worst-case cost (maximum failure cost
+plus gas prepayment) against the solver's available balance, i.e. its balance
+minus pending reservations:
 
     required_escrow = bid · gas_reserved / gamma + gas_price · gas_reserved
 
-(the maximum possible failure cost plus the gas prepayment). Reservations are
-all-or-nothing: an operation whose requirement exceeds the available balance
-(balance minus already-pending reservations) is rejected and the ledger is
-left untouched. Once the execution outcome is known, the reservation settles
-against the actual charge — which never exceeds the reserved amount — and any
-remainder returns to the available balance immediately.
+A reservation that exceeds the available balance is rejected and leaves the
+ledger untouched. Settling charges the actual cost, never more than the
+reserved amount, and frees the remainder at once. Hence available ≥ 0,
+balance ≥ Σ pending (the escrow inequality), and charges never exceed deposits.
 
-Invariants maintained:
-  - available(solver, auctioneer) ≥ 0 at all times;
-  - balance ≥ Σ pending reservation amounts (the escrow inequality);
-  - total charges applied against a solver never exceed what it deposited.
-
-The ledger is a serialized-access component: mutating operations take a single
-internal lock (linearizable). Snapshots are plain immutable mappings that can
-be cached for an entire auction without further ledger reads.
+Each auctioneer's solver → available map is kept current by one exact Fraction
+addition per deposit, reserve, settle or cancel: ``available`` and ``reserve``
+are O(1), ``prefetch_snapshot`` is one O(solvers) copy, and only ``pending``
+scans the reservations. Mutations take a single internal lock (linearizable).
 """
 
 from __future__ import annotations
@@ -40,8 +35,18 @@ from .money import ZERO, format_amount, parse_amount
 class InsufficientEscrow(Exception):
     """Reservation rejected: available balance below the required escrow.
 
-    Signals that the auctioneer must exclude this bid from the array.
+    Signals that the auctioneer must exclude this bid from the array;
+    ``needed`` and ``available`` hold the two amounts compared.
     """
+
+    def __init__(
+        self, solver: str, auctioneer: str, needed: Fraction, available: Fraction
+    ) -> None:
+        super().__init__(
+            f"solver {solver!r} needs {format_amount(needed)} escrow with "
+            f"{auctioneer!r} but has {format_amount(available)} available"
+        )
+        self.needed, self.available = needed, available
 
 
 def required_escrow(
@@ -59,13 +64,17 @@ def required_escrow(
         ``bid · gas_reserved / gamma + gas_price · gas_reserved``.
 
     Raises:
-        ValueError: If gamma is not positive or gas_reserved exceeds gamma.
+        ValueError: If gamma ≤ 0, gas_reserved > gamma, or bid or gas_price < 0.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if not 0 < gas_reserved <= gamma:
         raise ValueError("gas_reserved must lie in (0, gamma]")
-    return bid * Fraction(gas_reserved, gamma) + gas_price * gas_reserved
+    bn, bd = bid.numerator, bid.denominator
+    pn, pd = gas_price.numerator, gas_price.denominator
+    if bn < 0 or pn < 0:
+        raise ValueError("bid and gas_price must be non-negative")
+    return Fraction(gas_reserved * (bn * pd + pn * bd * gamma), bd * pd * gamma)
 
 
 @dataclass(frozen=True)
@@ -93,16 +102,23 @@ class EscrowLedger:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._balances: dict[tuple[str, str], Fraction] = {}
+        # auctioneer → solver → balance minus pending, on the keys of _balances
+        self._available: dict[str, dict[str, Fraction]] = {}
         self._pending: dict[int, PendingReservation] = {}
         self._handles = itertools.count(1)
+
+    def _post(self, key: tuple[str, str], balance: Fraction, available: Fraction):
+        """Add to a balance and to its available amount; the lock is held."""
+        self._balances[key] = self._balances.get(key, ZERO) + balance
+        per_solver = self._available.setdefault(key[1], {})
+        per_solver[key[0]] = per_solver.get(key[0], ZERO) + available
 
     def deposit(self, solver_id: str, auctioneer_id: str, amount: Fraction) -> None:
         """Credit a solver's escrow balance with an auctioneer."""
         if amount < 0:
             raise ValueError("deposit amount must be non-negative")
         with self._lock:
-            key = (solver_id, auctioneer_id)
-            self._balances[key] = self._balances.get(key, ZERO) + amount
+            self._post((solver_id, auctioneer_id), amount, amount)
 
     def balance(self, solver_id: str, auctioneer_id: str) -> Fraction:
         """Deposited balance, ignoring pending reservations."""
@@ -112,16 +128,7 @@ class EscrowLedger:
     def available(self, solver_id: str, auctioneer_id: str) -> Fraction:
         """Balance minus the sum of pending reservation amounts."""
         with self._lock:
-            key = (solver_id, auctioneer_id)
-            held = sum(
-                (
-                    r.amount
-                    for r in self._pending.values()
-                    if (r.solver_id, r.auctioneer_id) == key
-                ),
-                ZERO,
-            )
-            return self._balances.get(key, ZERO) - held
+            return self._available.get(auctioneer_id, {}).get(solver_id, ZERO)
 
     def pending(self, solver_id: str, auctioneer_id: str) -> tuple[PendingReservation, ...]:
         """Pending reservations for one (solver, auctioneer) pair."""
@@ -158,18 +165,14 @@ class EscrowLedger:
         """
         needed = required_escrow(op.bid, op.gas_reserved, gamma, gas_price)
         with self._lock:
-            if self.available(solver_id, auctioneer_id) < needed:
-                raise InsufficientEscrow(
-                    f"solver {solver_id!r} needs {format_amount(needed)} escrow "
-                    f"with {auctioneer_id!r} but has "
-                    f"{format_amount(self.available(solver_id, auctioneer_id))} available"
-                )
+            per_solver = self._available.get(auctioneer_id, {})
+            available = per_solver.get(solver_id, ZERO)
+            if available < needed:
+                raise InsufficientEscrow(solver_id, auctioneer_id, needed, available)
+            if needed:  # an unfunded pair holds only zeros and stays unmapped
+                per_solver[solver_id] = available - needed
             reservation = PendingReservation(
-                handle=next(self._handles),
-                solver_id=solver_id,
-                auctioneer_id=auctioneer_id,
-                op_ref=op.solver_id,
-                amount=needed,
+                next(self._handles), solver_id, auctioneer_id, op.solver_id, needed
             )
             self._pending[reservation.handle] = reservation
             return reservation
@@ -199,7 +202,7 @@ class EscrowLedger:
                 )
             del self._pending[handle]
             key = (reservation.solver_id, reservation.auctioneer_id)
-            self._balances[key] = self._balances.get(key, ZERO) - charged
+            self._post(key, -charged, reservation.amount - charged)
 
     def cancel_reservation(self, handle: int) -> None:
         """Release a stale reservation without charging anything.
@@ -211,9 +214,11 @@ class EscrowLedger:
             KeyError: If the handle is not pending.
         """
         with self._lock:
-            if handle not in self._pending:
+            held = self._pending.pop(handle, None)
+            if held is None:
                 raise KeyError(f"no pending reservation with handle {handle}")
-            del self._pending[handle]
+            if held.amount:  # nonzero only on a funded pair
+                self._available[held.auctioneer_id][held.solver_id] += held.amount
 
     def prefetch_snapshot(self, auctioneer_id: str) -> Mapping[str, Fraction]:
         """Immutable solver → available-balance view for one auctioneer.
@@ -223,12 +228,7 @@ class EscrowLedger:
         further ledger reads.
         """
         with self._lock:
-            view = {
-                solver: self.available(solver, auctioneer)
-                for (solver, auctioneer) in self._balances
-                if auctioneer == auctioneer_id
-            }
-        return MappingProxyType(view)
+            return MappingProxyType(dict(self._available.get(auctioneer_id, {})))
 
     def to_json(self) -> str:
         """Export balances as a solver → auctioneer → amount JSON document."""

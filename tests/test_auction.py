@@ -70,6 +70,10 @@ class TestSolverOperation:
         with pytest.raises(ValueError, match="gas_used"):
             SolverOperation("a", Fraction(1), gas_reserved=10, gas_used=11)
 
+    def test_gas_used_defaults_to_gas_reserved(self):
+        assert SolverOperation("a", Fraction(1), gas_reserved=10).gas_used == 10
+        assert SolverOperation("a", Fraction(1), 10, 0).gas_used == 0
+
     def test_empty_solver_id_rejected(self):
         with pytest.raises(ValueError, match="solver_id"):
             op("", 1)

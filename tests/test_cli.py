@@ -218,6 +218,17 @@ class TestSweepEquilibrium:
         rows = list(csv.reader(io.StringIO(captured.out)))
         assert float(rows[1][3]) == pytest.approx(3470.0, abs=1e-6)
 
+    @pytest.mark.parametrize("step", ["0", "-0.5", "nan"])
+    def test_non_positive_sigma_step_is_rejected(self, tmp_path, capsys, step):
+        # A step that never advances sigma used to loop forever.
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "equilibrium", f"--sigma-step={step}", "--out", str(out)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --sigma-step must be positive\n"
+        assert not out.exists()
+
 
 class TestSweepThroughput:
     ARGS = [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import threading
 from fractions import Fraction
 
@@ -9,7 +10,12 @@ import numpy as np
 import pytest
 
 from ofasim.auction import SolverOperation
-from ofasim.escrow import EscrowLedger, InsufficientEscrow, required_escrow
+from ofasim.escrow import (
+    EscrowLedger,
+    InsufficientEscrow,
+    PendingReservation,
+    required_escrow,
+)
 from ofasim.money import parse_amount
 
 PHI = Fraction(3, 4_000_000)  # 7.5e-7
@@ -43,6 +49,11 @@ class TestRequiredEscrow:
     def test_rejects_non_positive_gamma(self):
         with pytest.raises(ValueError, match="gamma"):
             required_escrow(Fraction(1), 1, 0, PHI)
+
+    @pytest.mark.parametrize("bid, price", [(Fraction(-1), PHI), (Fraction(1), -PHI)])
+    def test_rejects_negative_bid_or_gas_price(self, bid, price):
+        with pytest.raises(ValueError, match="non-negative"):
+            required_escrow(bid, 100_000, GAMMA, price)
 
 
 class TestReserve:
@@ -81,6 +92,24 @@ class TestReserve:
             self.ledger.pending("s1", "a"),
         )
         assert after == before
+
+    def test_rejection_carries_needed_and_available(self):
+        self.ledger.deposit("s1", "a", Fraction(12))
+        self.ledger.reserve("s1", "a", op(), GAMMA, PHI)
+        with pytest.raises(InsufficientEscrow) as excinfo:
+            self.ledger.reserve("s1", "a", op(), GAMMA, PHI)
+        assert excinfo.value.needed == parse_amount("10.075")
+        assert excinfo.value.available == parse_amount("1.925")
+
+    def test_zero_reservation_by_unfunded_solver(self):
+        # It succeeds without listing the solver; settling it records a zero
+        # balance, so the solver then appears in snapshots.
+        free = SolverOperation("ghost", Fraction(0), gas_reserved=1)
+        reservation = self.ledger.reserve("ghost", "a", free, GAMMA, Fraction(0))
+        assert self.ledger.available("ghost", "a") == 0
+        assert dict(self.ledger.prefetch_snapshot("a")) == {}
+        self.ledger.settle_reservation(reservation.handle, Fraction(0))
+        assert dict(self.ledger.prefetch_snapshot("a")) == {"ghost": Fraction(0)}
 
     def test_balances_are_per_auctioneer(self):
         self.ledger.deposit("s1", "a", Fraction(100))
@@ -225,3 +254,86 @@ def test_random_interleaving_never_overdraws():
     assert sum(charged_total, Fraction(0)) <= deposit
     assert ledger.balance("s1", "a") == deposit - sum(charged_total, Fraction(0))
     assert ledger.available("s1", "a") >= 0
+
+
+def test_random_sequence_matches_brute_force_oracle():
+    # A seeded single-threaded sequence of deposits, reserves, settlements and
+    # cancellations over two auctioneers. After every step, available(),
+    # balance() and prefetch_snapshot() must equal a recomputation from the
+    # deposits and charges seen so far and the pending() reservations, and
+    # every reservation must hold exactly the documented required escrow.
+    rng = random.Random(20_240_817)
+    ledger = EscrowLedger()
+    solvers, funded, auctioneers = ("s1", "s2", "s3", "ghost"), ("s1", "s2", "s3"), ("a", "b")
+    balances: dict[tuple[str, str], Fraction] = {}  # keys exactly as deposited/settled
+    live: dict[int, PendingReservation] = {}
+    seen = {"zero": 0, "ghost": 0, "rejected": 0, "settled": 0, "cancelled": 0}
+
+    def state():
+        return (
+            ledger.to_json(),
+            [dict(ledger.prefetch_snapshot(a)) for a in auctioneers],
+            [ledger.pending(s, a) for s in solvers for a in auctioneers],
+        )
+
+    def check():
+        for a in auctioneers:
+            expected = {}
+            for s in solvers:
+                held = sum((r.amount for r in ledger.pending(s, a)), Fraction(0))
+                assert {r.handle for r in ledger.pending(s, a)} == {
+                    h for h, r in live.items() if (r.solver_id, r.auctioneer_id) == (s, a)
+                }
+                available = balances.get((s, a), Fraction(0)) - held
+                assert ledger.balance(s, a) == balances.get((s, a), Fraction(0))
+                assert ledger.available(s, a) == available >= 0
+                assert isinstance(ledger.available(s, a), Fraction)
+                if (s, a) in balances:
+                    expected[s] = available
+            snapshot = ledger.prefetch_snapshot(a)
+            assert dict(snapshot) == expected
+            assert all(isinstance(value, Fraction) for value in snapshot.values())
+
+    for _ in range(800):
+        roll = rng.random()
+        if roll < 0.15:
+            key = (rng.choice(funded), rng.choice(auctioneers))
+            amount = Fraction(rng.randint(0, 60), rng.randint(1, 7))
+            ledger.deposit(*key, amount)
+            balances[key] = balances.get(key, Fraction(0)) + amount
+        elif roll < 0.6:
+            solver, auctioneer = rng.choice(solvers), rng.choice(auctioneers)
+            free = rng.random() < 0.2
+            bid = Fraction(0) if free else Fraction(rng.randint(0, 300), rng.randint(1, 3))
+            price = Fraction(0) if free else PHI
+            operation = op(sid=solver, bid=bid, gas=rng.randint(1, GAMMA))
+            gas = operation.gas_reserved
+            needed = bid * Fraction(gas, GAMMA) + price * gas  # the documented formula
+            before = state()
+            try:
+                reservation = ledger.reserve(solver, auctioneer, operation, GAMMA, price)
+            except InsufficientEscrow as exc:
+                assert exc.needed == needed > exc.available == ledger.available(solver, auctioneer)
+                assert state() == before
+                seen["rejected"] += 1
+            else:
+                assert reservation.amount == needed
+                live[reservation.handle] = reservation
+                seen["zero"] += needed == 0
+                seen["ghost"] += solver == "ghost"
+        elif live:
+            handle = rng.choice(sorted(live))
+            reservation = live.pop(handle)
+            if roll < 0.85:
+                charged = reservation.amount * Fraction(rng.randint(0, 100), 100)
+                ledger.settle_reservation(handle, charged)
+                key = (reservation.solver_id, reservation.auctioneer_id)
+                balances[key] = balances.get(key, Fraction(0)) - charged
+                seen["settled"] += 1
+            else:
+                ledger.cancel_reservation(handle)
+                seen["cancelled"] += 1
+        check()
+
+    assert all(count > 0 for count in seen.values()), seen
+    assert any(solver == "ghost" for solver, _ in balances)  # a settled zero hold
