@@ -8,29 +8,37 @@ Subcommands:
     print the report as JSON.
 
 Scenario files are JSON with a versioned top-level ``"schema"`` field
-(``settle/1``, ``simulate/1``). Validation is strict: unknown fields are
-rejected at every nesting level, currency must be decimal strings (floats are
-refused — binary floats would silently break exact accounting), gas and
-counts must be integers. Output currency is serialized as decimal strings.
+(``settle/1``, ``simulate/1``). Every JSON object is checked against a
+field-spec table (field name → parser, required or optional): unknown fields
+are rejected at every nesting level, currency must be decimal strings (floats
+are refused — binary floats would silently break exact accounting), gas and
+counts must be integers, and ``NaN``/``Infinity`` are refused everywhere. An
+optional field left out takes the library's default. Output currency is
+serialized as decimal strings.
 
-Exit codes: 0 on success, 1 on scenario or validation errors (with a
-diagnostic on stderr and no partial stdout output), 2 on usage errors.
-``--jobs`` changes concurrency only; reports are bit-identical at any value.
+Exit codes: 0 on success, 1 on scenario or validation errors (with a one-line
+diagnostic on stderr and nothing on stdout or in ``--out``), 2 on usage
+errors. Output is built in memory and written only once the command has
+succeeded. ``--jobs`` changes concurrency only; reports are bit-identical at
+any value.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import io
 import json
+import math
 import sys
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .auction import Behavior, GasSchedule, SolverOperation, admit_operations
 from .censorship import CensorshipScenario, resistance_sweep
 from .equilibrium import DiscreteTimeGame, optimal_bid_details
-from .money import format_amount, parse_amount
+from .money import ZERO, format_amount, parse_amount
 from .settlement import guaranteed_minimum, settle
 from .simulation import (
     IidFailure,
@@ -51,6 +59,11 @@ class ScenarioError(Exception):
 # ---------------------------------------------------------------------------
 # strict scenario validation
 
+#: Turns one JSON value into a library value; called with (value, context).
+Parser = Callable[[Any, str], Any]
+#: Field name → (parser, required?) for one JSON object.
+Spec = Mapping[str, tuple[Parser, bool]]
+
 
 def _expect_object(value: Any, context: str) -> dict:
     if not isinstance(value, dict):
@@ -68,17 +81,52 @@ def _check_keys(obj: Mapping[str, Any], required: set, optional: set, context: s
         raise ScenarioError(f"{context}: unknown field(s) {sorted(unknown)}")
 
 
-def _expect_int(value: Any, context: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{context}: expected an integer")
-    if minimum is not None and value < minimum:
-        raise ScenarioError(f"{context}: must be >= {minimum}")
-    return value
+def _fields(data: Any, spec: Spec, context: str) -> dict[str, Any]:
+    """Validate one JSON object against ``spec`` and parse its fields.
+
+    Optional fields that are absent are left out of the result, so the
+    library's own defaults apply when it is passed on as keyword arguments.
+    """
+    obj = _expect_object(data, context)
+    required = {name for name, (_, needed) in spec.items() if needed}
+    _check_keys(obj, required, set(spec) - required, context)
+    return {
+        name: parse(obj[name], f"{context}.{name}")
+        for name, (parse, _) in spec.items()
+        if name in obj
+    }
+
+
+def _object(builder: Callable[..., Any], **spec: tuple[Parser, bool]) -> Parser:
+    """Parser for a JSON object with the fields ``spec``, passed to ``builder``."""
+
+    def parse(value: Any, context: str) -> Any:
+        fields = _fields(value, spec, context)
+        try:
+            return builder(**fields)
+        except ValueError as exc:
+            raise ScenarioError(f"{context}: {exc}") from exc
+
+    return parse
+
+
+def _int(minimum: int | None = None) -> Parser:
+    def parse(value: Any, context: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ScenarioError(f"{context}: expected an integer")
+        if minimum is not None and value < minimum:
+            raise ScenarioError(f"{context}: must be >= {minimum}")
+        return value
+
+    return parse
 
 
 def _expect_number(value: Any, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{context}: expected a number")
+    # false for NaN, an infinity and an integer too large for a float
+    if not abs(value) <= sys.float_info.max:
+        raise ScenarioError(f"{context}: expected a finite number")
     return float(value)
 
 
@@ -102,6 +150,13 @@ def _currency(value: Any, context: str) -> Fraction:
         raise ScenarioError(f"{context}: {exc}") from exc
 
 
+def _currency_map(value: Any, context: str) -> dict[str, Fraction]:
+    return {
+        key: _currency(amount, f"{context}.{key}")
+        for key, amount in _expect_object(value, context).items()
+    }
+
+
 def _behavior(value: Any, context: str) -> Behavior:
     name = _expect_str(value, context)
     try:
@@ -112,62 +167,165 @@ def _behavior(value: Any, context: str) -> Behavior:
         ) from exc
 
 
+def _array(item: Parser) -> Parser:
+    def parse(value: Any, context: str) -> tuple:
+        if not isinstance(value, list):
+            raise ScenarioError(f"{context}: expected an array")
+        return tuple(item(entry, f"{context}[{index}]") for index, entry in enumerate(value))
+
+    return parse
+
+
+def _schema(expected: str) -> Parser:
+    def parse(value: Any, context: str) -> str:
+        if value != expected:
+            raise ScenarioError(f"{context}: expected {expected!r}, got {value!r}")
+        return value
+
+    return parse
+
+
 def _load_json(path: str) -> Any:
+    def reject(constant: str) -> None:
+        raise ScenarioError(f"{path} is not valid JSON: {constant} is not a finite number")
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_constant=reject)
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _parse_schedule(data: Any, context: str) -> GasSchedule:
-    obj = _expect_object(data, context)
-    _check_keys(
-        obj, {"tx_gas_limit", "user_gas_consumed"}, {"gas_price"}, context
+_SCHEDULE = _object(
+    GasSchedule,
+    tx_gas_limit=(_int(), True),
+    user_gas_consumed=(_int(), True),
+    gas_price=(_currency, False),
+)
+
+_SOLVER_OP = _object(
+    SolverOperation,
+    gas_reserved=(_int(1), True),
+    solver_id=(_expect_str, True),
+    bid=(_currency, True),
+    gas_used=(_int(0), False),
+    behavior=(_behavior, False),
+)
+
+
+def _take(fields: dict[str, Any], cls: type) -> dict[str, Any]:
+    """Remove from ``fields`` and return the entries named by ``cls``'s fields."""
+    return {f.name: fields.pop(f.name) for f in dataclasses.fields(cls) if f.name in fields}
+
+
+def _spoof_attack(rivals: tuple, gas_price: Fraction = ZERO, **fields: Any) -> SpoofAttack:
+    # a spoof config may leave out the gas price; CensorshipScenario requires one
+    scenario = CensorshipScenario(
+        rival_ops=rivals, gas_price=gas_price, **_take(fields, CensorshipScenario)
     )
-    try:
-        return GasSchedule(
-            tx_gas_limit=_expect_int(obj["tx_gas_limit"], f"{context}.tx_gas_limit"),
-            user_gas_consumed=_expect_int(
-                obj["user_gas_consumed"], f"{context}.user_gas_consumed"
-            ),
-            gas_price=_currency(obj.get("gas_price", 0), f"{context}.gas_price"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{context}: {exc}") from exc
+    return SpoofAttack(scenario=scenario, **fields)
 
 
-def _parse_solver_op(data: Any, context: str) -> SolverOperation:
+def _timeline(**fields: Any) -> Timeline:
+    config = TimelineConfig(**_take(fields, TimelineConfig))
+    if "solver_ops" in fields:
+        fields["candidates"] = fields.pop("solver_ops")
+    return Timeline(config=config, **fields)
+
+
+#: Fields shared by the two bidding-game models.
+_GAME_OPS: Spec = {
+    "bids": (_array(_currency), True),
+    "gas_per_op": (_int(1), False),
+    "gas_price": (_currency, False),
+}
+
+
+def _gas_or_null(value: Any, context: str) -> int | None:
+    # null, like leaving the field out, reserves the whole budget
+    return None if value is None else _int(1)(value, context)
+
+
+_RIVAL = _object(
+    lambda bid, gas_reserved: (bid, gas_reserved),
+    bid=(_currency, True),
+    gas_reserved=(_int(1), True),
+)
+
+#: Model kind → parser of the model object without its ``kind`` field.
+_MODELS: dict[str, Parser] = {
+    "iid_failure": _object(
+        IidFailure,
+        n=(_int(1), True),
+        q=(_expect_number, True),
+        v=(_currency, True),
+        **_GAME_OPS,
+    ),
+    "normal_valuation": _object(
+        NormalValuation,
+        n=(_int(1), True),
+        v=(lambda value, context: float(_currency(value, context)), True),
+        sigma=(_expect_number, True),
+        **_GAME_OPS,
+    ),
+    "throughput_sweep": _object(
+        ThroughputSweep,
+        gammas=(_array(_int(1)), True),
+        gas_per_op=(_int(1), False),
+        bid_high=(_currency, False),
+        bid_low=(_currency, False),
+        q=(_expect_number, False),
+    ),
+    "spoof_attack": _object(
+        _spoof_attack,
+        rivals=(_array(_RIVAL), True),
+        gamma=(_int(1), True),
+        gas_price=(_currency, False),
+        attacker_value=(_currency, False),
+        bid_margin=(_currency, False),
+        attacker_gas=(_gas_or_null, False),
+        attacker_behavior=(_behavior, False),
+    ),
+    "timeline": _object(
+        _timeline,
+        user_latency_ms=(_int(0), False),
+        auction_duration_ms=(_int(0), False),
+        execution_delay_ms=(_int(0), False),
+        schedule=(_SCHEDULE, False),
+        solver_ops=(_array(_SOLVER_OP), False),
+        escrow_snapshot=(_currency_map, False),
+    ),
+}
+
+
+def _parse_model(data: Any, context: str) -> Any:
     obj = _expect_object(data, context)
-    _check_keys(
-        obj,
-        {"solver_id", "bid", "gas_reserved"},
-        {"gas_used", "behavior"},
-        context,
-    )
-    gas_reserved = _expect_int(obj["gas_reserved"], f"{context}.gas_reserved", 1)
-    try:
-        return SolverOperation(
-            solver_id=_expect_str(obj["solver_id"], f"{context}.solver_id"),
-            bid=_currency(obj["bid"], f"{context}.bid"),
-            gas_reserved=gas_reserved,
-            gas_used=_expect_int(
-                obj.get("gas_used", gas_reserved), f"{context}.gas_used", 0
-            ),
-            behavior=_behavior(obj.get("behavior", "revert"), f"{context}.behavior"),
+    kind = _expect_str(obj.get("kind", ""), f"{context}.kind")
+    if kind not in _MODELS:
+        *others, last = _MODELS
+        raise ScenarioError(
+            f"{context}.kind: unknown model kind {kind!r} "
+            f"(expected {', '.join(others)} or {last})"
         )
-    except ValueError as exc:
-        raise ScenarioError(f"{context}: {exc}") from exc
+    fields = {name: value for name, value in obj.items() if name != "kind"}
+    return _MODELS[kind](fields, context)
 
 
-def _parse_private_values(data: Any, context: str) -> dict[str, Fraction]:
-    obj = _expect_object(data, context)
-    return {
-        _expect_str(key, f"{context} key"): _currency(value, f"{context}.{key}")
-        for key, value in obj.items()
-    }
+_SETTLE: Spec = {
+    "schema": (_schema("settle/1"), True),
+    "schedule": (_SCHEDULE, True),
+    "solver_ops": (_array(_SOLVER_OP), True),
+    "private_values": (_currency_map, False),
+}
+
+_SIMULATE: Spec = {
+    "schema": (_schema("simulate/1"), True),
+    "model": (_parse_model, True),
+    "trials": (_int(1), False),
+    "seed": (_int(0), True),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -175,27 +333,11 @@ def _parse_private_values(data: Any, context: str) -> dict[str, Fraction]:
 
 
 def cmd_settle(args: argparse.Namespace) -> int:
-    data = _expect_object(_load_json(args.file), "scenario")
-    _check_keys(
-        data, {"schema", "schedule", "solver_ops"}, {"private_values"}, "scenario"
-    )
-    if data["schema"] != "settle/1":
-        raise ScenarioError(
-            f"scenario.schema: expected 'settle/1', got {data['schema']!r}"
-        )
-    schedule = _parse_schedule(data["schedule"], "scenario.schedule")
-    ops_data = data["solver_ops"]
-    if not isinstance(ops_data, list):
-        raise ScenarioError("scenario.solver_ops: expected an array")
-    candidates = [
-        _parse_solver_op(item, f"scenario.solver_ops[{index}]")
-        for index, item in enumerate(ops_data)
-    ]
-    values = _parse_private_values(
-        data.get("private_values", {}), "scenario.private_values"
-    )
+    fields = _fields(_load_json(args.file), _SETTLE, "scenario")
     try:
-        tx = admit_operations(candidates, schedule, values)
+        tx = admit_operations(
+            fields["solver_ops"], fields["schedule"], fields.get("private_values")
+        )
         result = settle(tx)
         floor = guaranteed_minimum(tx)
     except ValueError as exc:
@@ -235,13 +377,7 @@ def _comma_ints(text: str, context: str) -> list[int]:
     return values
 
 
-def _open_out(path: str | None):
-    if path is None:
-        return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="")
-
-
-def _sweep_censorship(args: argparse.Namespace, out) -> None:
+def _sweep_censorship(args: argparse.Namespace) -> list[list]:
     rivals = []
     for spec in args.rival or ["100:100000"]:
         bid_text, _, gas_text = spec.partition(":")
@@ -259,19 +395,21 @@ def _sweep_censorship(args: argparse.Namespace, out) -> None:
             for index in range(args.gamma_points)
         ]
     prices = [parse_amount(part) for part in args.gas_prices.split(",") if part]
+    if not prices:
+        raise ScenarioError("--gas-prices: empty list")
     template = CensorshipScenario(
         gamma=max(gammas),
         gas_price=prices[0],
         rival_ops=tuple(rivals),
         attacker_value=parse_amount(args.attacker_value),
     )
-    writer = csv.writer(out)
-    writer.writerow(["gamma", "gas_price", "resistance"])
-    for gamma, price, value in resistance_sweep(gammas, prices, template):
-        writer.writerow([gamma, format_amount(price), format_amount(value)])
+    return [["gamma", "gas_price", "resistance"]] + [
+        [gamma, format_amount(price), format_amount(value)]
+        for gamma, price, value in resistance_sweep(gammas, prices, template)
+    ]
 
 
-def _sweep_throughput(args: argparse.Namespace, out) -> None:
+def _sweep_throughput(args: argparse.Namespace) -> list[list]:
     model = ThroughputSweep(
         gammas=tuple(_comma_ints(args.gammas, "--gammas")),
         gas_per_op=args.gas_per_op,
@@ -281,61 +419,70 @@ def _sweep_throughput(args: argparse.Namespace, out) -> None:
     )
     config = SimConfig(trials=args.trials, seed=args.seed, model=model)
     report = run_simulation(config, jobs=args.jobs)
-    writer = csv.writer(out)
-    writer.writerow(
-        ["gamma", "ops", "mean_failure_cost", "std_error", "success_probability"]
-    )
-    for row in report["rows"]:
-        writer.writerow(
-            [
-                row["gamma"],
-                row["ops"],
-                f"{row['mean_failure_cost']['mean']:.12g}",
-                f"{row['mean_failure_cost']['std_error']:.12g}",
-                f"{row['success_probability']['mean']:.12g}",
-            ]
-        )
+    return [["gamma", "ops", "mean_failure_cost", "std_error", "success_probability"]] + [
+        [
+            row["gamma"],
+            row["ops"],
+            f"{row['mean_failure_cost']['mean']:.12g}",
+            f"{row['mean_failure_cost']['std_error']:.12g}",
+            f"{row['success_probability']['mean']:.12g}",
+        ]
+        for row in report["rows"]
+    ]
 
 
-def _sweep_equilibrium(args: argparse.Namespace, out) -> None:
+def _sweep_equilibrium(args: argparse.Namespace) -> list[list]:
+    if not args.sigma_step > 0:
+        raise ScenarioError("--sigma-step must be positive")
+    for name in ("v", "sigma_min", "sigma_max"):
+        if not math.isfinite(getattr(args, name)):
+            raise ScenarioError(f"--{name.replace('_', '-')} must be finite")
+    if args.sigma_min > args.sigma_max:
+        raise ScenarioError("--sigma-min must not exceed --sigma-max")
     ns = _comma_ints(args.n, "--n")
     sigmas = []
     sigma = args.sigma_min
     while sigma <= args.sigma_max + 1e-9:
         sigmas.append(round(sigma, 10))
         sigma += args.sigma_step
-    writer = csv.writer(out)
-    writer.writerow(["n", "sigma", "v", "b_star", "b_star_over_v"])
+    rows, warnings = [["n", "sigma", "v", "b_star", "b_star_over_v"]], []
     for n in ns:
         for sigma in sigmas:
             result = optimal_bid_details(DiscreteTimeGame(n=n, v=args.v, sigma=sigma))
             if not result.interior:
-                print(
+                warnings.append(
                     f"warning: no interior optimum at n={n}, sigma={sigma}; "
                     f"reporting the bracket argmax {result.bid:.6g} "
                     f"(utility is monotone over [{result.lower:.6g}, "
-                    f"{result.upper:.6g}])",
-                    file=sys.stderr,
+                    f"{result.upper:.6g}])"
                 )
-            writer.writerow(
+            rows.append(
                 [n, sigma, args.v, f"{result.bid:.12g}", f"{result.bid / args.v:.12g}"]
             )
+    # warned only once every row exists, so a failing sweep prints one error line
+    for warning in warnings:
+        print(warning, file=sys.stderr)
+    return rows
+
+
+_SWEEPS = {
+    "censorship": _sweep_censorship,
+    "throughput": _sweep_throughput,
+    "equilibrium": _sweep_equilibrium,
+}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.kind == "equilibrium" and not args.sigma_step > 0:
-        raise ScenarioError("--sigma-step must be positive")
-    out = _open_out(args.out)
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(_SWEEPS[args.kind](args))
+    if args.out is None:
+        sys.stdout.write(buffer.getvalue())
+        return 0
     try:
-        if args.kind == "censorship":
-            _sweep_censorship(args, out)
-        elif args.kind == "throughput":
-            _sweep_throughput(args, out)
-        else:
-            _sweep_equilibrium(args, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(buffer.getvalue())
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {args.out}: {exc}") from exc
     return 0
 
 
@@ -343,211 +490,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # simulate
 
 
-def _parse_model(data: Any) -> Any:
-    obj = _expect_object(data, "config.model")
-    kind = _expect_str(obj.get("kind", ""), "config.model.kind")
-    context = "config.model"
-    if kind == "iid_failure":
-        _check_keys(
-            obj,
-            {"kind", "n", "q", "v", "bids"},
-            {"gas_per_op", "gas_price"},
-            context,
-        )
-        bids = obj["bids"]
-        if not isinstance(bids, list):
-            raise ScenarioError(f"{context}.bids: expected an array")
-        try:
-            return IidFailure(
-                n=_expect_int(obj["n"], f"{context}.n", 1),
-                q=_expect_number(obj["q"], f"{context}.q"),
-                v=_currency(obj["v"], f"{context}.v"),
-                bids=tuple(
-                    _currency(bid, f"{context}.bids[{index}]")
-                    for index, bid in enumerate(bids)
-                ),
-                gas_per_op=_expect_int(
-                    obj.get("gas_per_op", 100_000), f"{context}.gas_per_op", 1
-                ),
-                gas_price=_currency(obj.get("gas_price", 0), f"{context}.gas_price"),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"{context}: {exc}") from exc
-    if kind == "normal_valuation":
-        _check_keys(
-            obj,
-            {"kind", "n", "v", "sigma", "bids"},
-            {"gas_per_op", "gas_price"},
-            context,
-        )
-        bids = obj["bids"]
-        if not isinstance(bids, list):
-            raise ScenarioError(f"{context}.bids: expected an array")
-        try:
-            return NormalValuation(
-                n=_expect_int(obj["n"], f"{context}.n", 1),
-                v=float(_currency(obj["v"], f"{context}.v")),
-                sigma=_expect_number(obj["sigma"], f"{context}.sigma"),
-                bids=tuple(
-                    _currency(bid, f"{context}.bids[{index}]")
-                    for index, bid in enumerate(bids)
-                ),
-                gas_per_op=_expect_int(
-                    obj.get("gas_per_op", 100_000), f"{context}.gas_per_op", 1
-                ),
-                gas_price=_currency(obj.get("gas_price", 0), f"{context}.gas_price"),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"{context}: {exc}") from exc
-    if kind == "throughput_sweep":
-        _check_keys(
-            obj,
-            {"kind", "gammas"},
-            {"gas_per_op", "bid_high", "bid_low", "q"},
-            context,
-        )
-        gammas = obj["gammas"]
-        if not isinstance(gammas, list):
-            raise ScenarioError(f"{context}.gammas: expected an array")
-        try:
-            return ThroughputSweep(
-                gammas=tuple(
-                    _expect_int(g, f"{context}.gammas[{index}]", 1)
-                    for index, g in enumerate(gammas)
-                ),
-                gas_per_op=_expect_int(
-                    obj.get("gas_per_op", 100_000), f"{context}.gas_per_op", 1
-                ),
-                bid_high=_currency(obj.get("bid_high", "100"), f"{context}.bid_high"),
-                bid_low=_currency(obj.get("bid_low", "50"), f"{context}.bid_low"),
-                q=_expect_number(obj.get("q", 0.5), f"{context}.q"),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"{context}: {exc}") from exc
-    if kind == "spoof_attack":
-        _check_keys(
-            obj,
-            {"kind", "gamma", "rivals"},
-            {"gas_price", "attacker_value", "bid_margin", "attacker_gas", "attacker_behavior"},
-            context,
-        )
-        rivals_data = obj["rivals"]
-        if not isinstance(rivals_data, list):
-            raise ScenarioError(f"{context}.rivals: expected an array")
-        rivals = []
-        for index, rival in enumerate(rivals_data):
-            rival_obj = _expect_object(rival, f"{context}.rivals[{index}]")
-            _check_keys(
-                rival_obj, {"bid", "gas_reserved"}, set(), f"{context}.rivals[{index}]"
-            )
-            rivals.append(
-                (
-                    _currency(rival_obj["bid"], f"{context}.rivals[{index}].bid"),
-                    _expect_int(
-                        rival_obj["gas_reserved"],
-                        f"{context}.rivals[{index}].gas_reserved",
-                        1,
-                    ),
-                )
-            )
-        try:
-            scenario = CensorshipScenario(
-                gamma=_expect_int(obj["gamma"], f"{context}.gamma", 1),
-                gas_price=_currency(obj.get("gas_price", 0), f"{context}.gas_price"),
-                rival_ops=tuple(rivals),
-                attacker_value=_currency(
-                    obj.get("attacker_value", 0), f"{context}.attacker_value"
-                ),
-            )
-            attacker_gas = obj.get("attacker_gas")
-            return SpoofAttack(
-                scenario=scenario,
-                bid_margin=_currency(obj.get("bid_margin", 1), f"{context}.bid_margin"),
-                attacker_gas=(
-                    None
-                    if attacker_gas is None
-                    else _expect_int(attacker_gas, f"{context}.attacker_gas", 1)
-                ),
-                attacker_behavior=_behavior(
-                    obj.get("attacker_behavior", "revert"),
-                    f"{context}.attacker_behavior",
-                ),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"{context}: {exc}") from exc
-    if kind == "timeline":
-        _check_keys(
-            obj,
-            {"kind"},
-            {
-                "user_latency_ms",
-                "auction_duration_ms",
-                "execution_delay_ms",
-                "schedule",
-                "solver_ops",
-                "escrow_snapshot",
-            },
-            context,
-        )
-        try:
-            timeline_config = TimelineConfig(
-                user_latency_ms=_expect_int(
-                    obj.get("user_latency_ms", 50), f"{context}.user_latency_ms", 0
-                ),
-                auction_duration_ms=_expect_int(
-                    obj.get("auction_duration_ms", 300),
-                    f"{context}.auction_duration_ms",
-                    0,
-                ),
-                execution_delay_ms=_expect_int(
-                    obj.get("execution_delay_ms", 50),
-                    f"{context}.execution_delay_ms",
-                    0,
-                ),
-            )
-            schedule = None
-            if "schedule" in obj:
-                schedule = _parse_schedule(obj["schedule"], f"{context}.schedule")
-            candidates = []
-            for index, item in enumerate(obj.get("solver_ops", [])):
-                candidates.append(
-                    _parse_solver_op(item, f"{context}.solver_ops[{index}]")
-                )
-            snapshot = None
-            if "escrow_snapshot" in obj:
-                snapshot = {
-                    key: _currency(value, f"{context}.escrow_snapshot.{key}")
-                    for key, value in _expect_object(
-                        obj["escrow_snapshot"], f"{context}.escrow_snapshot"
-                    ).items()
-                }
-            return Timeline(
-                config=timeline_config,
-                schedule=schedule,
-                candidates=tuple(candidates),
-                escrow_snapshot=snapshot,
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"{context}: {exc}") from exc
-    raise ScenarioError(
-        f"{context}.kind: unknown model kind {kind!r} (expected iid_failure, "
-        "normal_valuation, throughput_sweep, spoof_attack or timeline)"
-    )
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    data = _expect_object(_load_json(args.file), "config")
-    _check_keys(data, {"schema", "seed", "model"}, {"trials"}, "config")
-    if data["schema"] != "simulate/1":
-        raise ScenarioError(
-            f"config.schema: expected 'simulate/1', got {data['schema']!r}"
-        )
-    model = _parse_model(data["model"])
+    fields = _fields(_load_json(args.file), _SIMULATE, "config")
     try:
         config = SimConfig(
-            trials=_expect_int(data.get("trials", 1), "config.trials", 1),
-            seed=_expect_int(data["seed"], "config.seed", 0),
-            model=model,
+            trials=fields.get("trials", 1), seed=fields["seed"], model=fields["model"]
         )
         report = run_simulation(config, jobs=args.jobs)
     except ValueError as exc:
@@ -572,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_settle = sub.add_parser("settle", help="settle a scenario file")
     p_settle.add_argument("file", help="JSON scenario (schema settle/1)")
-    p_settle.set_defaults(func=cmd_settle)
 
     p_sweep = sub.add_parser("sweep", help="emit a parameter-sweep CSV")
     p_sweep.add_argument(
@@ -603,26 +549,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sigma-max", type=float, default=12.0)
     p_sweep.add_argument("--sigma-step", type=float, default=0.5)
     p_sweep.add_argument("--n", default="2,5,10,25,50")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_sim = sub.add_parser("simulate", help="run a simulation config")
     p_sim.add_argument("file", help="JSON config (schema simulate/1)")
     p_sim.add_argument("--jobs", type=int, default=1)
-    p_sim.set_defaults(func=cmd_simulate)
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        # looked up by name on each call, so a wrapper set on this module is used
+        return globals()[f"cmd_{args.command}"](args)
+    except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -99,9 +99,9 @@ class DiscreteTimeGame:
 
     Attributes:
         n: Number of bidders (≥ 2).
-        v: Mean of the valuation X at execution time.
-        sigma: Standard deviation of X (≥ 0; the utility functions require
-            a strictly positive sigma).
+        v: Mean of the valuation X at execution time (finite).
+        sigma: Standard deviation of X (finite and ≥ 0; the utility
+            functions require a strictly positive sigma).
     """
 
     n: int
@@ -111,6 +111,8 @@ class DiscreteTimeGame:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError("n must be an integer >= 2")
+        if not (math.isfinite(self.v) and math.isfinite(self.sigma)):
+            raise ValueError("v and sigma must be finite")
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
 

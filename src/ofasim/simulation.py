@@ -181,8 +181,8 @@ class NormalValuation:
 
     Attributes:
         n: Number of solvers.
-        v: Mean valuation at execution time.
-        sigma: Standard deviation of the valuation (> 0).
+        v: Mean valuation at execution time (finite).
+        sigma: Standard deviation of the valuation (finite, > 0).
         bids: Per-solver bids.
         gas_per_op: Uniform reserved gas per operation.
         gas_price: Currency per gas unit.
@@ -198,6 +198,8 @@ class NormalValuation:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
+        if not (math.isfinite(self.v) and math.isfinite(self.sigma)):
+            raise ValueError("v and sigma must be finite")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         bids = tuple(b if isinstance(b, Fraction) else Fraction(b) for b in self.bids)

@@ -263,6 +263,63 @@ class TestSweepThroughput:
         assert capsys.readouterr().out == first
 
 
+# Each must exit 1 before writing anything: one stderr line, nothing on stdout
+# and no --out file.
+SWEEP_REJECTIONS = {
+    "sigma_max_inf": (["equilibrium", "--sigma-max", "inf"], "--sigma-max must be finite"),
+    "sigma_min_nan": (["equilibrium", "--sigma-min", "nan"], "--sigma-min must be finite"),
+    "v_nan": (["equilibrium", "--v", "nan", "--n", "2"], "--v must be finite"),
+    "sigma_range_reversed": (
+        ["equilibrium", "--sigma-min", "2", "--sigma-max", "1"],
+        "--sigma-min must not exceed --sigma-max",
+    ),
+    # fails on the first grid point, after the CSV header used to be written
+    "sigma_min_zero": (
+        ["equilibrium", "--sigma-min", "0", "--n", "2"],
+        "sigma must be positive",
+    ),
+    # n=2 warns at this prize before n=1 fails; the warning must not be printed
+    "bad_n_after_warning": (
+        ["equilibrium", "--sigma-min", "5", "--sigma-max", "5", "--n", "2,1"],
+        "n must be an integer >= 2",
+    ),
+    "gas_prices_empty": (["censorship", "--gas-prices", ","], "--gas-prices: empty list"),
+    "gamma_min_zero": (
+        ["censorship", "--gamma-min", "0", "--gamma-points", "2"],
+        "gamma must be a positive integer",
+    ),
+}
+
+
+class TestSweepRejections:
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("case", SWEEP_REJECTIONS)
+    def test_rejected_before_any_output(self, tmp_path, capsys, case, to_file):
+        argv, message = SWEEP_REJECTIONS[case]
+        out = tmp_path / "sweep.csv"
+        extra = ["--out", str(out)] if to_file else []
+        assert cli.main(["sweep", *argv, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_unwritable_out_is_an_error_line(self, tmp_path, capsys):
+        argv = ["sweep", "censorship", "--gamma-points", "1", "--out", str(tmp_path)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_repeated_calls_do_not_share_flag_state(self, capsys):
+        argv = ["sweep", "censorship", "--gamma-points", "1", "--rival", "100:100000"]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr().out
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == first
+
+
 def iid_config(**model_overrides):
     model = {
         "kind": "iid_failure",
@@ -365,6 +422,146 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--jobs must be >= 1" in captured.err
+
+
+# kind -> (its required fields, its optional fields spelled out at the
+# library defaults)
+MODEL_FIELDS = {
+    "iid_failure": (
+        {"n": 2, "q": 0.5, "v": "100", "bids": ["66", "60"]},
+        {"gas_per_op": 100_000, "gas_price": "0"},
+    ),
+    "normal_valuation": (
+        {"n": 2, "v": "100", "sigma": 5, "bids": ["99", "98"]},
+        {"gas_per_op": 100_000, "gas_price": "0"},
+    ),
+    "throughput_sweep": (
+        {"gammas": [1_000_000, 2_000_000]},
+        {"gas_per_op": 100_000, "bid_high": "100", "bid_low": "50", "q": 0.5},
+    ),
+    "spoof_attack": (
+        {"gamma": 1_000_000, "rivals": [{"bid": "100", "gas_reserved": 100_000}]},
+        {
+            "gas_price": "0",
+            "attacker_value": "0",
+            "bid_margin": "1",
+            "attacker_gas": None,
+            "attacker_behavior": "revert",
+        },
+    ),
+    "timeline": (
+        {},
+        {
+            "user_latency_ms": 50,
+            "auction_duration_ms": 300,
+            "execution_delay_ms": 50,
+            "solver_ops": [],
+        },
+    ),
+}
+
+
+def model_config(kind, **fields):
+    model = {"kind": kind, **fields}
+    return {"schema": "simulate/1", "seed": 7, "trials": 200, "model": model}
+
+
+def normal_config_with_sigma(tmp_path, literal):
+    """Write a normal_valuation config whose sigma is the raw JSON ``literal``."""
+    config = model_config("normal_valuation", **MODEL_FIELDS["normal_valuation"][0])
+    path = tmp_path / "config.json"
+    text = json.dumps(config).replace('"sigma": 5', f'"sigma": {literal}')
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def run_rejected(capsys, path):
+    """Run ``simulate`` on a config that must fail; return its one stderr line."""
+    assert cli.main(["simulate", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+class TestModelFields:
+    @pytest.mark.parametrize("kind", MODEL_FIELDS)
+    def test_omitted_optional_fields_take_library_defaults(self, tmp_path, capsys, kind):
+        required, defaults = MODEL_FIELDS[kind]
+        bare = write_json(tmp_path, "bare.json", model_config(kind, **required))
+        spelled = write_json(
+            tmp_path, "spelled.json", model_config(kind, **required, **defaults)
+        )
+        assert cli.main(["simulate", bare]) == 0
+        omitted = capsys.readouterr().out
+        assert cli.main(["simulate", spelled]) == 0
+        assert capsys.readouterr().out == omitted
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            (kind, field)
+            for kind, (required, _) in MODEL_FIELDS.items()
+            for field in required
+        ],
+    )
+    def test_missing_required_field_is_reported(self, tmp_path, capsys, kind, field):
+        fields = dict(MODEL_FIELDS[kind][0])
+        del fields[field]
+        path = write_json(tmp_path, "config.json", model_config(kind, **fields))
+        err = run_rejected(capsys, path)
+        assert err == f"error: config.model: missing field(s) [{field!r}]\n"
+
+    @pytest.mark.parametrize("kind", MODEL_FIELDS)
+    def test_unknown_field_is_reported(self, tmp_path, capsys, kind):
+        config = model_config(kind, **MODEL_FIELDS[kind][0], extra_knob=1)
+        err = run_rejected(capsys, write_json(tmp_path, "config.json", config))
+        assert err == "error: config.model: unknown field(s) ['extra_knob']\n"
+
+    @pytest.mark.parametrize(
+        "kind, fields, message",
+        [
+            (
+                "spoof_attack",
+                {"rivals": [{"bid": "100", "gas_reserved": 1, "x": 1}], "gamma": 10},
+                "config.model.rivals[0]: unknown field(s) ['x']",
+            ),
+            (
+                "timeline",
+                {"solver_ops": [{"solver_id": "a", "gas_reserved": 1}]},
+                "config.model.solver_ops[0]: missing field(s) ['bid']",
+            ),
+            (
+                "timeline",
+                {"solver_ops": {}},
+                "config.model.solver_ops: expected an array",
+            ),
+            (
+                "timeline",
+                {"schedule": {"user_gas_consumed": 0}},
+                "config.model.schedule: missing field(s) ['tx_gas_limit']",
+            ),
+        ],
+    )
+    def test_nested_objects_are_validated(self, tmp_path, capsys, kind, fields, message):
+        path = write_json(tmp_path, "config.json", model_config(kind, **fields))
+        err = run_rejected(capsys, path)
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_constant_is_rejected(self, tmp_path, capsys, literal):
+        # "sigma": NaN used to exit 0 with an all-revert report
+        path = normal_config_with_sigma(tmp_path, literal)
+        assert run_rejected(capsys, path) == (
+            f"error: {path} is not valid JSON: {literal} is not a finite number\n"
+        )
+
+    @pytest.mark.parametrize("number", ["1e400", str(10**400)], ids=["float", "int"])
+    def test_overflowing_number_is_rejected(self, tmp_path, capsys, number):
+        path = normal_config_with_sigma(tmp_path, number)
+        assert run_rejected(capsys, path) == (
+            "error: config.model.sigma: expected a finite number\n"
+        )
 
 
 class TestUsage:

@@ -174,6 +174,19 @@ class TestUtilityForms:
         with pytest.raises(ValueError, match="outside the valuation support"):
             discrete_time_utility(game, 100.0 - 80.0)
 
+    @pytest.mark.parametrize(
+        "v, sigma",
+        [
+            (float("nan"), 5.0),
+            (float("inf"), 5.0),
+            (100.0, float("nan")),
+            (100.0, float("inf")),
+        ],
+    )
+    def test_non_finite_game_rejected(self, v, sigma):
+        with pytest.raises(ValueError, match="v and sigma must be finite"):
+            DiscreteTimeGame(n=3, v=v, sigma=sigma)
+
     def test_zero_sigma_rejected(self):
         game = DiscreteTimeGame(n=3, v=100.0, sigma=0.0)
         with pytest.raises(ValueError, match="sigma must be positive"):

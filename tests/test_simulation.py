@@ -149,6 +149,14 @@ class TestNormalValuation:
         )
         assert within_three_se(report["scaled_per_execution_payoff"], expected)
 
+    @pytest.mark.parametrize(
+        "v, sigma", [(100.0, float("nan")), (100.0, float("inf")), (float("nan"), 5.0)]
+    )
+    def test_non_finite_parameters_rejected(self, v, sigma):
+        # a NaN sigma used to pass and yield an all-revert report
+        with pytest.raises(ValueError, match="v and sigma must be finite"):
+            NormalValuation(n=2, v=v, sigma=sigma, bids=(Fraction(99),) * 2)
+
     def test_jobs_do_not_change_results(self):
         model = NormalValuation(n=3, v=100.0, sigma=5.0, bids=(Fraction(99),) * 3)
         config = SimConfig(trials=60_000, seed=123, model=model)
