@@ -48,6 +48,7 @@ from .settlement import (
     failure_cost,
     guaranteed_minimum,
     settle,
+    settle_patterns,
     solver_payoff,
 )
 from .simulation import (
@@ -123,6 +124,7 @@ __all__ = [
     "run_throughput_sweep",
     "run_timeline",
     "settle",
+    "settle_patterns",
     "simplified_utility",
     "solver_gas_budget",
     "solver_payoff",

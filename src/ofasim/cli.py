@@ -266,7 +266,7 @@ _MODELS: dict[str, Parser] = {
     "normal_valuation": _object(
         NormalValuation,
         n=(_int(1), True),
-        v=(lambda value, context: float(_currency(value, context)), True),
+        v=(_currency, True),
         sigma=(_expect_number, True),
         **_GAME_OPS,
     ),
@@ -431,6 +431,10 @@ def _sweep_throughput(args: argparse.Namespace) -> list[list]:
     ]
 
 
+#: Most sigma values one ``sweep equilibrium`` grid may hold.
+MAX_SIGMA_POINTS = 10_000
+
+
 def _sweep_equilibrium(args: argparse.Namespace) -> list[list]:
     if not args.sigma_step > 0:
         raise ScenarioError("--sigma-step must be positive")
@@ -439,10 +443,15 @@ def _sweep_equilibrium(args: argparse.Namespace) -> list[list]:
             raise ScenarioError(f"--{name.replace('_', '-')} must be finite")
     if args.sigma_min > args.sigma_max:
         raise ScenarioError("--sigma-min must not exceed --sigma-max")
+    if args.sigma_max + args.sigma_step == args.sigma_max:
+        raise ScenarioError("--sigma-step is too small to advance sigma at --sigma-max")
     ns = _comma_ints(args.n, "--n")
     sigmas = []
     sigma = args.sigma_min
     while sigma <= args.sigma_max + 1e-9:
+        # the cap also ends a grid whose step stops advancing before --sigma-max
+        if len(sigmas) == MAX_SIGMA_POINTS:
+            raise ScenarioError(f"the sigma grid has more than {MAX_SIGMA_POINTS} points")
         sigmas.append(round(sigma, 10))
         sigma += args.sigma_step
     rows, warnings = [["n", "sigma", "v", "b_star", "b_star_over_v"]], []

@@ -19,8 +19,11 @@ worst case over all outcome patterns is the guaranteed minimum
 Design notes:
   - Settlement is a pure function of (transaction, scripted behaviors); no
     hidden state, so outcome patterns can be enumerated exhaustively.
-  - The beneficiary payout is computed from its own case analysis rather than
-    as winner bid + collected costs, so conservation is a real cross-check.
+  - One kernel settles a transaction as if a given operation were the first
+    to succeed. ``settle`` finds the first scripted success and calls it;
+    ``settle_patterns`` calls it once per outcome pattern. The payout is the
+    winner bid plus the collected failure costs, so conservation holds by
+    construction; the tests check it against an independent case analysis.
   - Gas fees: each reverted operation pays gas_price · gas_used for itself;
     the winner pays for its own gas plus the user operations' gas. Summed
     across cases this accounts for exactly gas_price · total_gas_used.
@@ -125,6 +128,52 @@ def failure_cost(
     return (failing_bid - successful_bid) * share
 
 
+def _settle_first_success(tx: AuctionTransaction, first: int) -> SettlementResult:
+    """Settle ``tx`` as if op ``first`` were the first to succeed.
+
+    Ops before ``first`` revert, op ``first`` wins and later ops are skipped;
+    ``first == len(tx.solver_ops)`` means every op reverts.
+    """
+    gamma = tx.gamma
+    price = tx.schedule.gas_price
+    ops = tx.solver_ops
+    reverted = ops[:first]
+    winner = ops[first] if first < len(ops) else None
+    winner_bid = winner.bid if winner is not None else None
+
+    costs = {
+        op.solver_id: failure_cost(op.bid, winner_bid, op.gas_reserved, gamma)
+        for op in reverted
+    }
+    gas_charges = {op.solver_id: price * op.gas_used for op in reverted}
+    payoffs = {sid: -costs[sid] - charge for sid, charge in gas_charges.items()}
+    executed = [(op.solver_id, OpOutcome.REVERTED) for op in reverted]
+    payout = sum(costs.values(), ZERO)
+    total_gas_used = tx.schedule.user_gas_consumed + sum(op.gas_used for op in reverted)
+    if winner is not None:
+        sid = winner.solver_id
+        gas_charges[sid] = price * (tx.schedule.user_gas_consumed + winner.gas_used)
+        payoffs[sid] = tx.private_values.get(sid, ZERO) - winner_bid - gas_charges[sid]
+        executed.append((sid, OpOutcome.SUCCEEDED))
+        payout += winner_bid
+        total_gas_used += winner.gas_used
+    for op in ops[first + 1 :]:
+        payoffs[op.solver_id] = ZERO
+        executed.append((op.solver_id, OpOutcome.SKIPPED))
+
+    return SettlementResult(
+        winner=winner.solver_id if winner is not None else None,
+        executed=tuple(executed),
+        failure_costs=costs,
+        solver_payoffs=payoffs,
+        beneficiary_payout=payout,
+        total_gas_used=total_gas_used,
+        reverted_set=tuple(op.solver_id for op in reverted),
+        winner_bid=winner_bid,
+        gas_charges=gas_charges,
+    )
+
+
 def settle(tx: AuctionTransaction) -> SettlementResult:
     """Execute a transaction's operations in order and account for the result.
 
@@ -140,74 +189,20 @@ def settle(tx: AuctionTransaction) -> SettlementResult:
         The full accounting; an empty transaction yields no winner and a zero
         payout.
     """
-    gamma = tx.gamma
-    price = tx.schedule.gas_price
-    executed: list[tuple[str, OpOutcome]] = []
-    reverted = []
-    winner = None
-    for op in tx.solver_ops:
-        if winner is not None:
-            executed.append((op.solver_id, OpOutcome.SKIPPED))
-        elif op.behavior is Behavior.SUCCEED:
-            winner = op
-            executed.append((op.solver_id, OpOutcome.SUCCEEDED))
-        else:
-            reverted.append(op)
-            executed.append((op.solver_id, OpOutcome.REVERTED))
-
-    winner_bid = winner.bid if winner is not None else None
-    costs = {
-        op.solver_id: failure_cost(op.bid, winner_bid, op.gas_reserved, gamma)
-        for op in reverted
-    }
-
-    solver_gas_used = sum(op.gas_used for op in reverted)
-    if winner is not None:
-        solver_gas_used += winner.gas_used
-    total_gas_used = tx.schedule.user_gas_consumed + solver_gas_used
-
-    gas_charges: dict[str, Fraction] = {
-        op.solver_id: price * op.gas_used for op in reverted
-    }
-    if winner is not None:
-        gas_charges[winner.solver_id] = price * (
-            tx.schedule.user_gas_consumed + winner.gas_used
-        )
-
-    payoffs: dict[str, Fraction] = {}
-    for op in tx.solver_ops:
-        sid = op.solver_id
-        if winner is not None and sid == winner.solver_id:
-            value = tx.private_values.get(sid, ZERO)
-            payoffs[sid] = value - op.bid - gas_charges[sid]
-        elif sid in costs:
-            payoffs[sid] = -costs[sid] - gas_charges[sid]
-        else:
-            payoffs[sid] = ZERO
-
-    if winner is not None and not reverted:
-        payout = winner.bid
-    elif winner is not None:
-        payout = winner.bid + sum(
-            (op.bid - winner.bid) * Fraction(op.gas_reserved, gamma)
-            for op in reverted
-        )
-    elif reverted:
-        payout = sum(op.bid * Fraction(op.gas_reserved, gamma) for op in reverted)
-    else:
-        payout = ZERO
-
-    return SettlementResult(
-        winner=winner.solver_id if winner is not None else None,
-        executed=tuple(executed),
-        failure_costs=costs,
-        solver_payoffs=payoffs,
-        beneficiary_payout=payout,
-        total_gas_used=total_gas_used,
-        reverted_set=tuple(op.solver_id for op in reverted),
-        winner_bid=winner_bid,
-        gas_charges=gas_charges,
+    first = next(
+        (i for i, op in enumerate(tx.solver_ops) if op.behavior is Behavior.SUCCEED),
+        len(tx.solver_ops),
     )
+    return _settle_first_success(tx, first)
+
+
+def settle_patterns(tx: AuctionTransaction) -> list[SettlementResult]:
+    """Settle every first-success pattern of ``tx``, ignoring its scripting.
+
+    Row k < n is the settlement in which ops before position k revert and op
+    k succeeds; row n is the one in which every op reverts.
+    """
+    return [_settle_first_success(tx, k) for k in range(len(tx.solver_ops) + 1)]
 
 
 def solver_payoff(
@@ -227,16 +222,14 @@ def solver_payoff(
     Raises:
         KeyError: If the solver did not participate in the settlement.
     """
-    outcomes = dict(result.executed)
-    if solver_id not in outcomes:
+    if solver_id not in dict(result.executed):
         raise KeyError(f"unknown solver_id: {solver_id!r}")
-    outcome = outcomes[solver_id]
-    if outcome is OpOutcome.SUCCEEDED:
-        assert result.winner_bid is not None
-        return private_value - result.winner_bid - result.gas_charges[solver_id]
-    if outcome is OpOutcome.REVERTED:
-        return -result.failure_costs[solver_id] - result.gas_charges[solver_id]
-    return ZERO
+    won = private_value - result.winner_bid if solver_id == result.winner else ZERO
+    return (
+        won
+        - result.failure_costs.get(solver_id, ZERO)
+        - result.gas_charges.get(solver_id, ZERO)
+    )
 
 
 def guaranteed_minimum(tx: AuctionTransaction) -> Fraction:

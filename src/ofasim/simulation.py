@@ -28,10 +28,11 @@ Determinism:
 
 Settlement reuse:
     Within one trial the only thing that matters is the first position whose
-    operation succeeds, so each reachable outcome pattern is settled once
-    through the settlement engine (with an exact conservation check) and its
-    payoffs are reused across trials. Realized-valuation payoffs add the
-    winner's drawn X on top of the zero-value base settlement.
+    operation succeeds, so the runners build one transaction, settle each of
+    its outcome patterns once through ``settle_patterns`` and reuse the
+    payoffs across trials. Realized-valuation payoffs add the winner's drawn X
+    on top of the zero-value base settlement. Amounts that do not fit a float
+    are rejected with a ``ValueError`` when the tables are built.
 
 Statistics are empirical means with standard errors; comparisons against
 closed forms should use 3-standard-error bands.
@@ -42,7 +43,7 @@ from __future__ import annotations
 import heapq
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -59,7 +60,7 @@ from .auction import (
 from .censorship import CensorshipScenario, censorship_resistance
 from .escrow import required_escrow
 from .money import ZERO, format_amount
-from .settlement import SettlementResult, guaranteed_minimum, settle
+from .settlement import failure_cost, guaranteed_minimum, settle, settle_patterns
 
 _CHUNK = 16384
 
@@ -141,6 +142,14 @@ def _run_chunked(
 # models and configuration
 
 
+def _float(amount: Union[Fraction, float], what: str) -> float:
+    """``amount`` as a float; ``ValueError`` if it lies beyond the float range."""
+    try:
+        return float(amount)
+    except OverflowError as exc:
+        raise ValueError(f"{what} is too large for a float") from exc
+
+
 @dataclass(frozen=True)
 class IidFailure:
     """Common-value game with an exogenous iid failure probability.
@@ -181,7 +190,7 @@ class NormalValuation:
 
     Attributes:
         n: Number of solvers.
-        v: Mean valuation at execution time (finite).
+        v: Mean valuation at execution time (finite; converted to a float).
         sigma: Standard deviation of the valuation (finite, > 0).
         bids: Per-solver bids.
         gas_per_op: Uniform reserved gas per operation.
@@ -198,6 +207,7 @@ class NormalValuation:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
+        object.__setattr__(self, "v", _float(self.v, "v"))
         if not (math.isfinite(self.v) and math.isfinite(self.sigma)):
             raise ValueError("v and sigma must be finite")
         if self.sigma <= 0:
@@ -231,6 +241,8 @@ class ThroughputSweep:
         object.__setattr__(self, "gammas", gammas)
         if not gammas:
             raise ValueError("gammas must be non-empty")
+        if not isinstance(self.gas_per_op, int) or self.gas_per_op <= 0:
+            raise ValueError("gas_per_op must be a positive integer")
         if any(g < self.gas_per_op for g in gammas):
             raise ValueError("every gamma must fit at least one operation")
         if not 0 < self.q < 1:
@@ -322,69 +334,40 @@ class SimConfig:
 # shared settlement-pattern machinery
 
 
-def _execution_ordered_ops(
-    bids: Sequence[Fraction], gas_per_op: int, behavior: Behavior
-) -> list[SolverOperation]:
-    width = max(3, len(str(len(bids))))
+def _game_transaction(
+    model: Union[IidFailure, NormalValuation], value: Optional[Fraction]
+) -> AuctionTransaction:
+    """The model's array, each op at ``gas_per_op``, each solver valuing ``value``."""
+    width = max(3, len(str(model.n)))
     ops = [
         SolverOperation(
-            solver_id=f"s{index:0{width}d}",
-            bid=bid,
-            gas_reserved=gas_per_op,
-            gas_used=gas_per_op,
-            behavior=behavior,
+            solver_id=f"s{index:0{width}d}", bid=bid, gas_reserved=model.gas_per_op
         )
-        for index, bid in enumerate(bids)
+        for index, bid in enumerate(model.bids)
     ]
-    return sorted(ops, key=SolverOperation.sort_key)
-
-
-def _check_conservation(result: SettlementResult) -> None:
-    """Exact conservation: payout == winner bid + collected failure costs."""
-    expected = (result.winner_bid or ZERO) + sum(
-        result.failure_costs.values(), ZERO
+    schedule = GasSchedule(
+        tx_gas_limit=model.n * model.gas_per_op,
+        user_gas_consumed=0,
+        gas_price=model.gas_price,
     )
-    if result.beneficiary_payout != expected:
-        raise AssertionError(
-            "conservation violated: payout "
-            f"{result.beneficiary_payout} != {expected}"
-        )
+    values = None if value is None else {op.solver_id: value for op in ops}
+    return admit_operations(ops, schedule, values)
 
 
-def _pattern_settlements(
-    ops: Sequence[SolverOperation],
-    schedule: GasSchedule,
-    private_values: Mapping[str, Fraction],
-) -> tuple[np.ndarray, np.ndarray, list[SettlementResult]]:
-    """Settle every first-success pattern once.
+def _pattern_tables(tx: AuctionTransaction) -> tuple[np.ndarray, np.ndarray]:
+    """Pattern × position payoff matrix and payout vector, as floats.
 
-    Pattern k < n: operations before position k revert, position k succeeds.
-    Pattern n: every operation reverts. Returns the per-pattern per-position
-    payoff matrix, the per-pattern beneficiary payout vector, and the raw
-    settlement results (conservation-checked).
+    Row k is ``settle_patterns(tx)[k]``: op k is the first to succeed.
     """
-    n = len(ops)
-    payoffs = np.zeros((n + 1, n))
-    beneficiary = np.zeros(n + 1)
-    results: list[SettlementResult] = []
-    for k in range(n + 1):
-        scripted = tuple(
-            replace(
-                op,
-                behavior=Behavior.SUCCEED if index == k else Behavior.REVERT,
-            )
-            for index, op in enumerate(ops)
-        )
-        tx = AuctionTransaction(
-            schedule=schedule, solver_ops=scripted, private_values=private_values
-        )
-        result = settle(tx)
-        _check_conservation(result)
-        results.append(result)
-        beneficiary[k] = float(result.beneficiary_payout)
-        for index, op in enumerate(ops):
-            payoffs[k, index] = float(result.solver_payoffs[op.solver_id])
-    return payoffs, beneficiary, results
+    rows = settle_patterns(tx)
+    payoffs = np.array(
+        [
+            [_float(row.solver_payoffs[op.solver_id], "payoff") for op in tx.solver_ops]
+            for row in rows
+        ]
+    )
+    payouts = np.array([_float(row.beneficiary_payout, "payout") for row in rows])
+    return payoffs, payouts
 
 
 def _first_true_positions(matrix: np.ndarray) -> np.ndarray:
@@ -411,15 +394,9 @@ def run_iid_failure(config: SimConfig, jobs: int = 1) -> dict:
     model = config.model
     if not isinstance(model, IidFailure):
         raise TypeError("run_iid_failure requires an IidFailure model")
-    ops = _execution_ordered_ops(model.bids, model.gas_per_op, Behavior.REVERT)
-    n = len(ops)
-    schedule = GasSchedule(
-        tx_gas_limit=n * model.gas_per_op,
-        user_gas_consumed=0,
-        gas_price=model.gas_price,
-    )
-    values = {op.solver_id: model.v for op in ops}
-    payoff_table, beneficiary_table, _ = _pattern_settlements(ops, schedule, values)
+    tx = _game_transaction(model, model.v)
+    ops, n = tx.solver_ops, model.n
+    payoff_table, beneficiary_table = _pattern_tables(tx)
 
     rng = np.random.default_rng(config.seed)
     draws = rng.random((config.trials, n))
@@ -465,15 +442,10 @@ def run_normal_valuation(config: SimConfig, jobs: int = 1) -> dict:
     model = config.model
     if not isinstance(model, NormalValuation):
         raise TypeError("run_normal_valuation requires a NormalValuation model")
-    ops = _execution_ordered_ops(model.bids, model.gas_per_op, Behavior.REVERT)
-    n = len(ops)
-    schedule = GasSchedule(
-        tx_gas_limit=n * model.gas_per_op,
-        user_gas_consumed=0,
-        gas_price=model.gas_price,
-    )
-    payoff_table, beneficiary_table, _ = _pattern_settlements(ops, schedule, {})
-    bid_row = np.array([float(op.bid) for op in ops])
+    tx = _game_transaction(model, None)
+    ops, n = tx.solver_ops, model.n
+    payoff_table, beneficiary_table = _pattern_tables(tx)
+    bid_row = np.array([_float(op.bid, "bid") for op in ops])
 
     rng = np.random.default_rng(config.seed)
     valuations = model.v + model.sigma * rng.standard_normal((config.trials, n))
@@ -536,6 +508,30 @@ def _ratio_statistic(
     )
 
 
+def median_failure_costs(
+    model: ThroughputSweep, gamma: int
+) -> tuple[list[Fraction], int, list[Fraction]]:
+    """One rung of a throughput sweep, in exact amounts.
+
+    Returns the bids of the array refilled at ``gamma`` (execution order),
+    the position of the measured rank-⌈N/2⌉ op, and that op's failure cost
+    when the j-th op below it is the first to succeed; the last entry is the
+    cost when none does.
+    """
+    count = gamma // model.gas_per_op
+    if count > 1:
+        step = (model.bid_high - model.bid_low) / (count - 1)
+        bids = [model.bid_high - step * i for i in range(count)]
+    else:
+        bids = [model.bid_high]
+    median_index = math.ceil(count / 2) - 1
+    costs = [
+        failure_cost(bids[median_index], winner_bid, model.gas_per_op, gamma)
+        for winner_bid in bids[median_index + 1 :] + [None]
+    ]
+    return bids, median_index, costs
+
+
 def run_throughput_sweep(config: SimConfig, jobs: int = 1) -> dict:
     """Expected failure cost of the median-bid operation per gas budget.
 
@@ -550,45 +546,27 @@ def run_throughput_sweep(config: SimConfig, jobs: int = 1) -> dict:
     rng = np.random.default_rng(config.seed)
     rows = []
     for gamma in model.gammas:
-        count = gamma // model.gas_per_op
-        if count > 1:
-            step = (model.bid_high - model.bid_low) / (count - 1)
-            bids = [model.bid_high - step * i for i in range(count)]
-        else:
-            bids = [model.bid_high]
-        median_index = math.ceil(count / 2) - 1
-        median_bid = bids[median_index]
-        share = Fraction(model.gas_per_op, gamma)
-        below = bids[median_index + 1 :]
-
-        # Exact per-outcome costs, cross-checked against the settlement
-        # engine for each canonical pattern.
-        costs = [ (median_bid - winner_bid) * share for winner_bid in below ]
-        cost_none = median_bid * share
-        _verify_throughput_costs(
-            bids, median_index, gamma, model.gas_per_op, costs, cost_none
-        )
-        cost_table = np.array([float(c) for c in costs] + [float(cost_none)])
-
-        draws = rng.random((config.trials, len(below))) if below else None
-        if draws is None:
-            positions = np.full(config.trials, 0)
-            cost_table = np.array([float(cost_none)])
-        else:
+        bids, median_index, costs = median_failure_costs(model, gamma)
+        cost_table = np.array([_float(cost, "failure cost") for cost in costs])
+        below = len(costs) - 1
+        if below:
+            draws = rng.random((config.trials, below))
             positions = _first_true_positions(draws >= model.q)
+        else:
+            positions = np.full(config.trials, 0)
 
         def produce(start: int, end: int) -> tuple[np.ndarray, ...]:
             pos = positions[start:end]
             cost = cost_table[pos]
-            succeeded = (pos < len(below)).astype(float)
+            succeeded = (pos < below).astype(float)
             return cost, succeeded
 
         cost_m, success_m = _run_chunked(produce, config.trials, [1, 1], jobs)
         rows.append(
             {
                 "gamma": gamma,
-                "ops": count,
-                "median_bid": format_amount(median_bid),
+                "ops": len(bids),
+                "median_bid": format_amount(bids[median_index]),
                 "mean_failure_cost": cost_m.stat().as_dict(),
                 "success_probability": success_m.stat().as_dict(),
             }
@@ -599,37 +577,6 @@ def run_throughput_sweep(config: SimConfig, jobs: int = 1) -> dict:
         "seed": config.seed,
         "rows": rows,
     }
-
-
-def _verify_throughput_costs(
-    bids: Sequence[Fraction],
-    median_index: int,
-    gamma: int,
-    gas_per_op: int,
-    costs: Sequence[Fraction],
-    cost_none: Fraction,
-) -> None:
-    """Check the vectorized cost table against real settlements."""
-    ops = _execution_ordered_ops(bids, gas_per_op, Behavior.REVERT)
-    schedule = GasSchedule(tx_gas_limit=gamma, user_gas_consumed=0)
-    median_id = ops[median_index].solver_id
-    for offset, expected in list(enumerate(costs))[:2] + [(None, cost_none)]:
-        scripted = tuple(
-            replace(
-                op,
-                behavior=(
-                    Behavior.SUCCEED
-                    if offset is not None and index == median_index + 1 + offset
-                    else Behavior.REVERT
-                ),
-            )
-            for index, op in enumerate(ops)
-        )
-        tx = AuctionTransaction(schedule=schedule, solver_ops=scripted)
-        result = settle(tx)
-        _check_conservation(result)
-        if result.failure_costs[median_id] != expected:
-            raise AssertionError("throughput cost table disagrees with settlement")
 
 
 def run_spoof_attack(config: SimConfig) -> dict:
@@ -676,22 +623,15 @@ def run_spoof_attack(config: SimConfig) -> dict:
         behavior=model.attacker_behavior,
     )
 
-    baseline_tx = admit_operations(rivals, schedule)
-    baseline = settle(baseline_tx)
-    _check_conservation(baseline)
-
+    baseline = settle(admit_operations(rivals, schedule))
     attack_tx = admit_operations(rivals + [attacker], schedule)
     attack = settle(attack_tx)
-    _check_conservation(attack)
 
     admitted = [op.solver_id for op in attack_tx.solver_ops]
     attacker_admitted = attacker.solver_id in admitted
     rivals_admitted = [sid for sid in admitted if sid != attacker.solver_id]
-    attacker_cost = attack.failure_costs.get(attacker.solver_id, ZERO) + (
-        attack.gas_charges.get(attacker.solver_id, ZERO)
-    )
-    if attack.winner == attacker.solver_id:
-        attacker_cost += attacker.bid
+    # no private values: minus the payoff is the bid (if it won), cost and fee
+    attacker_cost = -attack.solver_payoffs.get(attacker.solver_id, ZERO)
 
     return {
         "model": "spoof_attack",

@@ -10,6 +10,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -579,3 +583,72 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["sweep", "latency"])
         assert excinfo.value.code == 2
+
+
+class TestFloatRange:
+    """Amounts that pass exact parsing but cannot become a finite float."""
+
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [
+            ("iid_failure", {"v": "1e400"}),
+            ("normal_valuation", {"v": "1e400"}),
+            ("iid_failure", {"bids": ["1e400", "4"]}),
+        ],
+        ids=["iid_v", "normal_v", "iid_bids"],
+    )
+    def test_simulate_rejects_amount_beyond_float_range(self, tmp_path, capsys, kind, fields):
+        required = {**MODEL_FIELDS[kind][0], **fields}
+        path = write_json(tmp_path, "config.json", model_config(kind, **required))
+        assert run_rejected(capsys, path).endswith("is too large for a float\n")
+
+    def test_throughput_rejects_bid_beyond_float_range(self, capsys):
+        assert cli.main(["sweep", "throughput", "--bid-high", "1e400", "--trials", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: failure cost is too large for a float\n"
+
+
+@pytest.mark.parametrize("gas", ["0", "-5"])
+def test_throughput_rejects_non_positive_gas_per_op(capsys, gas):
+    # 0 used to end in a ZeroDivisionError, -5 in an IndexError
+    assert cli.main(["sweep", "throughput", f"--gas-per-op={gas}", "--trials", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: gas_per_op must be a positive integer\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # at 1e17 adding 0.5 leaves sigma unchanged: the grid loop never ended
+        (
+            ["--sigma-min", "1e17", "--sigma-max", "2e17"],
+            "--sigma-step is too small to advance sigma at --sigma-max",
+        ),
+        (
+            ["--sigma-min", "0", "--sigma-max", "1", "--sigma-step", "1e-12"],
+            f"the sigma grid has more than {cli.MAX_SIGMA_POINTS} points",
+        ),
+        (
+            ["--sigma-min=-1e17", "--sigma-max", "1"],
+            f"the sigma grid has more than {cli.MAX_SIGMA_POINTS} points",
+        ),
+    ],
+    ids=["step_does_not_advance", "too_many_points", "stuck_below_sigma_max"],
+)
+def test_unbounded_sigma_grid_is_rejected_before_any_work(flags, message):
+    # In a subprocess with a timeout and 1 GiB of address space, so a grid
+    # loop that never ends fails the test instead of hanging or filling memory.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["sweep", "equilibrium", "--v", "1", "--n", "2", *flags]
+    done = subprocess.run(
+        [sys.executable, "-m", "ofasim.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")

@@ -434,3 +434,14 @@ class TestDispatcher:
             "spoof_attack",
             "timeline",
         ]
+
+
+@pytest.mark.parametrize("gas", [0, -5])
+def test_throughput_gas_per_op_must_be_positive(gas):
+    with pytest.raises(ValueError, match="gas_per_op must be a positive integer"):
+        ThroughputSweep(gammas=(1_000_000,), gas_per_op=gas)
+
+
+def test_normal_valuation_rejects_v_beyond_float_range():
+    with pytest.raises(ValueError, match="v is too large for a float"):
+        NormalValuation(n=1, v=Fraction(10) ** 400, sigma=1.0, bids=(Fraction(1),))
