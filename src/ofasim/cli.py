@@ -4,8 +4,7 @@ Subcommands:
   - ``settle <file>``: settle a scenario file, print the accounting as JSON.
   - ``sweep <kind> [--out FILE]``: emit a figure-ready CSV for
     ``censorship``, ``throughput`` or ``equilibrium``.
-  - ``simulate <file> [--jobs N]``: run a Monte-Carlo / timeline config,
-    print the report as JSON.
+  - ``simulate <file>``: run a Monte-Carlo / timeline config, print the report as JSON.
 
 Scenario files are JSON with a versioned top-level ``"schema"`` field
 (``settle/1``, ``simulate/1``). Every JSON object is checked against a
@@ -19,8 +18,7 @@ serialized as decimal strings.
 Exit codes: 0 on success, 1 on scenario or validation errors (with a one-line
 diagnostic on stderr and nothing on stdout or in ``--out``), 2 on usage
 errors. Output is built in memory and written only once the command has
-succeeded. ``--jobs`` changes concurrency only; reports are bit-identical at
-any value.
+succeeded. ``--jobs`` is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -517,6 +515,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    jobs_help = "accepted for compatibility; has no effect"
     parser = argparse.ArgumentParser(
         prog="ofasim",
         description=(
@@ -534,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
         "kind", choices=["censorship", "throughput", "equilibrium"]
     )
     p_sweep.add_argument("--out", help="write CSV here instead of stdout")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1, help=jobs_help)
     # censorship
     p_sweep.add_argument("--gamma-min", type=int, default=1_000_000)
     p_sweep.add_argument("--gamma-max", type=int, default=10_000_000)
@@ -561,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a simulation config")
     p_sim.add_argument("file", help="JSON config (schema simulate/1)")
-    p_sim.add_argument("--jobs", type=int, default=1)
+    p_sim.add_argument("--jobs", type=int, default=1, help=jobs_help)
     return parser
 
 

@@ -17,22 +17,19 @@ Runners:
     on-chain execution), with a structural chain-quiet check between order
     receipt and guarantee issuance.
 
-Determinism:
+Determinism and reduction:
     All randomness comes from one ``numpy.random.default_rng(seed)`` (PCG64)
-    per run. Every trial's draws happen in a single upfront vectorized pass —
-    row = trial, column = execution position (descending-bid order); sweep
-    rungs draw their blocks in listed order. Accumulation is chunked at a
-    fixed chunk size with ordered reduction, so the ``jobs`` parameter changes
-    concurrency only, never results: identical (seed, config) gives
-    bit-identical reports at any job count.
-
-Settlement reuse:
-    Within one trial the only thing that matters is the first position whose
-    operation succeeds, so the runners build one transaction, settle each of
-    its outcome patterns once through ``settle_patterns`` and reuse the
-    payoffs across trials. Realized-valuation payoffs add the winner's drawn X
-    on top of the zero-value base settlement. Amounts that do not fit a float
-    are rejected with a ``ValueError`` when the tables are built.
+    per run: row = trial, column = execution position (descending-bid order),
+    drawn ``_BLOCK`` rows at a time, which gives the same values as one
+    upfront draw; sweep rungs draw in listed order. A trial's payoffs depend
+    only on the first position whose operation succeeds (its outcome pattern)
+    and, in the valuation model, on the winner's drawn X. So each block is
+    reduced to per-pattern counts and winner sums, and the statistics come
+    from those and one settlement per pattern (``settle_patterns``). Memory
+    does not grow with the trial count, identical (seed, config) gives
+    bit-identical reports, and the ``jobs`` parameter, kept for
+    compatibility, has no effect. A statistic or amount that does not fit a
+    float raises ``ValueError``.
 
 Statistics are empirical means with standard errors; comparisons against
 closed forms should use 3-standard-error bands.
@@ -42,11 +39,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -62,11 +58,11 @@ from .escrow import required_escrow
 from .money import ZERO, format_amount
 from .settlement import failure_cost, guaranteed_minimum, settle, settle_patterns
 
-_CHUNK = 16384
+_BLOCK = 16384
 
 
 # ---------------------------------------------------------------------------
-# empirical statistics with deterministic chunked accumulation
+# empirical statistics from outcome-pattern sums
 
 
 @dataclass(frozen=True)
@@ -81,61 +77,102 @@ class EmpiricalStat:
         return {"mean": self.mean, "std_error": self.std_error, "trials": self.trials}
 
 
-class _Moments:
-    """First and second moments per column, merged in fixed chunk order."""
-
-    def __init__(self, width: int) -> None:
-        self.count = 0
-        self.total = np.zeros(width)
-        self.total_sq = np.zeros(width)
-
-    def update(self, block: np.ndarray) -> None:
-        if block.ndim == 1:
-            block = block[:, None]
-        self.count += block.shape[0]
-        self.total += block.sum(axis=0)
-        self.total_sq += (block * block).sum(axis=0)
-
-    def stat(self, column: int = 0) -> EmpiricalStat:
-        mean = self.total[column] / self.count
-        var = self.total_sq[column] / self.count - mean * mean
-        if self.count > 1:
-            var = max(var, 0.0) * self.count / (self.count - 1)
-        return EmpiricalStat(
-            mean=float(mean),
-            std_error=float(math.sqrt(max(var, 0.0) / self.count)),
-            trials=self.count,
-        )
-
-
-def _chunk_ranges(trials: int) -> list[tuple[int, int]]:
-    return [(start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK)]
-
-
-def _run_chunked(
-    chunk_fn: Callable[[int, int], tuple[np.ndarray, ...]],
-    trials: int,
-    widths: Sequence[int],
-    jobs: int,
-) -> list[_Moments]:
-    """Accumulate chunk_fn's blocks into moments, in chunk order.
-
-    The reduction order is fixed by the chunk list, so any jobs count gives
-    identical floating-point results.
+class _PatternSums(NamedTuple):
+    """Trials per outcome pattern and, for valuation draws, the pattern's
+    first winning X (its anchor) and the sums of R = X − anchor and R².
     """
-    ranges = _chunk_ranges(trials)
-    moments = [_Moments(width) for width in widths]
-    if jobs <= 1:
-        produced = (chunk_fn(start, end) for start, end in ranges)
-        for blocks in produced:
-            for acc, block in zip(moments, blocks):
-                acc.update(block)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for blocks in pool.map(lambda r: chunk_fn(*r), ranges):
-                for acc, block in zip(moments, blocks):
-                    acc.update(block)
-    return moments
+
+    counts: np.ndarray
+    anchors: np.ndarray
+    sums: np.ndarray
+    squares: np.ndarray
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow fails in _statistics
+def _first_success_sums(
+    rng: np.random.Generator,
+    trials: int,
+    thresholds: np.ndarray,
+    valuation: Optional[tuple[float, float]] = None,
+) -> _PatternSums:
+    """Draw trials × width cells ``_BLOCK`` rows at a time (the values of one
+    upfront draw) and sum them by outcome pattern: k < width when column k is
+    a row's first success, k = width when none is. A cell is a uniform U that
+    succeeds when U ≥ its threshold or, given ``valuation = (v, σ)``, an
+    X = v + σ·Z (Z standard normal) that succeeds when X exceeds it.
+    """
+    width = len(thresholds)
+    counts = np.zeros(width + 1, dtype=np.int64)
+    anchors, sums, squares = (np.zeros(width + 1) for _ in range(3))
+    if not width:  # nothing to draw: every trial is the no-success pattern
+        counts[0] = trials
+        return _PatternSums(counts, anchors, sums, squares)
+    for start in range(0, trials, _BLOCK):
+        shape = (min(_BLOCK, trials - start), width)
+        if valuation is None:
+            success = rng.random(shape) >= thresholds
+        else:
+            draws = valuation[0] + valuation[1] * rng.standard_normal(shape)
+            success = draws > thresholds
+        positions = np.where(success.any(axis=1), success.argmax(axis=1), width)
+        block_counts = np.bincount(positions, minlength=width + 1)
+        if valuation is not None:
+            winners = np.flatnonzero(positions < width)
+            won = positions[winners]
+            realized = draws[winners, won]
+            for k in np.unique(won[counts[won] == 0]):  # patterns won first here
+                anchors[k] = realized[np.argmax(won == k)]
+            residual = realized - anchors[won]
+            sums += np.bincount(won, residual, minlength=width + 1)
+            squares += np.bincount(won, residual * residual, minlength=width + 1)
+        counts += block_counts
+    return _PatternSums(counts, anchors, sums, squares)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # checked once, at the end
+def _statistics(
+    drawn: _PatternSums,
+    values: np.ndarray,
+    weights: Optional[np.ndarray] = None,
+    ratio: Optional[tuple[int, int, float]] = None,
+) -> list[dict]:
+    """Report statistics of per-trial columns, from the per-pattern sums.
+
+    A trial of pattern k has column j equal to values[k, j], plus its
+    winner's X where weights[k, j] is 1. Each column is shifted by its value
+    on a trial of the last pattern drawn, so a constant column has a zero
+    standard error exactly. ``ratio = (i, j, scale)`` appends the
+    delta-method statistic scale · mean_i / mean_j. ``ValueError`` if a
+    statistic does not fit a float.
+    """
+    trials = int(drawn.counts.sum())
+    if weights is not None:
+        values = values + weights * drawn.anchors[:, None]
+    shift = values[np.flatnonzero(drawn.counts)[-1]]
+    dev = values - shift
+    first = drawn.counts @ dev
+    second = dev.T @ (drawn.counts[:, None] * dev)
+    if weights is not None:
+        first = first + drawn.sums @ weights
+        cross = dev.T @ (drawn.sums[:, None] * weights)
+        squares = weights.T @ (drawn.squares[:, None] * weights)
+        second = second + cross + cross.T + squares
+    means = shift + first / trials
+    comoments = second - np.outer(first, first) / trials
+    variances = np.maximum(np.diag(comoments), 0.0) / max(trials - 1, 1)
+    if ratio is not None:
+        i, j, scale = ratio
+        grad = np.array([scale / means[j], -scale * means[i] / means[j] ** 2])
+        spread = grad @ comoments[np.ix_([i, j], [i, j])] @ grad / trials
+        means = np.append(means, scale * means[i] / means[j])
+        variances = np.append(variances, max(spread, 0.0))
+    errors = np.sqrt(variances / trials)
+    if not (np.isfinite(means).all() and np.isfinite(errors).all()):
+        raise ValueError("a Monte-Carlo statistic does not fit a float")
+    return [
+        EmpiricalStat(float(mean), float(error), trials).as_dict()
+        for mean, error in zip(means, errors)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +391,9 @@ def _game_transaction(
     return admit_operations(ops, schedule, values)
 
 
-def _pattern_tables(tx: AuctionTransaction) -> tuple[np.ndarray, np.ndarray]:
-    """Pattern × position payoff matrix and payout vector, as floats.
+def _pattern_columns(tx: AuctionTransaction) -> np.ndarray:
+    """Per-pattern payoff of each op (execution order), their total, and the
+    beneficiary payout, as floats.
 
     Row k is ``settle_patterns(tx)[k]``: op k is the first to succeed.
     """
@@ -367,16 +405,7 @@ def _pattern_tables(tx: AuctionTransaction) -> tuple[np.ndarray, np.ndarray]:
         ]
     )
     payouts = np.array([_float(row.beneficiary_payout, "payout") for row in rows])
-    return payoffs, payouts
-
-
-def _first_true_positions(matrix: np.ndarray) -> np.ndarray:
-    """Index of the first True per row, or the row width if none."""
-    n = matrix.shape[1]
-    any_true = matrix.any(axis=1)
-    positions = matrix.argmax(axis=1)
-    positions[~any_true] = n
-    return positions
+    return np.column_stack([payoffs, payoffs.sum(axis=1), payouts])
 
 
 # ---------------------------------------------------------------------------
@@ -396,34 +425,18 @@ def run_iid_failure(config: SimConfig, jobs: int = 1) -> dict:
         raise TypeError("run_iid_failure requires an IidFailure model")
     tx = _game_transaction(model, model.v)
     ops, n = tx.solver_ops, model.n
-    payoff_table, beneficiary_table = _pattern_tables(tx)
-
+    columns = np.column_stack([_pattern_columns(tx), np.arange(n + 1) < n])
     rng = np.random.default_rng(config.seed)
-    draws = rng.random((config.trials, n))
-    positions = _first_true_positions(draws >= model.q)
-
-    def produce(start: int, end: int) -> tuple[np.ndarray, ...]:
-        pos = positions[start:end]
-        per_solver = payoff_table[pos]
-        total = per_solver.sum(axis=1)
-        payout = beneficiary_table[pos]
-        succeeded = (pos < n).astype(float)
-        return per_solver, total, payout, succeeded
-
-    per_solver_m, total_m, payout_m, success_m = _run_chunked(
-        produce, config.trials, [n, 1, 1, 1], jobs
-    )
+    drawn = _first_success_sums(rng, config.trials, np.full(n, model.q))
+    stats = _statistics(drawn, columns)
     return {
         "model": "iid_failure",
         "trials": config.trials,
         "seed": config.seed,
-        "per_solver": {
-            op.solver_id: per_solver_m.stat(index).as_dict()
-            for index, op in enumerate(ops)
-        },
-        "total_payoff": total_m.stat().as_dict(),
-        "beneficiary": payout_m.stat().as_dict(),
-        "success_probability": success_m.stat().as_dict(),
+        "per_solver": {op.solver_id: stat for op, stat in zip(ops, stats)},
+        "total_payoff": stats[n],
+        "beneficiary": stats[n + 1],
+        "success_probability": stats[n + 2],
     }
 
 
@@ -444,68 +457,25 @@ def run_normal_valuation(config: SimConfig, jobs: int = 1) -> dict:
         raise TypeError("run_normal_valuation requires a NormalValuation model")
     tx = _game_transaction(model, None)
     ops, n = tx.solver_ops, model.n
-    payoff_table, beneficiary_table = _pattern_tables(tx)
     bid_row = np.array([_float(op.bid, "bid") for op in ops])
-
+    executed = np.minimum(np.arange(1, n + 2), n)
+    columns = np.column_stack([_pattern_columns(tx), executed])
+    # the winner's realized X adds to its own column and to the total
+    wins = np.eye(n + 1, n)
+    weights = np.column_stack([wins, wins.sum(axis=1), np.zeros((n + 1, 2))])
     rng = np.random.default_rng(config.seed)
-    valuations = model.v + model.sigma * rng.standard_normal((config.trials, n))
-    positions = _first_true_positions(valuations > bid_row)
-    winner_rows = np.nonzero(positions < n)[0]
-    realized = np.zeros(config.trials)
-    realized[winner_rows] = valuations[winner_rows, positions[winner_rows]]
-
-    def produce(start: int, end: int) -> tuple[np.ndarray, ...]:
-        pos = positions[start:end]
-        per_solver = payoff_table[pos].copy()
-        rows = np.nonzero(pos < n)[0]
-        per_solver[rows, pos[rows]] += realized[start:end][rows]
-        total = per_solver.sum(axis=1)
-        payout = beneficiary_table[pos]
-        executed = np.minimum(pos + 1, n).astype(float)
-        return per_solver, total, payout, executed, total * executed
-
-    per_solver_m, total_m, payout_m, executed_m, cross_m = _run_chunked(
-        produce, config.trials, [n, 1, 1, 1, 1], jobs
-    )
-    scaled = _ratio_statistic(total_m, executed_m, cross_m, scale=float(n))
+    drawn = _first_success_sums(rng, config.trials, bid_row, (model.v, model.sigma))
+    stats = _statistics(drawn, columns, weights, ratio=(n, n + 2, float(n)))
     return {
         "model": "normal_valuation",
         "trials": config.trials,
         "seed": config.seed,
-        "per_solver": {
-            op.solver_id: per_solver_m.stat(index).as_dict()
-            for index, op in enumerate(ops)
-        },
-        "total_payoff": total_m.stat().as_dict(),
-        "beneficiary": payout_m.stat().as_dict(),
-        "executed_ops": executed_m.stat().as_dict(),
-        "scaled_per_execution_payoff": scaled.as_dict(),
+        "per_solver": {op.solver_id: stat for op, stat in zip(ops, stats)},
+        "total_payoff": stats[n],
+        "beneficiary": stats[n + 1],
+        "executed_ops": stats[n + 2],
+        "scaled_per_execution_payoff": stats[n + 3],
     }
-
-
-def _ratio_statistic(
-    numerator: _Moments, denominator: _Moments, cross: _Moments, scale: float
-) -> EmpiricalStat:
-    """Delta-method statistic scale · mean(num) / mean(den)."""
-    count = numerator.count
-    num_mean = numerator.total[0] / count
-    den_mean = denominator.total[0] / count
-    ratio = scale * num_mean / den_mean
-    num_var = numerator.total_sq[0] / count - num_mean**2
-    den_var = denominator.total_sq[0] / count - den_mean**2
-    cov = cross.total[0] / count - num_mean * den_mean
-    grad_num = scale / den_mean
-    grad_den = -scale * num_mean / den_mean**2
-    var = (
-        grad_num**2 * num_var
-        + grad_den**2 * den_var
-        + 2.0 * grad_num * grad_den * cov
-    )
-    return EmpiricalStat(
-        mean=float(ratio),
-        std_error=float(math.sqrt(max(var, 0.0) / count)),
-        trials=count,
-    )
 
 
 def median_failure_costs(
@@ -549,26 +519,17 @@ def run_throughput_sweep(config: SimConfig, jobs: int = 1) -> dict:
         bids, median_index, costs = median_failure_costs(model, gamma)
         cost_table = np.array([_float(cost, "failure cost") for cost in costs])
         below = len(costs) - 1
-        if below:
-            draws = rng.random((config.trials, below))
-            positions = _first_true_positions(draws >= model.q)
-        else:
-            positions = np.full(config.trials, 0)
-
-        def produce(start: int, end: int) -> tuple[np.ndarray, ...]:
-            pos = positions[start:end]
-            cost = cost_table[pos]
-            succeeded = (pos < below).astype(float)
-            return cost, succeeded
-
-        cost_m, success_m = _run_chunked(produce, config.trials, [1, 1], jobs)
+        drawn = _first_success_sums(rng, config.trials, np.full(below, model.q))
+        cost, success = _statistics(
+            drawn, np.column_stack([cost_table, np.arange(below + 1) < below])
+        )
         rows.append(
             {
                 "gamma": gamma,
                 "ops": len(bids),
                 "median_bid": format_amount(bids[median_index]),
-                "mean_failure_cost": cost_m.stat().as_dict(),
-                "success_probability": success_m.stat().as_dict(),
+                "mean_failure_cost": cost,
+                "success_probability": success,
             }
         )
     return {

@@ -652,3 +652,41 @@ def test_unbounded_sigma_grid_is_rejected_before_any_work(flags, message):
         timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite {name} in the report")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # v + sigma * Z overflows to infinity for most draws
+        {"n": 3, "v": "100", "sigma": 1e308, "bids": ["99", "98", "97"]},
+        # squares of these payoffs overflow, though every mean fits a float
+        {"n": 2, "v": "1e200", "sigma": 1, "bids": ["1e200", "1e200"]},
+        {"n": 3, "v": "1e200", "sigma": 1e199, "bids": ["1e200", "9e199", "5e199"]},
+    ],
+    ids=["huge_sigma", "huge_v_and_bids", "huge_spread"],
+)
+def test_overflowing_normal_valuation_ends_cleanly(tmp_path, fields):
+    # In a subprocess, so a numpy warning would show on the real stderr. The
+    # run either reports strict JSON or is refused with one error line.
+    config = model_config("normal_valuation", **fields)
+    config = write_json(tmp_path, "config.json", config)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ofasim.cli", "simulate", config],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    if done.returncode == 0:
+        assert done.stderr == ""
+        json.loads(done.stdout, parse_constant=_reject_constant)
+    else:
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

@@ -6,6 +6,7 @@ derived closed forms; determinism checks require bit-identical reports.
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -445,3 +446,29 @@ def test_throughput_gas_per_op_must_be_positive(gas):
 def test_normal_valuation_rejects_v_beyond_float_range():
     with pytest.raises(ValueError, match="v is too large for a float"):
         NormalValuation(n=1, v=Fraction(10) ** 400, sigma=1.0, bids=(Fraction(1),))
+
+
+MEMORY_MODELS = {
+    "iid": IidFailure(
+        n=50, q=0.5, v=Fraction(100), bids=tuple(Fraction(100 - i) for i in range(50))
+    ),
+    "normal": NormalValuation(
+        n=50, v=100.0, sigma=10.0, bids=tuple(Fraction(100 - i) for i in range(50))
+    ),
+    # 50 ops per rung: 25 of them below the median op are drawn
+    "throughput": ThroughputSweep(gammas=(5_000_000, 5_000_000)),
+}
+
+
+@pytest.mark.parametrize("kind", MEMORY_MODELS)
+def test_monte_carlo_memory_does_not_grow_with_trials(kind):
+    # 200,000 trials x 50 ops is 80 MB as one float matrix; drawn in blocks
+    # and reduced to per-pattern sums, a run stays far below that
+    config = SimConfig(trials=200_000, seed=3, model=MEMORY_MODELS[kind])
+    tracemalloc.start()
+    try:
+        run_simulation(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
