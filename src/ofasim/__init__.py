@@ -10,6 +10,8 @@ gas exhaustion, and shapes equilibrium bidding.
 
 from __future__ import annotations
 
+import importlib
+
 from .auction import (
     AuctionTransaction,
     Behavior,
@@ -51,24 +53,29 @@ from .settlement import (
     settle_patterns,
     solver_payoff,
 )
-from .simulation import (
-    EmpiricalStat,
-    IidFailure,
-    NormalValuation,
-    SimConfig,
-    SpoofAttack,
-    ThroughputSweep,
-    Timeline,
-    TimelineConfig,
-    TimelineEvent,
-    TimelineEventKind,
-    chain_quiet_between_order_and_guarantee,
-    run_iid_failure,
-    run_normal_valuation,
-    run_simulation,
-    run_spoof_attack,
-    run_throughput_sweep,
-    run_timeline,
+
+# The Monte-Carlo runners need numpy; load them on first use (PEP 562), so that
+# settlement, escrow and the other exact modules import without it.
+_SIMULATION_NAMES = frozenset(
+    {
+        "EmpiricalStat",
+        "IidFailure",
+        "NormalValuation",
+        "SimConfig",
+        "SpoofAttack",
+        "ThroughputSweep",
+        "Timeline",
+        "TimelineConfig",
+        "TimelineEvent",
+        "TimelineEventKind",
+        "chain_quiet_between_order_and_guarantee",
+        "run_iid_failure",
+        "run_normal_valuation",
+        "run_simulation",
+        "run_spoof_attack",
+        "run_throughput_sweep",
+        "run_timeline",
+    }
 )
 
 __version__ = "0.1.0"
@@ -130,3 +137,15 @@ __all__ = [
     "solver_payoff",
     "utility_gradient",
 ]
+
+
+def __getattr__(name: str) -> object:
+    if name != "simulation" and name not in _SIMULATION_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not ``from . import``: that statement calls this hook again
+    simulation = importlib.import_module(".simulation", __name__)
+    return simulation if name == "simulation" else getattr(simulation, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SIMULATION_NAMES | {"simulation"})

@@ -12,10 +12,16 @@ ledger untouched. Settling charges the actual cost, never more than the
 reserved amount, and frees the remainder at once. Hence available ≥ 0,
 balance ≥ Σ pending (the escrow inequality), and charges never exceed deposits.
 
-Each auctioneer's solver → available map is kept current by one exact Fraction
-addition per deposit, reserve, settle or cancel: ``available`` and ``reserve``
-are O(1), ``prefetch_snapshot`` is one O(solvers) copy, and only ``pending``
-scans the reservations. Mutations take a single internal lock (linearizable).
+Each auctioneer's solver → available map is kept current by one exact update
+per deposit, reserve, settle or cancel: ``available`` and ``reserve`` are
+O(1), ``prefetch_snapshot`` is one O(solvers) copy, and only ``pending`` scans
+the reservations. Mutations take a single internal lock (linearizable).
+
+``required_escrow`` is one integer numerator over ``bid_den · price_den ·
+gamma``, and ``reserve`` compares and subtracts on the numerators and
+denominators (``a·d < n·b``, then ``(a·d − n·b)/(b·d)``). A ``Fraction`` is
+built only for the amounts the ledger stores and returns. Amounts must be
+``int`` or ``Fraction``; anything else is refused with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .auction import SolverOperation
-from .money import ZERO, format_amount, parse_amount
+from .money import ZERO, format_amount, parse_amount, require_exact
 
 
 class InsufficientEscrow(Exception):
@@ -77,6 +83,11 @@ def required_escrow(
     return Fraction(gas_reserved * (bn * pd + pn * bd * gamma), bd * pd * gamma)
 
 
+def _plus(x: Fraction, n: int, d: int) -> Fraction:
+    """``x + n/d``, built once from integer numerators."""
+    return Fraction(x.numerator * d + n * x.denominator, x.denominator * d)
+
+
 @dataclass(frozen=True)
 class PendingReservation:
     """An in-flight reservation for one unsettled operation.
@@ -107,18 +118,23 @@ class EscrowLedger:
         self._pending: dict[int, PendingReservation] = {}
         self._handles = itertools.count(1)
 
-    def _post(self, key: tuple[str, str], balance: Fraction, available: Fraction):
-        """Add to a balance and to its available amount; the lock is held."""
-        self._balances[key] = self._balances.get(key, ZERO) + balance
+    def _post(
+        self, key: tuple[str, str], balance: tuple[int, int], available: tuple[int, int]
+    ) -> None:
+        """Add (numerator, denominator) pairs to a balance and to its available
+        amount; the lock is held."""
+        self._balances[key] = _plus(self._balances.get(key, ZERO), *balance)
         per_solver = self._available.setdefault(key[1], {})
-        per_solver[key[0]] = per_solver.get(key[0], ZERO) + available
+        per_solver[key[0]] = _plus(per_solver.get(key[0], ZERO), *available)
 
     def deposit(self, solver_id: str, auctioneer_id: str, amount: Fraction) -> None:
         """Credit a solver's escrow balance with an auctioneer."""
+        require_exact(amount, "deposit amount")
         if amount < 0:
             raise ValueError("deposit amount must be non-negative")
+        exact = (amount.numerator, amount.denominator)
         with self._lock:
-            self._post((solver_id, auctioneer_id), amount, amount)
+            self._post((solver_id, auctioneer_id), exact, exact)
 
     def balance(self, solver_id: str, auctioneer_id: str) -> Fraction:
         """Deposited balance, ignoring pending reservations."""
@@ -164,13 +180,15 @@ class EscrowLedger:
                 escrow; the ledger is left unchanged.
         """
         needed = required_escrow(op.bid, op.gas_reserved, gamma, gas_price)
+        n, d = needed.numerator, needed.denominator
         with self._lock:
             per_solver = self._available.get(auctioneer_id, {})
             available = per_solver.get(solver_id, ZERO)
-            if available < needed:
+            a, b = available.numerator, available.denominator
+            if a * d < n * b:
                 raise InsufficientEscrow(solver_id, auctioneer_id, needed, available)
-            if needed:  # an unfunded pair holds only zeros and stays unmapped
-                per_solver[solver_id] = available - needed
+            if n:  # an unfunded pair holds only zeros and stays unmapped
+                per_solver[solver_id] = Fraction(a * d - n * b, b * d)
             reservation = PendingReservation(
                 next(self._handles), solver_id, auctioneer_id, op.solver_id, needed
             )
@@ -189,20 +207,23 @@ class EscrowLedger:
             ValueError: If the charge is negative or exceeds the reserved
                 amount (a settlement-engine bug).
         """
-        if charged < 0:
+        require_exact(charged, "charge")
+        cn, cd = charged.numerator, charged.denominator
+        if cn < 0:
             raise ValueError("charge must be non-negative")
         with self._lock:
             reservation = self._pending.get(handle)
             if reservation is None:
                 raise KeyError(f"no pending reservation with handle {handle}")
-            if charged > reservation.amount:
+            an, ad = reservation.amount.numerator, reservation.amount.denominator
+            if cn * ad > an * cd:
                 raise ValueError(
                     f"charge {format_amount(charged)} exceeds reserved "
                     f"{format_amount(reservation.amount)} (settlement-engine bug)"
                 )
             del self._pending[handle]
             key = (reservation.solver_id, reservation.auctioneer_id)
-            self._post(key, -charged, reservation.amount - charged)
+            self._post(key, (-cn, cd), (an * cd - cn * ad, ad * cd))
 
     def cancel_reservation(self, handle: int) -> None:
         """Release a stale reservation without charging anything.
@@ -217,8 +238,12 @@ class EscrowLedger:
             held = self._pending.pop(handle, None)
             if held is None:
                 raise KeyError(f"no pending reservation with handle {handle}")
-            if held.amount:  # nonzero only on a funded pair
-                self._available[held.auctioneer_id][held.solver_id] += held.amount
+            amount = held.amount
+            if amount:  # nonzero only on a funded pair
+                per_solver = self._available[held.auctioneer_id]
+                per_solver[held.solver_id] = _plus(
+                    per_solver[held.solver_id], amount.numerator, amount.denominator
+                )
 
     def prefetch_snapshot(self, auctioneer_id: str) -> Mapping[str, Fraction]:
         """Immutable solver → available-balance view for one auctioneer.

@@ -23,6 +23,19 @@ Amount = Fraction
 ZERO = Fraction(0)
 
 
+def require_exact(value: object, name: str) -> None:
+    """Refuse a currency value that is not an ``int`` or a ``Fraction``.
+
+    Floats (and Decimals, strings, bools) would silently break exactness, and
+    the integer settlement kernel reads ``numerator``/``denominator`` directly.
+
+    Raises:
+        ValueError: Naming ``name`` and the offending type.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValueError(f"{name} must be an int or a Fraction, got {type(value).__name__}")
+
+
 def parse_amount(text: str | int) -> Fraction:
     """Parse a decimal-string (or integer) currency amount exactly.
 
@@ -63,8 +76,15 @@ def format_amount(amount: Fraction) -> str:
 
     Exact multiples of 10^-18 round-trip exactly; other rationals are rounded
     half-even at the 18th fractional digit. Trailing zeros are trimmed.
+
+    Raises:
+        ValueError: If ``amount`` is not an ``int`` or a ``Fraction``.
     """
-    units = round(amount * _SCALE)
+    require_exact(amount, "amount")
+    denominator = amount.denominator
+    units, rest = divmod(amount.numerator * _SCALE, denominator)
+    if 2 * rest > denominator or (2 * rest == denominator and units % 2):
+        units += 1  # round half to even
     sign = "-" if units < 0 else ""
     whole, frac = divmod(abs(units), _SCALE)
     if frac == 0:

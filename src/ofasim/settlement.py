@@ -27,7 +27,13 @@ Design notes:
   - Gas fees: each reverted operation pays gas_price · gas_used for itself;
     the winner pays for its own gas plus the user operations' gas. Summed
     across cases this accounts for exactly gas_price · total_gas_used.
-  - All currency is exact (Fraction); every identity above holds exactly.
+  - All currency is exact, and the kernel does its sums on integers. A
+    transaction carries its bids scaled once to integers b̂ᵢ = bidᵢ · scale
+    over a common denominator (``scale`` = lcm of the bid denominators).
+    Every failure cost, the payout and each payoff is then an integer
+    numerator over ``scale · gamma`` (times the gas-price denominator where
+    gas fees enter), and a ``Fraction`` is built only for each value the
+    result returns. Every identity above holds exactly.
 """
 
 from __future__ import annotations
@@ -132,30 +138,42 @@ def _settle_first_success(tx: AuctionTransaction, first: int) -> SettlementResul
     """Settle ``tx`` as if op ``first`` were the first to succeed.
 
     Ops before ``first`` revert, op ``first`` wins and later ops are skipped;
-    ``first == len(tx.solver_ops)`` means every op reverts.
+    ``first == len(tx.solver_ops)`` means every op reverts. Canonical order
+    puts every reverted bid at or above the winner's, so no cost is negative.
     """
     gamma = tx.gamma
+    scale, bids = tx.bid_scale, tx.scaled_bids
+    den = scale * gamma  # a failure cost is (b̂ᵢ − ŵ) · gasᵢ over den
     price = tx.schedule.gas_price
+    pn, pd = price.numerator, price.denominator
+    user_gas = tx.schedule.user_gas_consumed
     ops = tx.solver_ops
     reverted = ops[:first]
     winner = ops[first] if first < len(ops) else None
-    winner_bid = winner.bid if winner is not None else None
+    won = bids[first] if winner is not None else 0
 
-    costs = {
-        op.solver_id: failure_cost(op.bid, winner_bid, op.gas_reserved, gamma)
-        for op in reverted
-    }
-    gas_charges = {op.solver_id: price * op.gas_used for op in reverted}
-    payoffs = {sid: -costs[sid] - charge for sid, charge in gas_charges.items()}
+    costs, gas_charges, payoffs = {}, {}, {}
+    collected = 0
+    for op, bid in zip(reverted, bids):
+        sid = op.solver_id
+        cost = (bid - won) * op.gas_reserved
+        collected += cost
+        costs[sid] = Fraction(cost, den)
+        gas_charges[sid] = Fraction(pn * op.gas_used, pd)
+        payoffs[sid] = Fraction(-cost * pd - pn * op.gas_used * den, den * pd)
     executed = [(op.solver_id, OpOutcome.REVERTED) for op in reverted]
-    payout = sum(costs.values(), ZERO)
-    total_gas_used = tx.schedule.user_gas_consumed + sum(op.gas_used for op in reverted)
+    payout = Fraction(won * gamma + collected, den)
+    total_gas_used = user_gas + sum(op.gas_used for op in reverted)
     if winner is not None:
         sid = winner.solver_id
-        gas_charges[sid] = price * (tx.schedule.user_gas_consumed + winner.gas_used)
-        payoffs[sid] = tx.private_values.get(sid, ZERO) - winner_bid - gas_charges[sid]
+        charged = pn * (user_gas + winner.gas_used)
+        gas_charges[sid] = Fraction(charged, pd)
+        value = tx.private_values.get(sid, ZERO)
+        vn, vd = value.numerator, value.denominator
+        payoffs[sid] = Fraction(
+            vn * pd * scale - won * vd * pd - charged * vd * scale, vd * pd * scale
+        )
         executed.append((sid, OpOutcome.SUCCEEDED))
-        payout += winner_bid
         total_gas_used += winner.gas_used
     for op in ops[first + 1 :]:
         payoffs[op.solver_id] = ZERO
@@ -169,7 +187,7 @@ def _settle_first_success(tx: AuctionTransaction, first: int) -> SettlementResul
         beneficiary_payout=payout,
         total_gas_used=total_gas_used,
         reverted_set=tuple(op.solver_id for op in reverted),
-        winner_bid=winner_bid,
+        winner_bid=winner.bid if winner is not None else None,
         gas_charges=gas_charges,
     )
 
@@ -236,10 +254,9 @@ def guaranteed_minimum(tx: AuctionTransaction) -> Fraction:
     """Worst-case beneficiary payout: the gas-weighted average of all bids.
 
     Equals the payout when every operation reverts, which is the minimum over
-    all outcome patterns.
+    all outcome patterns: ``Σ b̂ᵢ · gas_reservedᵢ`` over ``scale · gamma``.
     """
-    gamma = tx.gamma
-    return sum(
-        (op.bid * Fraction(op.gas_reserved, gamma) for op in tx.solver_ops),
-        ZERO,
+    weighted = sum(
+        bid * op.gas_reserved for bid, op in zip(tx.scaled_bids, tx.solver_ops)
     )
+    return Fraction(weighted, tx.bid_scale * tx.gamma)

@@ -14,9 +14,12 @@ from ofasim.auction import (
     Behavior,
     GasSchedule,
     SolverOperation,
+    _order_keys,
+    _scaled_bids,
     admit_operations,
     solver_gas_budget,
 )
+from ofasim.settlement import guaranteed_minimum
 
 from _scenarios import random_transaction
 
@@ -87,6 +90,40 @@ class TestSolverOperation:
         ]
         ordered = sorted(ops, key=SolverOperation.sort_key)
         assert [o.solver_id for o in ordered] == ["b", "c", "a", "d"]
+
+
+INEXACT = pytest.mark.parametrize("value", [1.5, "1.5", True], ids=["float", "str", "bool"])
+
+
+class TestExactAmounts:
+    """Currency enters as int or Fraction only; the integer kernel relies on it."""
+
+    @INEXACT
+    def test_bid_must_be_exact(self, value):
+        with pytest.raises(ValueError, match="bid must be an int or a Fraction"):
+            SolverOperation("a", value, 10)
+
+    @INEXACT
+    def test_gas_price_must_be_exact(self, value):
+        with pytest.raises(ValueError, match="gas_price must be an int or a Fraction"):
+            GasSchedule(tx_gas_limit=100, user_gas_consumed=0, gas_price=value)
+
+    @INEXACT
+    def test_private_values_must_be_exact(self, value):
+        schedule = GasSchedule(tx_gas_limit=1_000_000, user_gas_consumed=0)
+        with pytest.raises(ValueError, match="private value must be an int or a Fraction"):
+            AuctionTransaction(
+                schedule=schedule, solver_ops=(op("a", 1),), private_values={"a": value}
+            )
+
+    def test_ints_are_exact(self):
+        schedule = GasSchedule(tx_gas_limit=100, user_gas_consumed=0, gas_price=2)
+        tx = AuctionTransaction(
+            schedule=schedule,
+            solver_ops=(SolverOperation("a", 3, 10),),
+            private_values={"a": 4},
+        )
+        assert (tx.bid_scale, tx.scaled_bids) == (1, (3,))
 
 
 class TestAuctionTransaction:
@@ -206,3 +243,63 @@ def test_admission_is_permutation_invariant(seed, shuffle_seed):
     assert admit_operations(shuffled, schedule) == admit_operations(
         candidates, schedule
     )
+
+
+def _tied_candidates(rng: np.random.Generator, count: int) -> list[SolverOperation]:
+    """Ops whose bids mix denominators and ints and often tie (as 1/2 and 2/4
+    do), whose gas often ties, and whose solver ids repeat."""
+    candidates = []
+    for _ in range(count):
+        if rng.random() < 0.3:
+            bid = int(rng.integers(0, 4))
+        else:
+            denominator = int(rng.choice([1, 2, 3, 4, 6, 7, 10, 12, 100, 1009]))
+            bid = Fraction(int(rng.integers(0, 4 * denominator + 1)), denominator)
+        candidates.append(
+            SolverOperation(
+                solver_id=f"s{int(rng.integers(0, max(2, count // 2)))}",
+                bid=bid,
+                gas_reserved=int(rng.choice([1, 2, 5, 100_000])),
+            )
+        )
+    return candidates
+
+
+def _reference_admission(candidates, schedule):
+    """Admission spelled out on ``SolverOperation.sort_key`` (Fraction keys)."""
+    best = {}
+    for candidate in candidates:
+        cur = best.get(candidate.solver_id)
+        if cur is None or candidate.sort_key() < cur.sort_key():
+            best[candidate.solver_id] = candidate
+    admitted, remaining = [], schedule.solver_gas_budget()
+    for candidate in sorted(best.values(), key=SolverOperation.sort_key):
+        if candidate.gas_reserved > remaining:
+            break
+        admitted.append(candidate)
+        remaining -= candidate.gas_reserved
+    return admitted
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_integer_order_matches_the_fraction_order(seed):
+    rng = np.random.default_rng(seed)
+    candidates = _tied_candidates(rng, int(rng.integers(0, 25)))
+    scale, bids = _scaled_bids(candidates)
+    assert all(Fraction(b, scale) == c.bid for b, c in zip(bids, candidates))
+    keys = _order_keys(candidates, bids)
+    by_integer = [c for _, c in sorted(zip(keys, candidates), key=lambda pair: pair[0])]
+    by_fraction = sorted(candidates, key=SolverOperation.sort_key)
+    assert [id(c) for c in by_integer] == [id(c) for c in by_fraction]
+
+    schedule = GasSchedule(
+        tx_gas_limit=int(rng.integers(1, 300_001)) + 50, user_gas_consumed=50
+    )
+    tx = admit_operations(candidates, schedule)
+    reference = _reference_admission(candidates, schedule)
+    assert [id(c) for c in tx.solver_ops] == [id(c) for c in reference]
+    assert guaranteed_minimum(tx) == sum(
+        (c.bid * Fraction(c.gas_reserved, tx.gamma) for c in reference), Fraction(0)
+    )
+    assert type(guaranteed_minimum(tx)) is Fraction

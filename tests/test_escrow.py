@@ -171,6 +171,19 @@ class TestSettleReservation:
         assert remaining[0].amount == other.amount
 
 
+@pytest.mark.parametrize("value", [1.5, "1.5", True], ids=["float", "str", "bool"])
+def test_deposit_and_charge_must_be_exact(value):
+    ledger = EscrowLedger()
+    with pytest.raises(ValueError, match="deposit amount must be an int or a Fraction"):
+        ledger.deposit("s1", "a", value)
+    ledger.deposit("s1", "a", 50)
+    reservation = ledger.reserve("s1", "a", op(), GAMMA, PHI)
+    with pytest.raises(ValueError, match="charge must be an int or a Fraction"):
+        ledger.settle_reservation(reservation.handle, value)
+    assert ledger.available("s1", "a") == 50 - parse_amount("10.075")
+    assert [r.handle for r in ledger.pending("s1", "a")] == [reservation.handle]
+
+
 class TestSnapshot:
     def test_reports_available_per_solver(self):
         ledger = EscrowLedger()

@@ -82,6 +82,14 @@ class TestFormatAmount:
             == "0." + "0" * 17 + "2"
         )
 
+    @pytest.mark.parametrize("value", [1.5, "1.5", True], ids=["float", "str", "bool"])
+    def test_refuses_inexact_amounts(self, value):
+        with pytest.raises(ValueError, match="amount must be an int or a Fraction"):
+            format_amount(value)
+
+    def test_int_formats_as_whole_number(self):
+        assert format_amount(-7) == "-7"
+
     @given(
         st.fractions(
             min_value=Fraction(-(10**6)),

@@ -1,0 +1,46 @@
+"""The package imports its exact modules without numpy and loads the
+Monte-Carlo names on first use."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+import ofasim
+
+PROBE = """
+import sys
+import ofasim
+assert "numpy" not in sys.modules, "import ofasim loaded numpy"
+assert "ofasim.simulation" not in sys.modules
+assert set(ofasim.__all__) <= set(dir(ofasim))
+from ofasim import EscrowLedger, guaranteed_minimum, settle
+assert "numpy" not in sys.modules
+from ofasim import run_simulation
+assert "numpy" in sys.modules
+assert run_simulation is ofasim.simulation.run_simulation
+missing = [name for name in ofasim.__all__ if getattr(ofasim, name, None) is None]
+assert not missing, missing
+try:
+    ofasim.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown attribute resolved")
+print("ok")
+"""
+
+
+def test_numpy_loads_only_with_the_simulation_names():
+    # In a subprocess: this test session has loaded numpy already.
+    src = os.path.dirname(os.path.dirname(ofasim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")

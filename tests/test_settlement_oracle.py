@@ -18,7 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _scenarios import behavior_patterns, random_transaction, rescripted
-from ofasim.auction import AuctionTransaction, Behavior, GasSchedule, SolverOperation
+from ofasim.auction import (
+    AuctionTransaction,
+    Behavior,
+    GasSchedule,
+    SolverOperation,
+    admit_operations,
+)
 from ofasim.settlement import (
     OpOutcome,
     SettlementResult,
@@ -150,6 +156,40 @@ def test_solver_payoff_matches_the_report_for_every_pattern(seed):
             assert solver_payoff(result, op.solver_id, value) == (
                 result.solver_payoffs[op.solver_id]
             )
+
+
+def wide_transaction(n: int, seed: int) -> AuctionTransaction:
+    """All n ops admitted; bids mix denominators and tie, gas ties, fees apply."""
+    rng = np.random.default_rng(seed)
+    gas = 1_000
+    ops = []
+    for i in range(n):
+        denominator = int(rng.choice([1, 3, 8, 10, 100, 7_919]))
+        ops.append(
+            SolverOperation(
+                solver_id=f"s{i:03d}",
+                bid=Fraction(int(rng.integers(0, 50 * denominator)), denominator),
+                gas_reserved=int(rng.choice([gas, gas // 2])),
+                gas_used=int(rng.integers(0, gas // 2 + 1)),
+            )
+        )
+    values = {op.solver_id: Fraction(int(rng.integers(0, 6_000)), 100) for op in ops[::2]}
+    schedule = GasSchedule(
+        tx_gas_limit=n * gas + 77_777, user_gas_consumed=77_777, gas_price=Fraction(3, 10**6)
+    )
+    tx = admit_operations(ops, schedule, values)
+    assert len(tx.solver_ops) == n
+    return tx
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_pattern_rows_match_the_case_analysis_at_scale(n):
+    tx = wide_transaction(n, seed=n)
+    rows = settle_patterns(tx)
+    assert len(rows) == n + 1
+    for k, row in enumerate(rows):
+        expected = case_analysis_settle(rescripted(tx, first_success_script(tx, k)))
+        assert fields(row) == fields(expected)
 
 
 @pytest.mark.parametrize(
