@@ -68,7 +68,7 @@ class GasSchedule:
         if self.user_gas_consumed > self.tx_gas_limit:
             raise ValueError("user_gas_consumed exceeds tx_gas_limit")
         require_exact(self.gas_price, "gas_price")
-        if self.gas_price < 0:
+        if self.gas_price.numerator < 0:
             raise ValueError("gas_price must be non-negative")
 
     def solver_gas_budget(self) -> int:
@@ -103,7 +103,7 @@ class SolverOperation:
         if not self.solver_id:
             raise ValueError("solver_id must be non-empty")
         require_exact(self.bid, "bid")
-        if self.bid < 0:
+        if self.bid.numerator < 0:
             raise ValueError("bid must be non-negative")
         if not isinstance(self.gas_reserved, int) or self.gas_reserved <= 0:
             raise ValueError("gas_reserved must be a positive integer")

@@ -18,7 +18,14 @@ operation revert. Two cost models:
 
 Resistance is strictly increasing in gamma (d/dgamma = gas_price +
 B·min_gas/gamma² > 0 whenever gas is priced or rivals bid), which is the
-qualitative story the sweep output shows. All arithmetic is exact.
+qualitative story the sweep output shows.
+
+All arithmetic is exact, and so must the inputs be: a gas price, rival bid
+or attacker value that is not an ``int`` or ``Fraction`` is refused. One
+private routine evaluates the formula on integer numerators and builds one
+``Fraction``. ``resistance_sweep`` makes the scenario checks once for the
+whole grid, takes B and the minimum rival gas once, and calls that routine
+per grid point without building a scenario.
 """
 
 from __future__ import annotations
@@ -27,7 +34,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .money import ZERO
+from .money import ZERO, require_exact
+
+_RIVAL_GAS = "rival gas must lie in (0, gamma]"
+_NO_RIVALS = "refined resistance needs at least one rival"
+
+
+def _check_gamma(gamma: object) -> None:
+    if not isinstance(gamma, int) or gamma <= 0:
+        raise ValueError("gamma must be a positive integer")
+
+
+def _check_price(gas_price: object) -> None:
+    require_exact(gas_price, "gas_price")
+    if gas_price < 0:
+        raise ValueError("gas_price must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -48,16 +69,18 @@ class CensorshipScenario:
     attacker_value: Fraction = ZERO
 
     def __post_init__(self) -> None:
-        if not isinstance(self.gamma, int) or self.gamma <= 0:
-            raise ValueError("gamma must be a positive integer")
-        if self.gas_price < 0:
-            raise ValueError("gas_price must be non-negative")
+        _check_gamma(self.gamma)
+        _check_price(self.gas_price)
         object.__setattr__(self, "rival_ops", tuple(tuple(r) for r in self.rival_ops))
         for bid, gas in self.rival_ops:
+            require_exact(bid, "rival bid")
             if bid < 0:
                 raise ValueError("rival bids must be non-negative")
+            if isinstance(gas, bool) or not isinstance(gas, int):
+                raise ValueError("rival gas must be an integer")
             if not 0 < gas <= self.gamma:
-                raise ValueError("rival gas must lie in (0, gamma]")
+                raise ValueError(_RIVAL_GAS)
+        require_exact(self.attacker_value, "attacker_value")
 
 
 def naive_censorship_cost(gamma: int, gas_price: Fraction) -> Fraction:
@@ -76,6 +99,19 @@ def naive_censorship_cost(gamma: int, gas_price: Fraction) -> Fraction:
     return gas_price * gamma
 
 
+def _resistance(
+    gamma: int, gas_price: Fraction, best_bid: Fraction, min_gas: int, value: Fraction
+) -> Fraction:
+    """``(gamma − min_gas) · (gas_price + best_bid/gamma) − value``, built as
+    one Fraction from integer numerators."""
+    pn, pd = gas_price.numerator, gas_price.denominator
+    bn, bd = best_bid.numerator, best_bid.denominator
+    vn, vd = value.numerator, value.denominator
+    den = pd * bd * gamma  # the rate gas_price + best_bid/gamma is over den
+    rate = pn * bd * gamma + bn * pd
+    return Fraction((gamma - min_gas) * rate * vd - vn * den, den * vd)
+
+
 def censorship_resistance(scenario: CensorshipScenario) -> Fraction:
     """Signed surplus that makes censorship unprofitable under failure costs.
 
@@ -90,13 +126,16 @@ def censorship_resistance(scenario: CensorshipScenario) -> Fraction:
     Raises:
         ValueError: If the rival set is empty.
     """
-    if not scenario.rival_ops:
-        raise ValueError("refined resistance needs at least one rival")
-    min_gas = min(gas for _, gas in scenario.rival_ops)
-    best_bid = max(bid for bid, _ in scenario.rival_ops)
-    gamma_prime = scenario.gamma - min_gas
-    rate = scenario.gas_price + best_bid / Fraction(scenario.gamma)
-    return gamma_prime * rate - scenario.attacker_value
+    rivals = scenario.rival_ops
+    if not rivals:
+        raise ValueError(_NO_RIVALS)
+    return _resistance(
+        scenario.gamma,
+        scenario.gas_price,
+        max(bid for bid, _ in rivals),
+        min(gas for _, gas in rivals),
+        scenario.attacker_value,
+    )
 
 
 def resistance_sweep(
@@ -105,6 +144,9 @@ def resistance_sweep(
     template: CensorshipScenario,
 ) -> list[tuple[int, Fraction, Fraction]]:
     """Evaluate resistance over a (gamma, gas_price) grid with fixed rivals.
+
+    Each point is checked as ``CensorshipScenario`` would check it; an
+    invalid grid raises the error of its first invalid point, gamma-major.
 
     Args:
         gamma_range: Gas budgets to sweep (each must cover the rivals' gas).
@@ -116,20 +158,35 @@ def resistance_sweep(
         gas-price row the resistance is non-decreasing in gamma.
 
     Raises:
-        ValueError: If either range is empty.
+        ValueError: If either range is empty, or a point is invalid.
     """
     gammas = list(gamma_range)
     prices = list(gas_price_range)
     if not gammas or not prices:
         raise ValueError("sweep ranges must be non-empty")
-    rows = []
-    for gamma in gammas:
-        for price in prices:
-            scenario = CensorshipScenario(
-                gamma=gamma,
-                gas_price=price,
-                rival_ops=template.rival_ops,
-                attacker_value=template.attacker_value,
-            )
-            rows.append((gamma, price, censorship_resistance(scenario)))
-    return rows
+    rivals = template.rival_ops
+    # The template's rivals are valid, so a point fails on its gamma, then its
+    # price, then the widest rival's gas, then an empty rival set. Past the
+    # first point, the rest of the first gamma's row meets each price, and
+    # each later gamma is met with prices already checked.
+    max_gas = max((gas for _, gas in rivals), default=0)
+    _check_gamma(gammas[0])
+    _check_price(prices[0])
+    if max_gas > gammas[0]:
+        raise ValueError(_RIVAL_GAS)
+    if not rivals:
+        raise ValueError(_NO_RIVALS)
+    for price in prices[1:]:
+        _check_price(price)
+    for gamma in gammas[1:]:
+        _check_gamma(gamma)
+        if max_gas > gamma:
+            raise ValueError(_RIVAL_GAS)
+    best_bid = max(bid for bid, _ in rivals)
+    min_gas = min(gas for _, gas in rivals)
+    value = template.attacker_value
+    return [
+        (gamma, price, _resistance(gamma, price, best_bid, min_gas, value))
+        for gamma in gammas
+        for price in prices
+    ]

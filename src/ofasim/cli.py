@@ -31,7 +31,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from .auction import Behavior, GasSchedule, SolverOperation, admit_operations
 from .censorship import CensorshipScenario, resistance_sweep
@@ -54,130 +54,148 @@ class ScenarioError(Exception):
     """A scenario file failed validation; the message names the problem."""
 
 
+class _Invalid(ScenarioError):
+    """A JSON value its parser refused, at ``path`` in the file.
+
+    Parsers raise it with an empty path; each enclosing object or array
+    prepends its segment as the error passes up (``.bid``, ``[3]``), so a
+    file that validates builds no path string.
+    """
+
+    def __init__(self, problem: str, path: str = "") -> None:
+        super().__init__(problem)
+        self.problem, self.path = problem, path
+
+    def __str__(self) -> str:
+        return f"{self.path}: {self.problem}"
+
+
 # ---------------------------------------------------------------------------
 # strict scenario validation
 
-#: Turns one JSON value into a library value; called with (value, context).
-Parser = Callable[[Any, str], Any]
-#: Field name → (parser, required?) for one JSON object.
-Spec = Mapping[str, tuple[Parser, bool]]
+#: Turns one JSON value into a library value, or raises ``_Invalid``.
+Parser = Callable[[Any], Any]
 
 
-def _expect_object(value: Any, context: str) -> dict:
+def _expect_object(value: Any) -> dict:
     if not isinstance(value, dict):
-        raise ScenarioError(f"{context}: expected an object")
+        raise _Invalid("expected an object")
     return value
 
 
-def _check_keys(obj: Mapping[str, Any], required: set, optional: set, context: str) -> None:
-    keys = set(obj)
-    missing = required - keys
-    if missing:
-        raise ScenarioError(f"{context}: missing field(s) {sorted(missing)}")
-    unknown = keys - required - optional
-    if unknown:
-        raise ScenarioError(f"{context}: unknown field(s) {sorted(unknown)}")
-
-
-def _fields(data: Any, spec: Spec, context: str) -> dict[str, Any]:
-    """Validate one JSON object against ``spec`` and parse its fields.
-
-    Optional fields that are absent are left out of the result, so the
-    library's own defaults apply when it is passed on as keyword arguments.
-    """
-    obj = _expect_object(data, context)
-    required = {name for name, (_, needed) in spec.items() if needed}
-    _check_keys(obj, required, set(spec) - required, context)
-    return {
-        name: parse(obj[name], f"{context}.{name}")
-        for name, (parse, _) in spec.items()
-        if name in obj
-    }
-
-
 def _object(builder: Callable[..., Any], **spec: tuple[Parser, bool]) -> Parser:
-    """Parser for a JSON object with the fields ``spec``, passed to ``builder``."""
+    """Parser for a JSON object with the fields ``spec`` (name → (parser,
+    required?)), passed to ``builder`` as keyword arguments.
 
-    def parse(value: Any, context: str) -> Any:
-        fields = _fields(value, spec, context)
+    An optional field left out is left out of the call, so the library's own
+    default applies. Fields are parsed in spec order, so the first failing one
+    is reported.
+    """
+    required = frozenset(name for name, (_, needed) in spec.items() if needed)
+    allowed = frozenset(spec)
+
+    def parse(value: Any) -> Any:
+        keys = _expect_object(value).keys()
+        if not required <= keys <= allowed:
+            missing = required - keys
+            if missing:
+                raise _Invalid(f"missing field(s) {sorted(missing)}")
+            raise _Invalid(f"unknown field(s) {sorted(keys - allowed)}")
+        fields = {}
+        try:
+            for name, (parse_field, _) in spec.items():
+                if name in value:
+                    fields[name] = parse_field(value[name])
+        except _Invalid as exc:
+            exc.path = f".{name}{exc.path}"
+            raise
         try:
             return builder(**fields)
         except ValueError as exc:
-            raise ScenarioError(f"{context}: {exc}") from exc
+            raise _Invalid(str(exc)) from exc
 
     return parse
 
 
 def _int(minimum: int | None = None) -> Parser:
-    def parse(value: Any, context: str) -> int:
+    def parse(value: Any) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioError(f"{context}: expected an integer")
+            raise _Invalid("expected an integer")
         if minimum is not None and value < minimum:
-            raise ScenarioError(f"{context}: must be >= {minimum}")
+            raise _Invalid(f"must be >= {minimum}")
         return value
 
     return parse
 
 
-def _expect_number(value: Any, context: str) -> float:
+def _expect_number(value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{context}: expected a number")
+        raise _Invalid("expected a number")
     # false for NaN, an infinity and an integer too large for a float
     if not abs(value) <= sys.float_info.max:
-        raise ScenarioError(f"{context}: expected a finite number")
+        raise _Invalid("expected a finite number")
     return float(value)
 
 
-def _expect_str(value: Any, context: str) -> str:
+def _expect_str(value: Any) -> str:
     if not isinstance(value, str):
-        raise ScenarioError(f"{context}: expected a string")
+        raise _Invalid("expected a string")
     return value
 
 
-def _currency(value: Any, context: str) -> Fraction:
+def _currency(value: Any) -> Fraction:
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        try:
+            return parse_amount(value)
+        except ValueError as exc:
+            raise _Invalid(str(exc)) from exc
     if isinstance(value, float):
-        raise ScenarioError(
-            f"{context}: currency must be a decimal string, not a float "
+        raise _Invalid(
+            "currency must be a decimal string, not a float "
             "(binary floats would break exact accounting)"
         )
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise ScenarioError(f"{context}: currency must be a decimal string")
+    raise _Invalid("currency must be a decimal string")
+
+
+def _currency_map(value: Any) -> dict[str, Fraction]:
+    entries = _expect_object(value).items()
+    amounts = {}
     try:
-        return parse_amount(value)
-    except ValueError as exc:
-        raise ScenarioError(f"{context}: {exc}") from exc
+        for key, amount in entries:
+            amounts[key] = _currency(amount)
+    except _Invalid as exc:
+        exc.path = f".{key}{exc.path}"
+        raise
+    return amounts
 
 
-def _currency_map(value: Any, context: str) -> dict[str, Fraction]:
-    return {
-        key: _currency(amount, f"{context}.{key}")
-        for key, amount in _expect_object(value, context).items()
-    }
-
-
-def _behavior(value: Any, context: str) -> Behavior:
-    name = _expect_str(value, context)
+def _behavior(value: Any) -> Behavior:
     try:
-        return Behavior(name)
+        return Behavior(_expect_str(value))
     except ValueError as exc:
-        raise ScenarioError(
-            f"{context}: behavior must be 'succeed' or 'revert'"
-        ) from exc
+        raise _Invalid("behavior must be 'succeed' or 'revert'") from exc
 
 
 def _array(item: Parser) -> Parser:
-    def parse(value: Any, context: str) -> tuple:
+    def parse(value: Any) -> tuple:
         if not isinstance(value, list):
-            raise ScenarioError(f"{context}: expected an array")
-        return tuple(item(entry, f"{context}[{index}]") for index, entry in enumerate(value))
+            raise _Invalid("expected an array")
+        parsed = []
+        try:
+            for entry in value:
+                parsed.append(item(entry))
+        except _Invalid as exc:
+            exc.path = f"[{len(parsed)}]{exc.path}"
+            raise
+        return tuple(parsed)
 
     return parse
 
 
 def _schema(expected: str) -> Parser:
-    def parse(value: Any, context: str) -> str:
+    def parse(value: Any) -> str:
         if value != expected:
-            raise ScenarioError(f"{context}: expected {expected!r}, got {value!r}")
+            raise _Invalid(f"expected {expected!r}, got {value!r}")
         return value
 
     return parse
@@ -234,16 +252,16 @@ def _timeline(**fields: Any) -> Timeline:
 
 
 #: Fields shared by the two bidding-game models.
-_GAME_OPS: Spec = {
+_GAME_OPS: dict[str, tuple[Parser, bool]] = {
     "bids": (_array(_currency), True),
     "gas_per_op": (_int(1), False),
     "gas_price": (_currency, False),
 }
 
 
-def _gas_or_null(value: Any, context: str) -> int | None:
+def _gas_or_null(value: Any) -> int | None:
     # null, like leaving the field out, reserves the whole budget
-    return None if value is None else _int(1)(value, context)
+    return None if value is None else _int(1)(value)
 
 
 _RIVAL = _object(
@@ -298,32 +316,46 @@ _MODELS: dict[str, Parser] = {
 }
 
 
-def _parse_model(data: Any, context: str) -> Any:
-    obj = _expect_object(data, context)
-    kind = _expect_str(obj.get("kind", ""), f"{context}.kind")
+def _parse_model(data: Any) -> Any:
+    obj = _expect_object(data)
+    kind = obj.get("kind", "")
+    if not isinstance(kind, str):
+        raise _Invalid("expected a string", ".kind")
     if kind not in _MODELS:
         *others, last = _MODELS
-        raise ScenarioError(
-            f"{context}.kind: unknown model kind {kind!r} "
-            f"(expected {', '.join(others)} or {last})"
+        raise _Invalid(
+            f"unknown model kind {kind!r} (expected {', '.join(others)} or {last})",
+            ".kind",
         )
-    fields = {name: value for name, value in obj.items() if name != "kind"}
-    return _MODELS[kind](fields, context)
+    return _MODELS[kind]({name: value for name, value in obj.items() if name != "kind"})
 
 
-_SETTLE: Spec = {
-    "schema": (_schema("settle/1"), True),
-    "schedule": (_SCHEDULE, True),
-    "solver_ops": (_array(_SOLVER_OP), True),
-    "private_values": (_currency_map, False),
-}
+_SETTLE = _object(
+    dict,
+    schema=(_schema("settle/1"), True),
+    schedule=(_SCHEDULE, True),
+    solver_ops=(_array(_SOLVER_OP), True),
+    private_values=(_currency_map, False),
+)
 
-_SIMULATE: Spec = {
-    "schema": (_schema("simulate/1"), True),
-    "model": (_parse_model, True),
-    "trials": (_int(1), False),
-    "seed": (_int(0), True),
-}
+_SIMULATE = _object(
+    dict,
+    schema=(_schema("simulate/1"), True),
+    model=(_parse_model, True),
+    trials=(_int(1), False),
+    seed=(_int(0), True),
+)
+
+
+def _read(path: str, parse: Parser, root: str) -> Any:
+    """Load the JSON file ``path`` and parse it; a refused value is reported
+    at its path below ``root``."""
+    data = _load_json(path)
+    try:
+        return parse(data)
+    except _Invalid as exc:
+        exc.path = root + exc.path
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +363,7 @@ _SIMULATE: Spec = {
 
 
 def cmd_settle(args: argparse.Namespace) -> int:
-    fields = _fields(_load_json(args.file), _SETTLE, "scenario")
+    fields = _read(args.file, _SETTLE, "scenario")
     try:
         tx = admit_operations(
             fields["solver_ops"], fields["schedule"], fields.get("private_values")
@@ -401,9 +433,11 @@ def _sweep_censorship(args: argparse.Namespace) -> list[list]:
         rival_ops=tuple(rivals),
         attacker_value=parse_amount(args.attacker_value),
     )
+    rows = resistance_sweep(gammas, prices, template)
+    price_texts = [format_amount(price) for price in prices] * len(gammas)
     return [["gamma", "gas_price", "resistance"]] + [
-        [gamma, format_amount(price), format_amount(value)]
-        for gamma, price, value in resistance_sweep(gammas, prices, template)
+        [gamma, price_text, format_amount(value)]
+        for (gamma, _, value), price_text in zip(rows, price_texts)
     ]
 
 
@@ -498,7 +532,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    fields = _fields(_load_json(args.file), _SIMULATE, "config")
+    fields = _read(args.file, _SIMULATE, "config")
     try:
         config = SimConfig(
             trials=fields.get("trials", 1), seed=fields["seed"], model=fields["model"]

@@ -21,7 +21,8 @@ the reservations. Mutations take a single internal lock (linearizable).
 gamma``, and ``reserve`` compares and subtracts on the numerators and
 denominators (``a·d < n·b``, then ``(a·d − n·b)/(b·d)``). A ``Fraction`` is
 built only for the amounts the ledger stores and returns. Amounts must be
-``int`` or ``Fraction``; anything else is refused with ``ValueError``.
+``int`` or ``Fraction`` and gamma an ``int``; anything else is refused with
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -70,14 +71,22 @@ def required_escrow(
         ``bid · gas_reserved / gamma + gas_price · gas_reserved``.
 
     Raises:
-        ValueError: If gamma ≤ 0, gas_reserved > gamma, or bid or gas_price < 0.
+        ValueError: If gamma is not a positive int, gas_reserved > gamma, or
+            bid or gas_price is not an ``int`` or ``Fraction`` or is < 0.
     """
+    if type(gamma) is not int:  # a bool, float or numpy integer is refused
+        raise ValueError(f"gamma must be an int, got {type(gamma).__name__}")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if not 0 < gas_reserved <= gamma:
         raise ValueError("gas_reserved must lie in (0, gamma]")
-    bn, bd = bid.numerator, bid.denominator
-    pn, pd = gas_price.numerator, gas_price.denominator
+    try:
+        bn, bd = bid.numerator, bid.denominator
+        pn, pd = gas_price.numerator, gas_price.denominator
+    except AttributeError:  # not an int or a Fraction: name the culprit
+        require_exact(bid, "bid")
+        require_exact(gas_price, "gas_price")
+        raise
     if bn < 0 or pn < 0:
         raise ValueError("bid and gas_price must be non-negative")
     return Fraction(gas_reserved * (bn * pd + pn * bd * gamma), bd * pd * gamma)

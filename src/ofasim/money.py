@@ -10,6 +10,7 @@ serialization boundary, never inside a computation.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -21,6 +22,10 @@ _SCALE = 10**FRACTIONAL_DIGITS
 Amount = Fraction
 
 ZERO = Fraction(0)
+
+#: The plain form ``format_amount`` emits: ASCII digits, an optional minus
+#: sign and fraction. Other forms (exponents, "+1", ".5") go through Decimal.
+_PLAIN = re.compile(r"(-?[0-9]+)(?:\.([0-9]+))?")
 
 
 def require_exact(value: object, name: str) -> None:
@@ -39,6 +44,10 @@ def require_exact(value: object, name: str) -> None:
 def parse_amount(text: str | int) -> Fraction:
     """Parse a decimal-string (or integer) currency amount exactly.
 
+    A plain literal (``-?digits[.digits]``) becomes ``Fraction(int, 10**k)``
+    directly; any other form goes through ``Decimal``, which alone accepts
+    it. Both routes give the same value and the same diagnostics.
+
     Args:
         text: Decimal literal such as ``"10.075"`` or ``"7.5e-7"``, or an int.
 
@@ -49,26 +58,34 @@ def parse_amount(text: str | int) -> Fraction:
         ValueError: If the literal is not a finite decimal number or carries
             more than ``FRACTIONAL_DIGITS`` fractional digits.
     """
-    if isinstance(text, bool):
-        raise ValueError("currency amount must be a decimal string, not a bool")
-    if isinstance(text, int):
-        return Fraction(text)
     if not isinstance(text, str):
+        if isinstance(text, bool):
+            raise ValueError("currency amount must be a decimal string, not a bool")
+        if isinstance(text, int):
+            return Fraction(text)
         raise ValueError(
             f"currency amount must be a decimal string, got {type(text).__name__}"
         )
+    plain = _PLAIN.fullmatch(text)
+    if plain is None:
+        try:
+            value = Decimal(text)
+        except InvalidOperation as exc:
+            raise ValueError(f"not a decimal number: {text!r}") from exc
+        if not value.is_finite():
+            raise ValueError(f"currency amount must be finite: {text!r}")
+        places = -value.as_tuple().exponent
+    else:
+        whole, fraction = plain.group(1), plain.group(2) or ""
+        places = len(fraction)
+    if places > FRACTIONAL_DIGITS:
+        raise ValueError(f"more than {FRACTIONAL_DIGITS} fractional digits: {text!r}")
+    if plain is None:
+        return Fraction(value)
     try:
-        value = Decimal(text)
-    except InvalidOperation as exc:
-        raise ValueError(f"not a decimal number: {text!r}") from exc
-    if not value.is_finite():
-        raise ValueError(f"currency amount must be finite: {text!r}")
-    exponent = value.as_tuple().exponent
-    if isinstance(exponent, int) and -exponent > FRACTIONAL_DIGITS:
-        raise ValueError(
-            f"more than {FRACTIONAL_DIGITS} fractional digits: {text!r}"
-        )
-    return Fraction(value)
+        return Fraction(int(whole + fraction), 10**places)
+    except ValueError:  # past int()'s digit limit; Decimal has none
+        return Fraction(Decimal(text))
 
 
 def format_amount(amount: Fraction) -> str:

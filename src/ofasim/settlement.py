@@ -19,11 +19,15 @@ worst case over all outcome patterns is the guaranteed minimum
 Design notes:
   - Settlement is a pure function of (transaction, scripted behaviors); no
     hidden state, so outcome patterns can be enumerated exhaustively.
-  - One kernel settles a transaction as if a given operation were the first
-    to succeed. ``settle`` finds the first scripted success and calls it;
-    ``settle_patterns`` calls it once per outcome pattern. The payout is the
-    winner bid plus the collected failure costs, so conservation holds by
-    construction; the tests check it against an independent case analysis.
+  - One private routine, ``_pattern_terms``, holds the payoff and payout
+    rule: it gives the integer numerators of every amount of the pattern in
+    which a given operation is the first to succeed. The kernel builds a
+    ``SettlementResult`` from them; ``settle`` calls it for the first
+    scripted success and ``settle_patterns`` once per outcome pattern, and
+    the Monte-Carlo pattern table divides the same numerators straight to
+    floats. The payout is the winner bid plus the collected failure costs,
+    so conservation holds by construction; the tests check it against an
+    independent case analysis.
   - Gas fees: each reverted operation pays gas_price · gas_used for itself;
     the winner pays for its own gas plus the user operations' gas. Summed
     across cases this accounts for exactly gas_price · total_gas_used.
@@ -134,45 +138,69 @@ def failure_cost(
     return (failing_bid - successful_bid) * share
 
 
-def _settle_first_success(tx: AuctionTransaction, first: int) -> SettlementResult:
-    """Settle ``tx`` as if op ``first`` were the first to succeed.
+def _pattern_terms(
+    tx: AuctionTransaction, first: int
+) -> tuple[list[tuple[int, int, int]], Optional[tuple[int, int, int]], int]:
+    """Integer numerators of the pattern in which op ``first`` wins.
 
-    Ops before ``first`` revert, op ``first`` wins and later ops are skipped;
-    ``first == len(tx.solver_ops)`` means every op reverts. Canonical order
-    puts every reverted bid at or above the winner's, so no cost is negative.
+    Ops before ``first`` revert, op ``first`` wins and later ops are skipped
+    (``first == n``: every op reverts). Canonical order puts every reverted
+    bid at or above the winner's, so no cost is negative. With
+    ``den = scale · gamma`` and ``pd`` the gas price's denominator, returns
+    ``(reverted, winner, payout)``: per reverted op ``(cost, fee, payoff)``
+    over den, pd and den · pd; the winner's ``(fee, payoff, payoff_den)``,
+    its fee counting the user's gas, over pd and over ``vd · pd · scale``
+    (vd: its private value's denominator), or None; the payout over den.
     """
     gamma = tx.gamma
     scale, bids = tx.bid_scale, tx.scaled_bids
-    den = scale * gamma  # a failure cost is (b̂ᵢ − ŵ) · gasᵢ over den
+    den = scale * gamma
     price = tx.schedule.gas_price
     pn, pd = price.numerator, price.denominator
-    user_gas = tx.schedule.user_gas_consumed
+    ops = tx.solver_ops
+    won = bids[first] if first < len(ops) else 0
+    reverted = []
+    collected = 0
+    for op, bid in zip(ops[:first], bids):
+        cost = (bid - won) * op.gas_reserved
+        fee = pn * op.gas_used
+        collected += cost
+        reverted.append((cost, fee, -cost * pd - fee * den))
+    payout = won * gamma + collected
+    if first == len(ops):
+        return reverted, None, payout
+    winner = ops[first]
+    fee = pn * (tx.schedule.user_gas_consumed + winner.gas_used)
+    value = tx.private_values.get(winner.solver_id, ZERO)
+    vn, vd = value.numerator, value.denominator
+    payoff = vn * pd * scale - won * vd * pd - fee * vd * scale
+    return reverted, (fee, payoff, vd * pd * scale), payout
+
+
+def _settle_first_success(tx: AuctionTransaction, first: int) -> SettlementResult:
+    """Settle ``tx`` as if op ``first`` were the first to succeed (see
+    :func:`_pattern_terms`); a ``Fraction`` is built per returned amount."""
+    reverted_terms, winner_terms, payout = _pattern_terms(tx, first)
+    den = tx.bid_scale * tx.gamma
+    pd = tx.schedule.gas_price.denominator
     ops = tx.solver_ops
     reverted = ops[:first]
-    winner = ops[first] if first < len(ops) else None
-    won = bids[first] if winner is not None else 0
 
     costs, gas_charges, payoffs = {}, {}, {}
-    collected = 0
-    for op, bid in zip(reverted, bids):
+    for op, (cost, fee, payoff) in zip(reverted, reverted_terms):
         sid = op.solver_id
-        cost = (bid - won) * op.gas_reserved
-        collected += cost
         costs[sid] = Fraction(cost, den)
-        gas_charges[sid] = Fraction(pn * op.gas_used, pd)
-        payoffs[sid] = Fraction(-cost * pd - pn * op.gas_used * den, den * pd)
+        gas_charges[sid] = Fraction(fee, pd)
+        payoffs[sid] = Fraction(payoff, den * pd)
     executed = [(op.solver_id, OpOutcome.REVERTED) for op in reverted]
-    payout = Fraction(won * gamma + collected, den)
-    total_gas_used = user_gas + sum(op.gas_used for op in reverted)
-    if winner is not None:
+    total_gas_used = tx.schedule.user_gas_consumed + sum(op.gas_used for op in reverted)
+    winner = None
+    if winner_terms is not None:
+        winner = ops[first]
         sid = winner.solver_id
-        charged = pn * (user_gas + winner.gas_used)
-        gas_charges[sid] = Fraction(charged, pd)
-        value = tx.private_values.get(sid, ZERO)
-        vn, vd = value.numerator, value.denominator
-        payoffs[sid] = Fraction(
-            vn * pd * scale - won * vd * pd - charged * vd * scale, vd * pd * scale
-        )
+        fee, payoff, payoff_den = winner_terms
+        gas_charges[sid] = Fraction(fee, pd)
+        payoffs[sid] = Fraction(payoff, payoff_den)
         executed.append((sid, OpOutcome.SUCCEEDED))
         total_gas_used += winner.gas_used
     for op in ops[first + 1 :]:
@@ -184,7 +212,7 @@ def _settle_first_success(tx: AuctionTransaction, first: int) -> SettlementResul
         executed=tuple(executed),
         failure_costs=costs,
         solver_payoffs=payoffs,
-        beneficiary_payout=payout,
+        beneficiary_payout=Fraction(payout, den),
         total_gas_used=total_gas_used,
         reverted_set=tuple(op.solver_id for op in reverted),
         winner_bid=winner.bid if winner is not None else None,

@@ -25,11 +25,16 @@ Determinism and reduction:
     only on the first position whose operation succeeds (its outcome pattern)
     and, in the valuation model, on the winner's drawn X. So each block is
     reduced to per-pattern counts and winner sums, and the statistics come
-    from those and one settlement per pattern (``settle_patterns``). Memory
-    does not grow with the trial count, identical (seed, config) gives
-    bit-identical reports, and the ``jobs`` parameter, kept for
-    compatibility, has no effect. A statistic or amount that does not fit a
-    float raises ``ValueError``.
+    from those and a pattern table of per-pattern payoffs and payouts. The
+    table is divided straight from the settlement kernel's integer
+    numerators (``settlement._pattern_terms``), with no settlement object
+    per pattern, and a throughput rung's failure costs from the integer
+    numerators of its bids; ``int / int`` rounds correctly, so every float
+    equals ``float()`` of the exact amount (``settle_patterns``,
+    ``median_failure_costs``). Memory does not grow with the trial count,
+    identical (seed, config) gives bit-identical reports, and the ``jobs``
+    parameter, kept for compatibility, has no effect. A statistic or amount
+    that does not fit a float raises ``ValueError``.
 
 Statistics are empirical means with standard errors; comparisons against
 closed forms should use 3-standard-error bands.
@@ -39,10 +44,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,7 +62,7 @@ from .auction import (
 from .censorship import CensorshipScenario, censorship_resistance
 from .escrow import required_escrow
 from .money import ZERO, format_amount
-from .settlement import failure_cost, guaranteed_minimum, settle, settle_patterns
+from .settlement import _pattern_terms, guaranteed_minimum, settle
 
 _BLOCK = 16384
 
@@ -179,12 +185,19 @@ def _statistics(
 # models and configuration
 
 
-def _float(amount: Union[Fraction, float], what: str) -> float:
-    """``amount`` as a float; ``ValueError`` if it lies beyond the float range."""
+@contextmanager
+def _float_range(what: str) -> Iterator[None]:
+    """Turn an ``OverflowError`` of a float conversion into a ``ValueError``."""
     try:
-        return float(amount)
+        yield
     except OverflowError as exc:
         raise ValueError(f"{what} is too large for a float") from exc
+
+
+def _float(amount: Union[Fraction, float], what: str) -> float:
+    """``amount`` as a float; ``ValueError`` if it lies beyond the float range."""
+    with _float_range(what):
+        return float(amount)
 
 
 @dataclass(frozen=True)
@@ -395,16 +408,28 @@ def _pattern_columns(tx: AuctionTransaction) -> np.ndarray:
     """Per-pattern payoff of each op (execution order), their total, and the
     beneficiary payout, as floats.
 
-    Row k is ``settle_patterns(tx)[k]``: op k is the first to succeed.
+    Row k holds the amounts of ``settle_patterns(tx)[k]`` (op k is the first
+    to succeed), divided straight from the kernel's integer numerators.
+    ``int / int`` rounds correctly, so each float equals ``float()`` of the
+    exact amount.
     """
-    rows = settle_patterns(tx)
-    payoffs = np.array(
-        [
-            [_float(row.solver_payoffs[op.solver_id], "payoff") for op in tx.solver_ops]
-            for row in rows
-        ]
-    )
-    payouts = np.array([_float(row.beneficiary_payout, "payout") for row in rows])
+    n = len(tx.solver_ops)
+    den = tx.bid_scale * tx.gamma
+    payoff_den = den * tx.schedule.gas_price.denominator
+    rows, payouts = [], []
+    with _float_range("payoff"):
+        for k in range(n + 1):
+            reverted, winner, payout = _pattern_terms(tx, k)
+            row = [payoff / payoff_den for _, _, payoff in reverted]
+            if winner is not None:
+                _, payoff, winner_den = winner
+                row.append(payoff / winner_den)
+                row += [0.0] * (n - k - 1)  # skipped ops
+            rows.append(row)
+            payouts.append(payout)
+    with _float_range("payout"):
+        payouts = [payout / den for payout in payouts]
+    payoffs = np.array(rows)
     return np.column_stack([payoffs, payoffs.sum(axis=1), payouts])
 
 
@@ -478,6 +503,35 @@ def run_normal_valuation(config: SimConfig, jobs: int = 1) -> dict:
     }
 
 
+def _rung(
+    model: ThroughputSweep, gamma: int
+) -> tuple[list[int], int, int, list[int], int]:
+    """One throughput rung on integer numerators.
+
+    Returns ``(bids, bid_den, median, costs, cost_den)``: ``bids[i] / bid_den``
+    is the i-th bid of the array refilled at ``gamma`` (execution order),
+    ``median`` the position of the measured rank-⌈N/2⌉ op, and
+    ``costs[j] / cost_den`` that op's failure cost when the (j+1)-th op below
+    it is the first to succeed; the last entry is the cost when none does.
+    """
+    count = gamma // model.gas_per_op
+    if count < 1:
+        raise ValueError("gamma must fit at least one operation")
+    steps = max(count - 1, 1)
+    high, low = model.bid_high, model.bid_low
+    bid_den = high.denominator * low.denominator * steps
+    # bid i is high − i·step; high and step are top and drop over bid_den
+    top = high.numerator * low.denominator * steps
+    drop = high.numerator * low.denominator - low.numerator * high.denominator
+    bids = [top - drop * i for i in range(count)]
+    median = (count + 1) // 2 - 1
+    gas = model.gas_per_op
+    # the failure cost (b_median − b_winner) · gas / gamma, then b_median · gas / gamma
+    costs = [drop * below * gas for below in range(1, count - median)]
+    costs.append(bids[median] * gas)
+    return bids, bid_den, median, costs, bid_den * gamma
+
+
 def median_failure_costs(
     model: ThroughputSweep, gamma: int
 ) -> tuple[list[Fraction], int, list[Fraction]]:
@@ -488,18 +542,12 @@ def median_failure_costs(
     when the j-th op below it is the first to succeed; the last entry is the
     cost when none does.
     """
-    count = gamma // model.gas_per_op
-    if count > 1:
-        step = (model.bid_high - model.bid_low) / (count - 1)
-        bids = [model.bid_high - step * i for i in range(count)]
-    else:
-        bids = [model.bid_high]
-    median_index = math.ceil(count / 2) - 1
-    costs = [
-        failure_cost(bids[median_index], winner_bid, model.gas_per_op, gamma)
-        for winner_bid in bids[median_index + 1 :] + [None]
-    ]
-    return bids, median_index, costs
+    bids, bid_den, median, costs, cost_den = _rung(model, gamma)
+    return (
+        [Fraction(bid, bid_den) for bid in bids],
+        median,
+        [Fraction(cost, cost_den) for cost in costs],
+    )
 
 
 def run_throughput_sweep(config: SimConfig, jobs: int = 1) -> dict:
@@ -516,8 +564,9 @@ def run_throughput_sweep(config: SimConfig, jobs: int = 1) -> dict:
     rng = np.random.default_rng(config.seed)
     rows = []
     for gamma in model.gammas:
-        bids, median_index, costs = median_failure_costs(model, gamma)
-        cost_table = np.array([_float(cost, "failure cost") for cost in costs])
+        bids, bid_den, median, costs, cost_den = _rung(model, gamma)
+        with _float_range("failure cost"):  # int / int rounds as float() does
+            cost_table = np.array([cost / cost_den for cost in costs])
         below = len(costs) - 1
         drawn = _first_success_sums(rng, config.trials, np.full(below, model.q))
         cost, success = _statistics(
@@ -527,7 +576,7 @@ def run_throughput_sweep(config: SimConfig, jobs: int = 1) -> dict:
             {
                 "gamma": gamma,
                 "ops": len(bids),
-                "median_bid": format_amount(bids[median_index]),
+                "median_bid": format_amount(Fraction(bids[median], bid_den)),
                 "mean_failure_cost": cost,
                 "success_probability": success,
             }

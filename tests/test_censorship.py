@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,25 @@ class TestResistance:
         with pytest.raises(ValueError, match="rival gas"):
             scenario(rivals=((Fraction(1), 2_000_000),))
 
+    @pytest.mark.parametrize("inexact", [0.1, "0.1", True], ids=["float", "str", "bool"])
+    @pytest.mark.parametrize("field", ["gas_price", "rival bid", "attacker_value"])
+    def test_inexact_amounts_are_refused(self, field, inexact):
+        # 0.1 used to give the float 9.9 as the resistance
+        fields = {"gas_price": PHI, "rival_ops": ((Fraction(1), 10),)}
+        if field == "rival bid":
+            fields["rival_ops"] = ((inexact, 10),)
+        else:
+            fields[field] = inexact
+        with pytest.raises(ValueError) as excinfo:
+            CensorshipScenario(gamma=100, **fields)
+        kind = type(inexact).__name__
+        assert str(excinfo.value) == f"{field} must be an int or a Fraction, got {kind}"
+
+    @pytest.mark.parametrize("gas", [10.0, True], ids=["float", "bool"])
+    def test_rival_gas_must_be_an_integer(self, gas):
+        with pytest.raises(ValueError, match="^rival gas must be an integer$"):
+            scenario(gamma=100, rivals=((Fraction(1), gas),))
+
     def test_naive_limit_as_rival_footprint_vanishes(self):
         # shrinking the cheapest rival's gas and bid toward zero recovers the
         # burn-the-budget cost
@@ -120,3 +140,64 @@ class TestResistanceSweep:
     def test_empty_ranges_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             resistance_sweep([], [PHI], scenario())
+
+
+def reference_sweep(gammas, prices, template):
+    """One CensorshipScenario per grid point, gamma-major."""
+    return [
+        (
+            gamma,
+            price,
+            censorship_resistance(
+                CensorshipScenario(
+                    gamma=gamma,
+                    gas_price=price,
+                    rival_ops=template.rival_ops,
+                    attacker_value=template.attacker_value,
+                )
+            ),
+        )
+        for gamma in gammas
+        for price in prices
+    ]
+
+
+def outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_sweep_equals_per_point_reference(seed):
+    """Equal rows on valid grids; on a grid where several checks fail, the
+    error of the first failing point, with that point's first failing check."""
+    rng = random.Random(seed)
+    dens = (1, 3, 7, 10**6, 10**18)
+    rivals = tuple(
+        (Fraction(rng.randint(0, 10**5), rng.choice(dens)), rng.randint(1, 400_000))
+        for _ in range(rng.choice((0, 1, 1, 2, 4)))
+    )
+    template = CensorshipScenario(
+        gamma=400_000,
+        gas_price=PHI,
+        rival_ops=rivals,
+        attacker_value=Fraction(rng.randint(0, 10**4), rng.choice(dens)),
+    )
+    bad = rng.random() < 0.75  # most grids carry at least one failing point
+
+    def gamma():
+        if bad and rng.random() < 0.2:
+            return rng.choice((0, -5, 10**6 + 0.5, "1000000", rng.randint(1, 300_000)))
+        return rng.randint(400_000, 5_000_000)
+
+    def price():
+        if bad and rng.random() < 0.2:
+            return -Fraction(rng.randint(1, 10**3), rng.choice(dens))
+        return Fraction(rng.randint(0, 10**4), rng.choice(dens))
+
+    gammas = [gamma() for _ in range(rng.randint(1, 12))]
+    prices = [price() for _ in range(rng.randint(1, 4))]
+    expected = outcome(lambda: reference_sweep(gammas, prices, template))
+    assert outcome(lambda: resistance_sweep(gammas, prices, template)) == expected

@@ -690,3 +690,162 @@ def test_overflowing_normal_valuation_ends_cleanly(tmp_path, fields):
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def _ops_with(index, **fields):
+    """Four valid solver ops, the one at ``index`` changed by ``fields``."""
+    ops = [
+        {"solver_id": f"s{i}", "bid": f"{90 - i}", "gas_reserved": 100_000}
+        for i in range(4)
+    ]
+    ops[index] = {**ops[index], **fields}
+    return ops
+
+
+# (case id, config, the exact stderr line)
+MALFORMED_FILES = [
+    (
+        "nested_float_bid",
+        settle_scenario(solver_ops=_ops_with(3, bid=1.5)),
+        "scenario.solver_ops[3].bid: currency must be a decimal string, not a float "
+        "(binary floats would break exact accounting)",
+    ),
+    (
+        "first_failing_field_in_spec_order",
+        # bid comes first in the file, but gas_reserved is checked first
+        settle_scenario(solver_ops=_ops_with(1, bid="1.2.3", gas_reserved="9")),
+        "scenario.solver_ops[1].gas_reserved: expected an integer",
+    ),
+    (
+        "top_level_missing_fields",
+        {"schema": "settle/1"},
+        "scenario: missing field(s) ['schedule', 'solver_ops']",
+    ),
+    (
+        "missing_before_unknown",
+        {"schema": "settle/1", "schedule": {}, "zeta": 1, "alpha": 2},
+        "scenario: missing field(s) ['solver_ops']",
+    ),
+    (
+        "nested_unknown_fields",
+        settle_scenario(solver_ops=_ops_with(2, colour="red", extra=None)),
+        "scenario.solver_ops[2]: unknown field(s) ['colour', 'extra']",
+    ),
+    (
+        "solver_op_builder",
+        settle_scenario(solver_ops=_ops_with(0, gas_used=100_001)),
+        "scenario.solver_ops[0]: gas_used must lie in [0, gas_reserved]",
+    ),
+    (
+        "schedule_builder",
+        settle_scenario(schedule={"tx_gas_limit": 5, "user_gas_consumed": 6}),
+        "scenario.schedule: user_gas_consumed exceeds tx_gas_limit",
+    ),
+    (
+        "private_value_literal",
+        settle_scenario(private_values={"a": "1", "b": "12,5"}),
+        "scenario.private_values.b: not a decimal number: '12,5'",
+    ),
+    (
+        "nineteen_fractional_digits",
+        settle_scenario(solver_ops=_ops_with(0, bid="0." + "1" * 19)),
+        f"scenario.solver_ops[0].bid: more than 18 fractional digits: '0.{'1' * 19}'",
+    ),
+    (
+        "wrong_schema",
+        settle_scenario(schema="settle/2"),
+        "scenario.schema: expected 'settle/1', got 'settle/2'",
+    ),
+    (
+        "admission",
+        settle_scenario(private_values={"a": "-1"}),
+        "private values must be non-negative",
+    ),
+    (
+        "rival_gas_type",
+        model_config(
+            "spoof_attack",
+            gamma=1_000_000,
+            rivals=[{"bid": "100", "gas_reserved": "100000"}],
+        ),
+        "config.model.rivals[0].gas_reserved: expected an integer",
+    ),
+    (
+        "spoof_builder",
+        model_config(
+            "spoof_attack", gamma=10, rivals=[{"bid": "100", "gas_reserved": 11}]
+        ),
+        "config.model: rival gas must lie in (0, gamma]",
+    ),
+    (
+        "unknown_kind",
+        model_config("mystery"),
+        "config.model.kind: unknown model kind 'mystery' (expected iid_failure, "
+        "normal_valuation, throughput_sweep, spoof_attack or timeline)",
+    ),
+    (
+        "kind_not_a_string",
+        model_config(7),
+        "config.model.kind: expected a string",
+    ),
+    (
+        "model_not_an_object",
+        {"schema": "simulate/1", "seed": 1, "model": []},
+        "config.model: expected an object",
+    ),
+    (
+        "iid_builder",
+        model_config("iid_failure", n=2, q=1.5, v="10", bids=["5", "4"]),
+        "config.model: q must lie in [0, 1]",
+    ),
+    (
+        "gamma_entry",
+        model_config("throughput_sweep", gammas=[1_000_000, 0]),
+        "config.model.gammas[1]: must be >= 1",
+    ),
+    (
+        "timeline_behavior",
+        model_config(
+            "timeline",
+            solver_ops=[
+                {"solver_id": "a", "bid": "1", "gas_reserved": 1, "behavior": "win"}
+            ],
+        ),
+        "config.model.solver_ops[0].behavior: behavior must be 'succeed' or 'revert'",
+    ),
+    (
+        "snapshot_entry",
+        model_config("timeline", escrow_snapshot={"a": "1", "b": 2.5}),
+        "config.model.escrow_snapshot.b: currency must be a decimal string, not a "
+        "float (binary floats would break exact accounting)",
+    ),
+    (
+        "snapshot_not_an_object",
+        model_config("timeline", escrow_snapshot=["a", "1"]),
+        "config.model.escrow_snapshot: expected an object",
+    ),
+    (
+        "private_values_not_an_object",
+        settle_scenario(private_values="b=120"),
+        "scenario.private_values: expected an object",
+    ),
+    (
+        "seed_range",
+        {**iid_config(), "seed": -1},
+        "config.seed: must be >= 0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [case[1:] for case in MALFORMED_FILES],
+    ids=[case[0] for case in MALFORMED_FILES],
+)
+def test_malformed_file_gets_its_exact_diagnostic(tmp_path, capsys, config, message):
+    path = write_json(tmp_path, "input.json", config)
+    command = "simulate" if config.get("schema") == "simulate/1" else "settle"
+    assert cli.main([command, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import threading
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +183,34 @@ def test_deposit_and_charge_must_be_exact(value):
         ledger.settle_reservation(reservation.handle, value)
     assert ledger.available("s1", "a") == 50 - parse_amount("10.075")
     assert [r.handle for r in ledger.pending("s1", "a")] == [reservation.handle]
+
+
+@pytest.mark.parametrize(
+    "gamma, price, message",
+    [
+        (100, 0.5, "gas_price must be an int or a Fraction, got float"),
+        (100, "0.5", "gas_price must be an int or a Fraction, got str"),
+        (100, Decimal("0.5"), "gas_price must be an int or a Fraction, got Decimal"),
+        (100.0, PHI, "gamma must be an int, got float"),
+        (True, PHI, "gamma must be an int, got bool"),
+    ],
+    ids=["float_price", "str_price", "decimal_price", "float_gamma", "bool_gamma"],
+)
+def test_reserve_refuses_inexact_gamma_or_gas_price(gamma, price, message):
+    ledger = EscrowLedger()
+    ledger.deposit("s1", "a", 50)
+    small = op(gas=1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        required_escrow(small.bid, small.gas_reserved, gamma, price)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ledger.reserve("s1", "a", small, gamma, price)
+    assert ledger.available("s1", "a") == 50
+    assert ledger.pending("s1", "a") == ()
+
+
+def test_required_escrow_refuses_inexact_bid():
+    with pytest.raises(ValueError, match="^bid must be an int or a Fraction, got float$"):
+        required_escrow(1.5, 1, GAMMA, PHI)
 
 
 class TestSnapshot:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import pytest
@@ -105,3 +107,59 @@ class TestFormatAmount:
     def test_fixed_point_units_round_trip_exactly(self, units):
         amount = Fraction(units, 10**18)
         assert parse_amount(format_amount(amount)) == amount
+
+
+def decimal_route(text: str) -> Fraction:
+    """Reference parser: every literal through ``Decimal``."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation as exc:
+        raise ValueError(f"not a decimal number: {text!r}") from exc
+    if not value.is_finite():
+        raise ValueError(f"currency amount must be finite: {text!r}")
+    exponent = value.as_tuple().exponent
+    if isinstance(exponent, int) and -exponent > FRACTIONAL_DIGITS:
+        raise ValueError(f"more than {FRACTIONAL_DIGITS} fractional digits: {text!r}")
+    return Fraction(value)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+EDGE_LITERALS = [
+    "0", "-0", "-0.0", "1.", ".5", "-.5", "+1", " 1", "1 ", "1\n", "1_000",
+    "١", "1٢", "-", "", ".", "--1", "1.2.3", "0x10", "1e3", "1E+3",
+    "7.5e-7", "-2.5e-17", "1e-19", "1.5e400", "NaN", "-Infinity", "inf",
+    "0." + "1" * 18, "0." + "1" * 19, "0." + "0" * 19, "12." + "0" * 18,
+    "-3." + "9" * 19, "9" * 60, "-" + "9" * 40 + "." + "9" * 18, "00012.500",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_LITERALS)
+def test_parse_amount_matches_decimal_route_on_edge_literals(text):
+    assert outcome(parse_amount, text) == outcome(decimal_route, text)
+
+
+def test_parse_amount_matches_decimal_route_on_seeded_literals():
+    rng = random.Random(20_251_018)
+    # no "e" among the insertions: one before a long digit run would ask
+    # Decimal for 10**(10**20)
+    pieces = ["", "-", "+", " ", ".", "_", "٣", "x"]
+    for _ in range(3000):
+        whole = "".join(rng.choice("0123456789") for _ in range(rng.randint(0, 22)))
+        frac = "".join(rng.choice("0123456789") for _ in range(rng.randint(0, 21)))
+        text = rng.choice(["", "", "-", "+"]) + whole
+        if rng.random() < 0.7:
+            text += "." + frac
+        if rng.random() < 0.1:
+            text += rng.choice(["e", "E-", "e+"]) + str(rng.randint(0, 30))
+        if rng.random() < 0.1:
+            at = rng.randint(0, len(text))
+            text = text[:at] + rng.choice(pieces) + text[at:]
+        result = outcome(parse_amount, text)
+        assert result == outcome(decimal_route, text), text
+        assert not isinstance(result, Fraction) or type(result.numerator) is int

@@ -11,6 +11,7 @@ by rounding, the success probabilities not at all.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 from ofasim import simulation
 from ofasim.auction import GasSchedule, SolverOperation, admit_operations
 from ofasim.money import format_amount
-from ofasim.settlement import settle_patterns
+from ofasim.settlement import failure_cost, settle_patterns
 from ofasim.simulation import (
     IidFailure,
     NormalValuation,
@@ -262,3 +263,102 @@ def test_blocked_counts_equal_one_upfront_draw(trials):
         realized = upfront[positions == k, k]
         total = drawn.sums[k] + drawn.counts[k] * drawn.anchors[k]
         assert math.isclose(total, realized.sum(), rel_tol=REL, abs_tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the integer pattern table and rung costs equal float() of the exact values
+
+MIXED_DENOMINATORS = (1, 3, 7, 40, 10**6, 10**18)
+
+
+def mixed_amount(rng: random.Random, scale: int) -> Fraction:
+    denominator = rng.choice(MIXED_DENOMINATORS)
+    return Fraction(rng.randint(0, scale * denominator), denominator)
+
+
+def mixed_transaction(rng: random.Random, n: int):
+    """n admitted ops with mixed bid denominators, a nonzero gas price and
+    private values for about two thirds of the solvers."""
+    ops = []
+    for index in range(n):
+        reserved = rng.randint(1, 300_000)
+        ops.append(
+            SolverOperation(
+                f"s{index:03d}",
+                mixed_amount(rng, 500),
+                reserved,
+                rng.randint(0, reserved),
+            )
+        )
+    user_gas = rng.randint(0, 100_000)
+    price = Fraction(rng.randint(1, 10**4), rng.choice((10**6, 7 * 10**9)))
+    schedule = GasSchedule(sum(op.gas_reserved for op in ops) + user_gas, user_gas, price)
+    values = {
+        op.solver_id: mixed_amount(rng, 900) for op in ops if rng.random() < 0.67
+    }
+    tx = admit_operations(ops, schedule, values)
+    assert len(tx.solver_ops) == n
+    return tx
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 200])
+def test_pattern_columns_equal_floats_of_settle_patterns(n):
+    rng = random.Random(n)
+    for _ in range(1 if n == 200 else 4):
+        tx = mixed_transaction(rng, n)
+        rows = settle_patterns(tx)
+        ids = [op.solver_id for op in tx.solver_ops]
+        payoffs = np.array([[float(row.solver_payoffs[sid]) for sid in ids] for row in rows])
+        payouts = np.array([float(row.beneficiary_payout) for row in rows])
+        expected = np.column_stack([payoffs, payoffs.sum(axis=1), payouts])
+        columns = simulation._pattern_columns(tx)
+        assert columns.dtype == expected.dtype
+        assert np.array_equal(columns, expected)
+
+
+def reference_rung(model: ThroughputSweep, gamma: int):
+    """A throughput rung in Fractions: bids, median position, failure costs."""
+    count = gamma // model.gas_per_op
+    if count > 1:
+        step = (model.bid_high - model.bid_low) / (count - 1)
+        rung_bids = [model.bid_high - step * i for i in range(count)]
+    else:
+        rung_bids = [model.bid_high]
+    median = math.ceil(count / 2) - 1
+    costs = [
+        failure_cost(rung_bids[median], winner, model.gas_per_op, gamma)
+        for winner in rung_bids[median + 1 :] + [None]
+    ]
+    return rung_bids, median, costs
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_throughput_rungs_equal_failure_cost_reference(seed):
+    rng = random.Random(seed)
+    gas_per_op = rng.choice((1, 7, 50_000, 100_000))
+    high, low = sorted((mixed_amount(rng, 300), mixed_amount(rng, 300)), reverse=True)
+    counts = [1, *rng.sample(range(2, 80), 4)]
+    gammas = tuple(count * gas_per_op + rng.randrange(gas_per_op) for count in counts)
+    model = ThroughputSweep(
+        gammas=gammas, gas_per_op=gas_per_op, bid_high=high, bid_low=low, q=0.35
+    )
+    trials = 257
+    report = run_simulation(SimConfig(trials=trials, seed=seed, model=model))
+    rng_draws = np.random.default_rng(seed)
+    for row, gamma in zip(report["rows"], gammas, strict=True):
+        rung_bids, median, costs = reference_rung(model, gamma)
+        assert median_failure_costs(model, gamma) == (rung_bids, median, costs)
+        # the runner's report equals one built from float() of the exact costs
+        table = np.array([float(cost) for cost in costs])
+        below = len(costs) - 1
+        drawn = simulation._first_success_sums(rng_draws, trials, np.full(below, model.q))
+        cost, success = simulation._statistics(
+            drawn, np.column_stack([table, np.arange(below + 1) < below])
+        )
+        assert row == {
+            "gamma": gamma,
+            "ops": len(rung_bids),
+            "median_bid": format_amount(rung_bids[median]),
+            "mean_failure_cost": cost,
+            "success_probability": success,
+        }
