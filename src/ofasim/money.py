@@ -19,6 +19,12 @@ FRACTIONAL_DIGITS = 18
 
 _SCALE = 10**FRACTIONAL_DIGITS
 
+#: Amounts must lie below 10**_MAX_DIGITS in magnitude (Python's default
+#: int-string digit limit), so no literal can ask for a huge power of ten.
+_MAX_DIGITS = 4300
+_LIMIT = 10**_MAX_DIGITS
+_TOO_LARGE = f"currency amount must lie below 1e{_MAX_DIGITS} in magnitude"
+
 Amount = Fraction
 
 ZERO = Fraction(0)
@@ -55,13 +61,16 @@ def parse_amount(text: str | int) -> Fraction:
         The exact rational value of the literal.
 
     Raises:
-        ValueError: If the literal is not a finite decimal number or carries
-            more than ``FRACTIONAL_DIGITS`` fractional digits.
+        ValueError: If the literal is not a finite decimal number, carries
+            more than ``FRACTIONAL_DIGITS`` fractional digits, or is at least
+            10**4300 in magnitude.
     """
     if not isinstance(text, str):
         if isinstance(text, bool):
             raise ValueError("currency amount must be a decimal string, not a bool")
         if isinstance(text, int):
+            if abs(text) >= _LIMIT:
+                raise ValueError(_TOO_LARGE)
             return Fraction(text)
         raise ValueError(
             f"currency amount must be a decimal string, got {type(text).__name__}"
@@ -74,9 +83,13 @@ def parse_amount(text: str | int) -> Fraction:
             raise ValueError(f"not a decimal number: {text!r}") from exc
         if not value.is_finite():
             raise ValueError(f"currency amount must be finite: {text!r}")
+        if value and value.adjusted() >= _MAX_DIGITS:
+            raise ValueError(_TOO_LARGE)
         places = -value.as_tuple().exponent
     else:
         whole, fraction = plain.group(1), plain.group(2) or ""
+        if len(whole) > _MAX_DIGITS and len(whole.lstrip("-0")) > _MAX_DIGITS:
+            raise ValueError(_TOO_LARGE)
         places = len(fraction)
     if places > FRACTIONAL_DIGITS:
         raise ValueError(f"more than {FRACTIONAL_DIGITS} fractional digits: {text!r}")

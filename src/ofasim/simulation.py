@@ -18,23 +18,28 @@ Runners:
     receipt and guarantee issuance.
 
 Determinism and reduction:
-    All randomness comes from one ``numpy.random.default_rng(seed)`` (PCG64)
-    per run: row = trial, column = execution position (descending-bid order),
-    drawn ``_BLOCK`` rows at a time, which gives the same values as one
-    upfront draw; sweep rungs draw in listed order. A trial's payoffs depend
-    only on the first position whose operation succeeds (its outcome pattern)
-    and, in the valuation model, on the winner's drawn X. So each block is
-    reduced to per-pattern counts and winner sums, and the statistics come
-    from those and a pattern table of per-pattern payoffs and payouts. The
-    table is divided straight from the settlement kernel's integer
-    numerators (``settlement._pattern_terms``), with no settlement object
-    per pattern, and a throughput rung's failure costs from the integer
-    numerators of its bids; ``int / int`` rounds correctly, so every float
-    equals ``float()`` of the exact amount (``settle_patterns``,
-    ``median_failure_costs``). Memory does not grow with the trial count,
-    identical (seed, config) gives bit-identical reports, and the ``jobs``
-    parameter, kept for compatibility, has no effect. A statistic or amount
-    that does not fit a float raises ``ValueError``.
+    A trial's payoffs depend only on its outcome pattern, the first
+    execution position (descending-bid order) whose operation succeeds, and,
+    in the valuation model, on the winner's X. So a run draws no per-trial
+    cells: all randomness comes from one ``numpy.random.default_rng(seed)``
+    (PCG64) per run, which draws the pattern counts as one multinomial of
+    the patterns' exact law (one per sweep rung, in listed order) and then,
+    in the valuation model, each drawn pattern's winners in pattern order:
+    X ~ N(v, σ²) conditioned on X above the winner's bid, in bounded batches.
+    Time is O(n) for the failure models and O(n + trials) for the valuation
+    model, and memory does not grow with the trial count. The statistics
+    come from the per-pattern counts and winner sums and a pattern table of
+    per-pattern payoffs and payouts. The table is divided straight from the
+    settlement kernel's integer numerators (``settlement._pattern_terms``),
+    with no settlement object per pattern, and a throughput rung's failure
+    costs from the integer numerators of its bids; ``int / int`` rounds
+    correctly, so every float equals ``float()`` of the exact amount
+    (``settle_patterns``, ``median_failure_costs``). Identical (seed, config)
+    gives bit-identical reports; the stream differs from that of earlier
+    versions, which drew every trial × position cell, but the estimators'
+    distribution is the same. The ``jobs`` parameter, kept for
+    compatibility, has no effect. A statistic or amount that does not fit a
+    float raises ``ValueError``.
 
 Statistics are empirical means with standard errors; comparisons against
 closed forms should use 3-standard-error bands.
@@ -64,7 +69,8 @@ from .escrow import required_escrow
 from .money import ZERO, format_amount
 from .settlement import _pattern_terms, guaranteed_minimum, settle
 
-_BLOCK = 16384
+#: Most proposals the valuation sampler draws at once, so memory stays flat.
+_BATCH = 16384
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +90,8 @@ class EmpiricalStat:
 
 
 class _PatternSums(NamedTuple):
-    """Trials per outcome pattern and, for valuation draws, the pattern's
-    first winning X (its anchor) and the sums of R = X − anchor and R².
+    """Trials per outcome pattern and, for valuation draws, each pattern's
+    anchor and the sums of R = X − anchor and R² over its winners' drawn X.
     """
 
     counts: np.ndarray
@@ -94,44 +100,87 @@ class _PatternSums(NamedTuple):
     squares: np.ndarray
 
 
+def _iid_law(q: float, width: int) -> np.ndarray:
+    """Outcome-pattern law when each of ``width`` positions fails with
+    probability q: p_k = q^k·(1 − q) for k < width, p_width = q^width."""
+    reach = q ** np.arange(width + 1.0)
+    law = reach * (1.0 - q)
+    law[-1] = reach[-1]
+    return law
+
+
+@np.errstate(over="ignore")  # b − v beyond the float range: z = ±inf
+def _normal_law(v: float, sigma: float, bid_row: np.ndarray) -> np.ndarray:
+    """Outcome-pattern law when position j fails (cancels) with probability
+    Φ(z_j), z_j = (b_j − v)/σ: p_k = ∏_{j<k} Φ(z_j)·(1 − Φ(z_k)), and p_n is
+    the product of every Φ(z_j). Φ comes from ``math.erfc``, not 1 − Φ."""
+    z = (bid_row - v) / sigma
+    fail = [0.5 * math.erfc(-zj / math.sqrt(2.0)) for zj in z]
+    succeed = [0.5 * math.erfc(zj / math.sqrt(2.0)) for zj in z]
+    reach = np.cumprod([1.0, *fail])
+    return np.append(reach[:-1] * succeed, reach[-1])
+
+
+def _truncated_normal(
+    rng: np.random.Generator, count: int, v: float, sigma: float, bid: float
+) -> Iterator[np.ndarray]:
+    """Yield ``count`` draws of X ~ N(v, σ²) conditioned on X > ``bid``, in
+    batches of at most ``_BATCH``.
+
+    With z = (bid − v)/σ ≤ 0, plain rejection of standard normals T ≤ z
+    (acceptance ≥ 1/2); above, Robert's (1995) sampler: T = z + E/α with
+    E ~ Exp(1) and α = (z + √(z² + 4))/2, kept with probability
+    exp(−(T − α)²/2). X = v + σ·T (bid + σ·(T − z) in the tail, which keeps
+    the digits of a small excess). An X that rounding left at or below
+    ``bid`` is raised to the next float above it, so every draw is > ``bid``
+    and a σ below the float spacing of ``bid`` cannot stall the loop.
+    """
+    z = (bid - v) / sigma
+    floor = np.nextafter(bid, np.inf)
+    if z <= 0:
+        accept = 0.5 * math.erfc(z / math.sqrt(2.0))
+    else:
+        alpha = (z + math.sqrt(z * z + 4.0)) / 2.0
+        accept = 0.75  # Robert's acceptance is 0.76 at z = 0 and rises with z
+    while count:
+        size = min(int(count / accept) + 16, _BATCH)
+        if z <= 0:
+            t = rng.standard_normal(size)
+            x = v + sigma * t[t > z]
+        else:
+            excess = rng.standard_exponential(size) / alpha
+            kept = 2.0 * rng.standard_exponential(size) > (excess + (z - alpha)) ** 2
+            x = bid + sigma * excess[kept]
+        x = np.maximum(x[:count], floor)
+        count -= len(x)
+        yield x
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow fails in _statistics
-def _first_success_sums(
+def _pattern_sums(
     rng: np.random.Generator,
     trials: int,
-    thresholds: np.ndarray,
-    valuation: Optional[tuple[float, float]] = None,
+    law: np.ndarray,
+    valuation: Optional[tuple[float, float, np.ndarray]] = None,
 ) -> _PatternSums:
-    """Draw trials × width cells ``_BLOCK`` rows at a time (the values of one
-    upfront draw) and sum them by outcome pattern: k < width when column k is
-    a row's first success, k = width when none is. A cell is a uniform U that
-    succeeds when U ≥ its threshold or, given ``valuation = (v, σ)``, an
-    X = v + σ·Z (Z standard normal) that succeeds when X exceeds it.
+    """Draw the trials' outcome patterns (k < n: position k is the first
+    success; k = n: none is) as one multinomial of ``law`` and, given
+    ``valuation = (v, σ, bid_row)``, each pattern k's winners in pattern
+    order: X ~ N(v, σ²) conditioned on X > bid_row[k]. They are summed as
+    R = X − max(v, bid_row[k]): the winners' X lie within a few σ of that
+    anchor, so R² stays in the float range wherever σ² does.
     """
-    width = len(thresholds)
-    counts = np.zeros(width + 1, dtype=np.int64)
+    counts = rng.multinomial(trials, law)
+    width = len(law) - 1
     anchors, sums, squares = (np.zeros(width + 1) for _ in range(3))
-    if not width:  # nothing to draw: every trial is the no-success pattern
-        counts[0] = trials
-        return _PatternSums(counts, anchors, sums, squares)
-    for start in range(0, trials, _BLOCK):
-        shape = (min(_BLOCK, trials - start), width)
-        if valuation is None:
-            success = rng.random(shape) >= thresholds
-        else:
-            draws = valuation[0] + valuation[1] * rng.standard_normal(shape)
-            success = draws > thresholds
-        positions = np.where(success.any(axis=1), success.argmax(axis=1), width)
-        block_counts = np.bincount(positions, minlength=width + 1)
-        if valuation is not None:
-            winners = np.flatnonzero(positions < width)
-            won = positions[winners]
-            realized = draws[winners, won]
-            for k in np.unique(won[counts[won] == 0]):  # patterns won first here
-                anchors[k] = realized[np.argmax(won == k)]
-            residual = realized - anchors[won]
-            sums += np.bincount(won, residual, minlength=width + 1)
-            squares += np.bincount(won, residual * residual, minlength=width + 1)
-        counts += block_counts
+    if valuation is not None:
+        v, sigma, bid_row = valuation
+        anchors[:width] = np.maximum(bid_row, v)
+        for k in np.flatnonzero(counts[:width]):
+            for x in _truncated_normal(rng, int(counts[k]), v, sigma, bid_row[k]):
+                residual = x - anchors[k]
+                sums[k] += residual.sum()
+                squares[k] += residual @ residual
     return _PatternSums(counts, anchors, sums, squares)
 
 
@@ -374,8 +423,8 @@ class SimConfig:
     model: Model
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or self.trials <= 0:
-            raise ValueError("trials must be a positive integer")
+        if not isinstance(self.trials, int) or not 0 < self.trials < 2**63:
+            raise ValueError("trials must be a positive integer below 2**63")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
@@ -452,7 +501,7 @@ def run_iid_failure(config: SimConfig, jobs: int = 1) -> dict:
     ops, n = tx.solver_ops, model.n
     columns = np.column_stack([_pattern_columns(tx), np.arange(n + 1) < n])
     rng = np.random.default_rng(config.seed)
-    drawn = _first_success_sums(rng, config.trials, np.full(n, model.q))
+    drawn = _pattern_sums(rng, config.trials, _iid_law(model.q, n))
     stats = _statistics(drawn, columns)
     return {
         "model": "iid_failure",
@@ -489,7 +538,8 @@ def run_normal_valuation(config: SimConfig, jobs: int = 1) -> dict:
     wins = np.eye(n + 1, n)
     weights = np.column_stack([wins, wins.sum(axis=1), np.zeros((n + 1, 2))])
     rng = np.random.default_rng(config.seed)
-    drawn = _first_success_sums(rng, config.trials, bid_row, (model.v, model.sigma))
+    law = _normal_law(model.v, model.sigma, bid_row)
+    drawn = _pattern_sums(rng, config.trials, law, (model.v, model.sigma, bid_row))
     stats = _statistics(drawn, columns, weights, ratio=(n, n + 2, float(n)))
     return {
         "model": "normal_valuation",
@@ -568,7 +618,7 @@ def run_throughput_sweep(config: SimConfig, jobs: int = 1) -> dict:
         with _float_range("failure cost"):  # int / int rounds as float() does
             cost_table = np.array([cost / cost_den for cost in costs])
         below = len(costs) - 1
-        drawn = _first_success_sums(rng, config.trials, np.full(below, model.q))
+        drawn = _pattern_sums(rng, config.trials, _iid_law(model.q, below))
         cost, success = _statistics(
             drawn, np.column_stack([cost_table, np.arange(below + 1) < below])
         )

@@ -420,6 +420,15 @@ class TestSimulate:
         assert cli.main(["simulate", path]) == 1
         assert "config.trials: must be >= 1" in capsys.readouterr().err
 
+    def test_trials_beyond_int64_rejected(self, tmp_path, capsys):
+        # numpy draws the pattern counts as int64: 2**63 would be a traceback
+        config = iid_config()
+        config["trials"] = 9223372036854775808
+        path = write_json(tmp_path, "config.json", config)
+        assert run_rejected(capsys, path) == (
+            "error: trials must be a positive integer below 2**63\n"
+        )
+
     def test_zero_jobs_rejected(self, tmp_path, capsys):
         path = write_json(tmp_path, "config.json", iid_config())
         assert cli.main(["simulate", path, "--jobs", "0"]) == 1
@@ -607,6 +616,14 @@ class TestFloatRange:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: failure cost is too large for a float\n"
+
+
+def test_throughput_rejects_trials_beyond_int64(capsys):
+    argv = ["sweep", "throughput", "--trials", "9223372036854775808"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: trials must be a positive integer below 2**63\n"
 
 
 @pytest.mark.parametrize("gas", ["0", "-5"])

@@ -58,6 +58,25 @@ class TestParseAmount:
             parse_amount("12,5")
 
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1e999999999", "-1E4300", "1" + "0" * 4300, "-1" + "0" * 4300 + ".5", 10**4300],
+        ids=["exponent", "negative_exponent", "plain", "plain_fraction", "int"],
+    )
+    def test_magnitude_of_1e4300_or_more_is_refused(self, text):
+        # refused before any Fraction or power of ten is built
+        with pytest.raises(ValueError, match="must lie below 1e4300 in magnitude$"):
+            parse_amount(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e4299", "-9.5e4299", "-" + "9" * 4300 + ".5", "0" * 5000 + "7", "0e999999999"],
+        ids=["exponent", "negative_exponent", "plain_fraction", "leading_zeros", "zero"],
+    )
+    def test_magnitude_below_1e4300_is_accepted(self, text):
+        assert parse_amount(text) == Fraction(Decimal(text))
+
+
 class TestFormatAmount:
     def test_trims_trailing_zeros(self):
         assert format_amount(Fraction(3, 2)) == "1.5"

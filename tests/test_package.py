@@ -44,3 +44,40 @@ def test_numpy_loads_only_with_the_simulation_names():
         timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+
+
+SIMULATE_PROBE = """
+import contextlib, io, json, sys
+from ofasim import cli
+models = [
+    {"kind": "iid_failure", "n": 3, "q": 0.4, "v": "100", "bids": ["60", "50", "40"]},
+    {"kind": "normal_valuation", "n": 3, "v": "100", "sigma": 5,
+     "bids": ["101", "99", "97"]},
+]
+for index, model in enumerate(models):
+    path = f"{sys.argv[1]}/config{index}.json"
+    with open(path, "w") as handle:
+        config = {"schema": "simulate/1", "seed": 1, "trials": 5000, "model": model}
+        json.dump(config, handle)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["simulate", path]) == 0
+    assert json.loads(out.getvalue())["model"] == model["kind"]
+assert "numpy" in sys.modules
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+print("ok")
+"""
+
+
+def test_simulate_runs_without_scipy(tmp_path):
+    # scipy is a test oracle only: importing it costs over a second
+    src = os.path.dirname(os.path.dirname(ofasim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", SIMULATE_PROBE, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")

@@ -6,6 +6,7 @@ derived closed forms; determinism checks require bit-identical reports.
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -55,6 +56,16 @@ class TestSimConfig:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials"):
             SimConfig(trials=0, seed=1, model=_iid())
+
+    def test_rejects_trials_beyond_int64(self):
+        with pytest.raises(ValueError, match="below 2\\*\\*63"):
+            SimConfig(trials=2**63, seed=1, model=_iid())
+
+    def test_iid_run_at_two_to_the_62_trials_completes(self):
+        # one multinomial draw: time does not grow with the trial count
+        report = run_iid_failure(SimConfig(trials=2**62, seed=1, model=_iid(n=3)))
+        assert report["total_payoff"]["trials"] == 2**62
+        assert 0 < report["success_probability"]["std_error"] < 1e-8
 
     def test_rejects_out_of_range_seed(self):
         with pytest.raises(ValueError, match="seed"):
@@ -443,6 +454,16 @@ def test_throughput_gas_per_op_must_be_positive(gas):
         ThroughputSweep(gammas=(1_000_000,), gas_per_op=gas)
 
 
+def test_winner_far_above_its_bid_keeps_finite_statistics():
+    # X − bid is about 1e160 and its square is beyond the float range; the
+    # winners' X are summed about v, so only σ² must fit
+    model = NormalValuation(n=1, v=1e160, sigma=1e150, bids=(Fraction(25, 2),))
+    report = run_normal_valuation(SimConfig(trials=1000, seed=4, model=model))
+    stat = report["per_solver"]["s000"]
+    assert abs(stat["mean"] - 1e160) <= 3 * stat["std_error"]
+    assert stat["std_error"] == pytest.approx(1e150 / math.sqrt(1000), rel=0.1)
+
+
 def test_normal_valuation_rejects_v_beyond_float_range():
     with pytest.raises(ValueError, match="v is too large for a float"):
         NormalValuation(n=1, v=Fraction(10) ** 400, sigma=1.0, bids=(Fraction(1),))
@@ -462,8 +483,9 @@ MEMORY_MODELS = {
 
 @pytest.mark.parametrize("kind", MEMORY_MODELS)
 def test_monte_carlo_memory_does_not_grow_with_trials(kind):
-    # 200,000 trials x 50 ops is 80 MB as one float matrix; drawn in blocks
-    # and reduced to per-pattern sums, a run stays far below that
+    # 200,000 trials x 50 ops would be 80 MB as one float matrix; a run
+    # draws one multinomial of pattern counts and, for the valuation model,
+    # its winners in bounded batches, so it stays far below that
     config = SimConfig(trials=200_000, seed=3, model=MEMORY_MODELS[kind])
     tracemalloc.start()
     try:
@@ -472,3 +494,15 @@ def test_monte_carlo_memory_does_not_grow_with_trials(kind):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_normal_valuation_memory_is_flat_at_five_million_trials():
+    config = SimConfig(trials=5_000_000, seed=5, model=MEMORY_MODELS["normal"])
+    tracemalloc.start()
+    try:
+        report = run_simulation(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["total_payoff"]["trials"] == 5_000_000
+    assert peak < 16 * 2**20

@@ -1,11 +1,16 @@
-"""The Monte-Carlo runners against a per-trial reference reduction.
+"""The Monte-Carlo runners against a per-trial reference reduction, and
+the outcome-pattern law and winner sampler they draw from.
 
-The reference draws every trial in one upfront call with the run's seed,
-looks each trial's payoffs up in the pattern table, adds the winner's
-realized X, and reduces the per-trial columns with ``np.mean`` and
-``np.std(ddof=1) / sqrt(N)``, plus the delta-method ratio. The runners draw
-in blocks and reduce per-pattern sums instead, so the floats may differ only
-by rounding, the success probabilities not at all.
+The reference replays the run's stream: one ``multinomial`` of the
+library's pattern law per run (per rung in a throughput sweep), then the
+winner sampler for each drawn pattern in order. It expands the counts and
+draws to per-trial columns, looks each trial's payoffs up in the pattern
+table, adds the winner's X, and reduces the columns with ``np.mean`` and
+``np.std(ddof=1) / sqrt(N)``, plus the delta-method ratio. The runners
+reduce per-pattern sums instead, so the floats may differ only by
+rounding, the success probabilities not at all. The law and the sampler are
+checked on their own against exact products, ``math.erfc``, a chi-square
+test and ``scipy.stats.truncnorm``.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from ofasim import simulation
 from ofasim.auction import GasSchedule, SolverOperation, admit_operations
@@ -30,14 +36,9 @@ from ofasim.simulation import (
     run_simulation,
 )
 
-BLOCK = simulation._BLOCK
-TRIALS = (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5)
+BATCH = simulation._BATCH
+TRIALS = (1, 2, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 5)
 REL = 1e-9
-
-
-def first_success(success: np.ndarray) -> np.ndarray:
-    """Count of leading failures per row: the first success, or the width."""
-    return np.logical_and.accumulate(~success, axis=1).sum(axis=1)
 
 
 def game_tables(model) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
@@ -84,11 +85,17 @@ def ratio_stat(num: np.ndarray, den: np.ndarray, scale: float) -> dict:
     }
 
 
+def pattern_positions(counts: np.ndarray) -> np.ndarray:
+    """Each trial's outcome pattern, the trials grouped by pattern."""
+    return np.repeat(np.arange(len(counts)), counts)
+
+
 def reference_iid(config: SimConfig) -> dict:
     model, trials = config.model, config.trials
     ids, _, payoffs, payouts = game_tables(model)
     rng = np.random.default_rng(config.seed)
-    positions = first_success(rng.random((trials, model.n)) >= model.q)
+    law = simulation._iid_law(model.q, model.n)
+    positions = pattern_positions(rng.multinomial(trials, law))
     per_solver = payoffs[positions]
     return {
         "model": "iid_failure",
@@ -101,15 +108,27 @@ def reference_iid(config: SimConfig) -> dict:
     }
 
 
+def winner_draws(rng, counts, model, bid_row) -> np.ndarray:
+    """The winners' X in trial order, pattern by pattern, all batches joined."""
+    draws = [
+        x
+        for k in np.flatnonzero(counts[:-1])
+        for x in simulation._truncated_normal(
+            rng, int(counts[k]), model.v, model.sigma, bid_row[k]
+        )
+    ]
+    return np.concatenate(draws) if draws else np.zeros(0)
+
+
 def reference_normal(config: SimConfig) -> dict:
     model, trials, n = config.model, config.trials, config.model.n
     ids, bid_row, payoffs, payouts = game_tables(model)
     rng = np.random.default_rng(config.seed)
-    valuations = model.v + model.sigma * rng.standard_normal((trials, n))
-    positions = first_success(valuations > bid_row)
+    counts = rng.multinomial(trials, simulation._normal_law(model.v, model.sigma, bid_row))
+    positions = pattern_positions(counts)
     per_solver = payoffs[positions]
     rows = np.flatnonzero(positions < n)
-    per_solver[rows, positions[rows]] += valuations[rows, positions[rows]]
+    per_solver[rows, positions[rows]] += winner_draws(rng, counts, model, bid_row)
     total = per_solver.sum(axis=1)
     executed = np.minimum(positions + 1, n).astype(float)
     return {
@@ -131,9 +150,8 @@ def reference_throughput(config: SimConfig) -> dict:
     for gamma in model.gammas:
         bids, median_index, costs = median_failure_costs(model, gamma)
         below = len(costs) - 1
-        positions = np.zeros(trials, dtype=int)
-        if below:
-            positions = first_success(rng.random((trials, below)) >= model.q)
+        law = simulation._iid_law(model.q, below)
+        positions = pattern_positions(rng.multinomial(trials, law))
         cost_table = np.array([float(cost) for cost in costs])
         rows.append(
             {
@@ -239,30 +257,40 @@ def test_runner_matches_per_trial_reduction(name, trials):
     ids=["iid", "normal"],
 )
 def test_two_hundred_ops_match_per_trial_reduction(model):
-    config = SimConfig(trials=BLOCK + 1, seed=17, model=model)
+    config = SimConfig(trials=BATCH + 1, seed=17, model=model)
     assert_matches(run_simulation(config), reference(config))
 
 
 @pytest.mark.parametrize("trials", TRIALS)
 def test_blocked_counts_equal_one_upfront_draw(trials):
-    thresholds = np.array([0.2, 0.5, 0.9, 0.7])
-    rng = np.random.default_rng(trials)
-    drawn = simulation._first_success_sums(rng, trials, thresholds)
-    upfront = np.random.default_rng(trials).random((trials, 4)) >= thresholds
-    counts = np.bincount(first_success(upfront), minlength=5)
+    # the counts are one multinomial draw; the winners' sums, taken batch by
+    # batch, equal those of the sampler's whole draw
+    law = simulation._iid_law(0.45, 4)
+    drawn = simulation._pattern_sums(np.random.default_rng(trials), trials, law)
+    counts = np.random.default_rng(trials).multinomial(trials, law)
+    assert drawn.counts.sum() == trials
     assert drawn.counts.tolist() == counts.tolist()
 
-    valuation, bid_row = (1.0, 2.0), np.array([3.0, 1.5, 0.0])
-    drawn = simulation._first_success_sums(
-        np.random.default_rng(trials), trials, bid_row, valuation
+    model = NormalValuation(n=3, v=1.0, sigma=2.0, bids=bids(3, "1.5", 0))
+    bid_row = np.array([3.0, 1.5, 0.0])
+    law = simulation._normal_law(1.0, 2.0, bid_row)
+    drawn = simulation._pattern_sums(
+        np.random.default_rng(trials), trials, law, (1.0, 2.0, bid_row)
     )
-    upfront = 1.0 + 2.0 * np.random.default_rng(trials).standard_normal((trials, 3))
-    positions = first_success(upfront > bid_row)
-    assert drawn.counts.tolist() == np.bincount(positions, minlength=4).tolist()
+    rng = np.random.default_rng(trials)
+    counts = rng.multinomial(trials, law)
+    assert drawn.counts.sum() == trials
+    assert drawn.counts.tolist() == counts.tolist()
+    realized = winner_draws(rng, counts, model, bid_row)
+    positions = pattern_positions(counts)[: len(realized)]
+    # each pattern's anchor is the larger of v and its winner's bid
+    assert drawn.anchors.tolist() == [3.0, 1.5, 1.0, 0.0]
     for k in range(3):
-        realized = upfront[positions == k, k]
+        winners = realized[positions == k]
         total = drawn.sums[k] + drawn.counts[k] * drawn.anchors[k]
-        assert math.isclose(total, realized.sum(), rel_tol=REL, abs_tol=1e-9)
+        assert math.isclose(total, winners.sum(), rel_tol=REL, abs_tol=1e-9)
+        squares = ((winners - drawn.anchors[k]) ** 2).sum()
+        assert math.isclose(drawn.squares[k], squares, rel_tol=REL, abs_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +379,8 @@ def test_throughput_rungs_equal_failure_cost_reference(seed):
         # the runner's report equals one built from float() of the exact costs
         table = np.array([float(cost) for cost in costs])
         below = len(costs) - 1
-        drawn = simulation._first_success_sums(rng_draws, trials, np.full(below, model.q))
+        law = simulation._iid_law(model.q, below)
+        drawn = simulation._pattern_sums(rng_draws, trials, law)
         cost, success = simulation._statistics(
             drawn, np.column_stack([table, np.arange(below + 1) < below])
         )
@@ -362,3 +391,80 @@ def test_throughput_rungs_equal_failure_cost_reference(seed):
             "mean_failure_cost": cost,
             "success_probability": success,
         }
+
+
+# ---------------------------------------------------------------------------
+# the outcome-pattern law and the winner sampler, on their own
+
+
+@pytest.mark.parametrize("q", [0.0, 1e-3, 0.3, 0.45, 0.5, 0.7, 0.999, 1.0])
+@pytest.mark.parametrize("width", [0, 1, 8, 50, 200])
+def test_iid_law_equals_exact_products(q, width):
+    # the iid runner and each throughput rung draw from this law
+    exact = Fraction(q)
+    expected = [float(exact**k * (1 - exact)) for k in range(width)] + [float(exact**width)]
+    law = simulation._iid_law(q, width)
+    assert law.shape == (width + 1,)
+    for k, (got, want) in enumerate(zip(law, expected)):
+        assert math.isclose(got, want, rel_tol=1e-15, abs_tol=0.0), (k, got, want)
+
+
+@pytest.mark.parametrize(
+    "v, sigma, bid_list",
+    [
+        (100.0, 5.0, [99.0, 101.0, 102.5, 97.0]),
+        (10.0, 1.0, [9.5 + 0.2 * i for i in range(8)]),
+        (100.0, 10.0, [105 - i / 8 for i in range(200)]),
+        (0.0, 1.0, [-8.0, 37.0, 0.0, -40.0]),
+    ],
+)
+def test_normal_law_equals_erfc_reference(v, sigma, bid_list):
+    law, reach = [], 1.0
+    for bid in bid_list:
+        z = (bid - v) / sigma
+        law.append(reach * 0.5 * math.erfc(z / math.sqrt(2.0)))
+        reach *= 0.5 * math.erfc(-z / math.sqrt(2.0))
+    law.append(reach)
+    got = simulation._normal_law(v, sigma, np.array(bid_list))
+    assert got.tolist() == pytest.approx(law, rel=1e-14, abs=0.0)
+    assert math.isclose(got.sum(), 1.0, rel_tol=1e-12)
+
+
+def test_pattern_counts_pass_a_chi_square_test():
+    law = simulation._iid_law(0.6, 8)
+    trials = 10**6
+    counts = simulation._pattern_sums(np.random.default_rng(8), trials, law).counts
+    expected = trials * law
+    statistic = float(((counts - expected) ** 2 / expected).sum())
+    assert scipy_stats.chi2.sf(statistic, df=len(law) - 1) > 1e-3, statistic
+
+
+@pytest.mark.parametrize("z", [-8.0, -1.0, 0.0, 0.5, 3.0, 10.0, 37.0])
+def test_truncated_normal_sampler_matches_closed_form_moments(z):
+    v, sigma, count = 100.0, 5.0, 40_000
+    bid = v + sigma * z
+    rng = np.random.default_rng(int(1000 * z) + 9_000)
+    batches = list(simulation._truncated_normal(rng, count, v, sigma, bid))
+    assert all(len(x) <= simulation._BATCH for x in batches)
+    draws = np.concatenate(batches)
+    assert len(draws) == count
+    assert (draws > bid).all()
+    # moments of N(v, σ²) truncated below at bid, in units of σ
+    mean, var, kurtosis = (
+        float(m) for m in scipy_stats.truncnorm.stats(z, np.inf, moments="mvk")
+    )
+    standard = (draws - v) / sigma
+    mean_error = math.sqrt(var / count)
+    var_error = math.sqrt((kurtosis + 2.0) * var**2 / count)
+    assert abs(standard.mean() - mean) <= 5 * mean_error, (standard.mean(), mean)
+    assert abs(standard.var(ddof=1) - var) <= 5 * var_error, (standard.var(ddof=1), var)
+
+
+def test_truncated_normal_sampler_ends_below_float_resolution():
+    # σ is below the float spacing of the bid, so v + σ·T rounds onto it;
+    # each draw is raised to the next float and the loop still ends
+    bid = 1e200
+    rng = np.random.default_rng(1)
+    draws = np.concatenate(list(simulation._truncated_normal(rng, 1000, bid, 1.0, bid)))
+    assert len(draws) == 1000
+    assert (draws == np.nextafter(bid, np.inf)).all()
