@@ -13,7 +13,8 @@ are rejected at every nesting level, currency must be decimal strings (floats
 are refused — binary floats would silently break exact accounting), gas and
 counts must be integers, and ``NaN``/``Infinity`` are refused everywhere. An
 optional field left out takes the library's default. Output currency is
-serialized as decimal strings.
+serialized as decimal strings. Reports are printed exactly as
+``json.dumps(report, indent=2)`` would print them.
 
 Exit codes: 0 on success, 1 on scenario or validation errors (with a one-line
 diagnostic on stderr and nothing on stdout or in ``--out``), 2 on usage
@@ -93,6 +94,7 @@ def _object(builder: Callable[..., Any], **spec: tuple[Parser, bool]) -> Parser:
     """
     required = frozenset(name for name, (_, needed) in spec.items() if needed)
     allowed = frozenset(spec)
+    parsers = [(name, parse_field) for name, (parse_field, _) in spec.items()]
 
     def parse(value: Any) -> Any:
         keys = _expect_object(value).keys()
@@ -103,7 +105,7 @@ def _object(builder: Callable[..., Any], **spec: tuple[Parser, bool]) -> Parser:
             raise _Invalid(f"unknown field(s) {sorted(keys - allowed)}")
         fields = {}
         try:
-            for name, (parse_field, _) in spec.items():
+            for name, parse_field in parsers:
                 if name in value:
                     fields[name] = parse_field(value[name])
         except _Invalid as exc:
@@ -119,7 +121,7 @@ def _object(builder: Callable[..., Any], **spec: tuple[Parser, bool]) -> Parser:
 
 def _int(minimum: int | None = None) -> Parser:
     def parse(value: Any) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
             raise _Invalid("expected an integer")
         if minimum is not None and value < minimum:
             raise _Invalid(f"must be >= {minimum}")
@@ -144,7 +146,7 @@ def _expect_str(value: Any) -> str:
 
 
 def _currency(value: Any) -> Fraction:
-    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+    if type(value) is str or (isinstance(value, (str, int)) and not isinstance(value, bool)):
         try:
             return parse_amount(value)
         except ValueError as exc:
@@ -169,11 +171,14 @@ def _currency_map(value: Any) -> dict[str, Fraction]:
     return amounts
 
 
+_BEHAVIORS = {behavior.value: behavior for behavior in Behavior}
+
+
 def _behavior(value: Any) -> Behavior:
-    try:
-        return Behavior(_expect_str(value))
-    except ValueError as exc:
-        raise _Invalid("behavior must be 'succeed' or 'revert'") from exc
+    behavior = _BEHAVIORS.get(_expect_str(value))
+    if behavior is None:
+        raise _Invalid("behavior must be 'succeed' or 'revert'")
+    return behavior
 
 
 def _array(item: Parser) -> Parser:
@@ -201,17 +206,30 @@ def _schema(expected: str) -> Parser:
     return parse
 
 
-def _load_json(path: str) -> Any:
-    def reject(constant: str) -> None:
-        raise ScenarioError(f"{path} is not valid JSON: {constant} is not a finite number")
+class _NonFinite(Exception):
+    """A ``NaN``/``Infinity`` constant in a JSON file (the constant's name)."""
 
+
+def _refuse_constant(constant: str) -> None:
+    raise _NonFinite(constant)
+
+
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle, parse_constant=reject)
+            text = handle.read()
+        if text.startswith("\ufeff"):  # refused as ``json.loads`` refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
+    except _NonFinite as exc:
+        raise ScenarioError(f"{path} is not valid JSON: {exc} is not a finite number") from None
 
 
 _SCHEDULE = _object(
@@ -359,6 +377,81 @@ def _read(path: str, parse: Parser, root: str) -> Any:
 
 
 # ---------------------------------------------------------------------------
+# report output
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+class _Unsupported(Exception):
+    """A value ``_emit`` leaves to ``json.dumps``."""
+
+
+def _float(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+#: The JSON text of a scalar, by its exact type; ``json.dumps`` takes any
+#: other type, subclasses included (it writes an IntEnum or a numpy.float64
+#: as its base type).
+_WRITERS: dict[type, Callable[[Any], str]] = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    float: _float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _key(key: Any) -> str:
+    write = _WRITERS.get(type(key))
+    if write is None:
+        raise _Unsupported
+    return _ESCAPE(write(key))
+
+
+def _emit(value: Any, indent: str) -> str:
+    """``value`` as JSON, its nested lines indented by ``indent`` ("\\n" plus
+    spaces); a string item is written in place, without a call."""
+    write = _WRITERS.get(type(value))
+    if write is not None:
+        return write(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [
+            f"{_ESCAPE(key) if type(key) is str else _key(key)}: "
+            f"{_ESCAPE(item) if type(item) is str else _emit(item, inner)}"
+            for key, item in value.items()
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_ESCAPE(item) if type(item) is str else _emit(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+    raise _Unsupported
+
+
+def _dumps(report: Any) -> str:
+    """``json.dumps(report, indent=2)``, byte for byte.
+
+    With an indent, ``json`` falls back to its pure-Python encoder; this walks
+    the report itself and writes strings with the C ``encode_basestring_ascii``.
+    A type it does not know goes to ``json.dumps``, which then decides.
+    """
+    try:
+        return _emit(report, "\n")
+    except _Unsupported:
+        return json.dumps(report, indent=2)
+
+
+# ---------------------------------------------------------------------------
 # settle
 
 
@@ -389,7 +482,7 @@ def cmd_settle(args: argparse.Namespace) -> int:
         "total_gas_used": result.total_gas_used,
         "reverted": list(result.reverted_set),
     }
-    print(json.dumps(report, indent=2))
+    print(_dumps(report))
     return 0
 
 
@@ -540,7 +633,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         report = run_simulation(config, jobs=args.jobs)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-    print(json.dumps(report, indent=2))
+    print(_dumps(report))
     return 0
 
 

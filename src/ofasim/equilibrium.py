@@ -251,12 +251,6 @@ def _rank_weighted_total(n: int, cdf: float, survival: float, v: float, b: float
     return n / weight * total
 
 
-def _simplified_total(n: int, cdf: float, survival: float, v: float, b: float) -> float:
-    """Reduced form with probabilities supplied directly."""
-    one_minus_fn = _one_minus_nth_power(n, cdf, survival)
-    return n * survival * (v - b / one_minus_fn)
-
-
 def utility_gradient(game: DiscreteTimeGame, b: float) -> float:
     """Derivative of ``discrete_time_utility`` with respect to the bid.
 

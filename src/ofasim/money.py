@@ -19,6 +19,9 @@ FRACTIONAL_DIGITS = 18
 
 _SCALE = 10**FRACTIONAL_DIGITS
 
+#: 10**k for every fractional digit count k the plain route accepts.
+_POWERS = tuple(10**k for k in range(FRACTIONAL_DIGITS + 1))
+
 #: Amounts must lie below 10**_MAX_DIGITS in magnitude (Python's default
 #: int-string digit limit), so no literal can ask for a huge power of ten.
 _MAX_DIGITS = 4300
@@ -65,7 +68,7 @@ def parse_amount(text: str | int) -> Fraction:
             more than ``FRACTIONAL_DIGITS`` fractional digits, or is at least
             10**4300 in magnitude.
     """
-    if not isinstance(text, str):
+    if type(text) is not str and not isinstance(text, str):
         if isinstance(text, bool):
             raise ValueError("currency amount must be a decimal string, not a bool")
         if isinstance(text, int):
@@ -87,7 +90,7 @@ def parse_amount(text: str | int) -> Fraction:
             raise ValueError(_TOO_LARGE)
         places = -value.as_tuple().exponent
     else:
-        whole, fraction = plain.group(1), plain.group(2) or ""
+        whole, fraction = plain.groups(default="")
         if len(whole) > _MAX_DIGITS and len(whole.lstrip("-0")) > _MAX_DIGITS:
             raise ValueError(_TOO_LARGE)
         places = len(fraction)
@@ -96,7 +99,7 @@ def parse_amount(text: str | int) -> Fraction:
     if plain is None:
         return Fraction(value)
     try:
-        return Fraction(int(whole + fraction), 10**places)
+        return Fraction(int(whole + fraction), _POWERS[places])
     except ValueError:  # past int()'s digit limit; Decimal has none
         return Fraction(Decimal(text))
 

@@ -290,7 +290,8 @@ class NormalValuation:
     Attributes:
         n: Number of solvers.
         v: Mean valuation at execution time (finite; converted to a float).
-        sigma: Standard deviation of the valuation (finite, > 0).
+        sigma: Standard deviation of the valuation (finite, and at least
+            2**-40 · max(|v|, bids), so floats resolve the valuation near a bid).
         bids: Per-solver bids.
         gas_per_op: Uniform reserved gas per operation.
         gas_price: Currency per gas unit.
@@ -315,6 +316,10 @@ class NormalValuation:
         object.__setattr__(self, "bids", bids)
         if len(bids) != self.n:
             raise ValueError("bids must have exactly n entries")
+        # below this no float X can land strictly between a bid and its
+        # neighbours as the normal law says it should
+        if self.sigma * 2**40 < max(abs(self.v), *bids):
+            raise ValueError("sigma must be at least 2**-40 times max(|v|, bids)")
 
 
 @dataclass(frozen=True)
@@ -489,10 +494,11 @@ def _pattern_columns(tx: AuctionTransaction) -> np.ndarray:
 def run_iid_failure(config: SimConfig, jobs: int = 1) -> dict:
     """Monte-Carlo of the iid-failure game.
 
-    Each trial draws one uniform per execution position; position j succeeds
-    when its draw is ≥ q. Reports per-solver payoff statistics (keyed by
-    solver id in execution order), the total payoff across solvers, the
-    beneficiary payout, and the success probability.
+    Each execution position fails independently with probability q; the run
+    draws its per-pattern counts (the first success's position, or none) as
+    one multinomial of the patterns' exact law. Reports per-solver payoff
+    statistics (keyed by solver id in execution order), the total payoff
+    across solvers, the beneficiary payout, and the success probability.
     """
     model = config.model
     if not isinstance(model, IidFailure):

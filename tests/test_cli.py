@@ -7,17 +7,50 @@ tool stays safe to pipe.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import enum
 import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from decimal import Decimal
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ofasim import cli
+
+
+@pytest.fixture(autouse=True)
+def reserialized(monkeypatch):
+    """Check every report ``settle`` and ``simulate`` print in this module:
+    its stdout must equal ``json.dumps(json.loads(out), indent=2) + "\\n"``.
+    Returns the reports checked so far in the test."""
+    checked = []
+
+    def checking(command):
+        def run(args):
+            out = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out):
+                    code = command(args)
+            finally:
+                sys.stdout.write(out.getvalue())
+            text = out.getvalue()
+            assert code == 0 and text == json.dumps(json.loads(text), indent=2) + "\n"
+            checked.append(text)
+            return code
+
+        return run
+
+    for name in ("cmd_settle", "cmd_simulate"):
+        monkeypatch.setattr(cli, name, checking(getattr(cli, name)))
+    return checked
 
 
 def write_json(tmp_path, name, payload):
@@ -866,3 +899,80 @@ def test_malformed_file_gets_its_exact_diagnostic(tmp_path, capsys, config, mess
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_reports_are_checked_by_reserializing(tmp_path, capsys, reserialized):
+    # the autouse fixture re-serializes every settle and simulate report
+    assert cli.main(["settle", write_json(tmp_path, "s.json", settle_scenario())]) == 0
+    assert cli.main(["simulate", write_json(tmp_path, "c.json", iid_config())]) == 0
+    assert "".join(reserialized) == capsys.readouterr().out
+    assert len(reserialized) == 2
+
+
+def test_sigma_below_float_resolution_is_rejected(tmp_path, capsys):
+    # such a run used to exit 0 with X − b = 16 for every winner
+    config = model_config("normal_valuation", n=1, v="1e17", sigma=1, bids=["1e17"])
+    assert run_rejected(capsys, write_json(tmp_path, "config.json", config)) == (
+        "error: config.model: sigma must be at least 2**-40 times max(|v|, bids)\n"
+    )
+
+
+def test_byte_order_mark_is_refused_as_json_does(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text("\ufeff" + json.dumps(settle_scenario()), encoding="utf-8")
+    assert cli.main(["settle", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path} is not valid JSON: Unexpected UTF-8 BOM "
+        "(decode using utf-8-sig): line 1 column 1 (char 0)\n"
+    )
+
+
+_EDGE_TEXT = ["", "é", "日本語", "\x00\x1f\x7f", '"', "\\", "\ud800", "\udfff\ud800", " "]
+_EDGE_NUMBERS = [
+    -0.0, 1e16, 5e-324, 1.7976931348623157e308, float("nan"), float("inf"),
+    float("-inf"), np.float64(2.5), np.float64("nan"), 2**64, -(2**64) - 1, 2**200,
+    enum.IntEnum("Level", "LOW HIGH").HIGH,  # an int subclass, written as the int
+]
+# every category, and lone surrogates, which ``characters()`` rarely draws
+_JSON_TEXT = st.text(
+    st.characters(exclude_categories=()) | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
+) | st.sampled_from(_EDGE_TEXT)
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**130)
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.sampled_from(_EDGE_NUMBERS)
+    | _JSON_TEXT
+)
+_JSON_KEYS = _JSON_TEXT | st.none() | st.booleans() | st.integers() | st.floats()
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_JSON_KEYS, inner, max_size=5),
+    max_leaves=25,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+@example({"text": _EDGE_TEXT, "numbers": _EDGE_NUMBERS, "flags": (True, False, None)})
+@example([{}, [], (), {"": {}}, [[]], ""])
+def test_report_emitter_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [{"x": np.int64(1)}, [Decimal("1")], {(1, 2): 3}, {"x": {1, 2}}]
+)
+def test_report_emitter_leaves_unknown_types_to_json(value):
+    with pytest.raises(TypeError) as ours:
+        cli._dumps(value)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(value, indent=2)
+    assert str(ours.value) == str(theirs.value)

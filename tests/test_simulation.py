@@ -169,6 +169,26 @@ class TestNormalValuation:
         with pytest.raises(ValueError, match="v and sigma must be finite"):
             NormalValuation(n=2, v=v, sigma=sigma, bids=(Fraction(99),) * 2)
 
+    @pytest.mark.parametrize(
+        "v, sigma, bids",
+        [
+            (1e17, 1.0, (Fraction(10**17),)),  # no float lies within sigma of v
+            (100.0, 1.0, (Fraction(10**17), Fraction(99))),  # nor of the top bid
+            (-1e17, 1.0, (Fraction(0),)),
+            (1.0, 2**-41, (Fraction(1),)),
+        ],
+    )
+    def test_sigma_below_float_resolution_rejected(self, v, sigma, bids):
+        # such a run used to report X − b = 16 for every winner at v = b = 1e17
+        with pytest.raises(ValueError, match=r"^sigma must be at least 2\*\*-40 times"):
+            NormalValuation(n=len(bids), v=v, sigma=sigma, bids=bids)
+
+    def test_sigma_at_float_resolution_accepted(self):
+        bids = (Fraction(2**40), Fraction(1))
+        model = NormalValuation(n=2, v=1.0, sigma=1.0, bids=bids)
+        report = run_normal_valuation(SimConfig(trials=100, seed=3, model=model))
+        assert math.isfinite(report["total_payoff"]["mean"])
+
     def test_jobs_do_not_change_results(self):
         model = NormalValuation(n=3, v=100.0, sigma=5.0, bids=(Fraction(99),) * 3)
         config = SimConfig(trials=60_000, seed=123, model=model)
