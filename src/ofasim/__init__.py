@@ -12,135 +12,53 @@ from __future__ import annotations
 
 import importlib
 
-from .auction import (
-    AuctionTransaction,
-    Behavior,
-    GasSchedule,
-    SolverOperation,
-    admit_operations,
-    solver_gas_budget,
-)
-from .censorship import (
-    CensorshipScenario,
-    censorship_resistance,
-    naive_censorship_cost,
-    resistance_sweep,
-)
-from .equilibrium import (
-    BaselineGame,
-    BidSearchResult,
-    DiscreteTimeGame,
-    NoInteriorOptimumError,
-    baseline_utility,
-    closed_form_bid,
-    conditional_success_value,
-    deviation_utility,
-    discrete_time_utility,
-    optimal_bid_details,
-    optimal_bid_numeric,
-    rank_sum_utility,
-    simplified_utility,
-    utility_gradient,
-)
-from .escrow import EscrowLedger, InsufficientEscrow, PendingReservation, required_escrow
-from .money import FRACTIONAL_DIGITS, format_amount, parse_amount
-from .settlement import (
-    OpOutcome,
-    SettlementResult,
-    failure_cost,
-    guaranteed_minimum,
-    settle,
-    settle_patterns,
-    solver_payoff,
-)
-
-# The Monte-Carlo runners need numpy; load them on first use (PEP 562), so that
-# settlement, escrow and the other exact modules import without it.
-_SIMULATION_NAMES = frozenset(
-    {
-        "EmpiricalStat",
-        "IidFailure",
-        "NormalValuation",
-        "SimConfig",
-        "SpoofAttack",
-        "ThroughputSweep",
-        "Timeline",
-        "TimelineConfig",
-        "TimelineEvent",
-        "TimelineEventKind",
-        "chain_quiet_between_order_and_guarantee",
-        "run_iid_failure",
-        "run_normal_valuation",
-        "run_simulation",
-        "run_spoof_attack",
-        "run_throughput_sweep",
-        "run_timeline",
-    }
-)
+#: Public names by defining module.
+_EXPORTS = {
+    "auction": (
+        "AuctionTransaction", "Behavior", "GasSchedule", "SolverOperation",
+        "admit_operations", "solver_gas_budget",
+    ),
+    "censorship": (
+        "CensorshipScenario", "censorship_resistance", "naive_censorship_cost",
+        "resistance_sweep",
+    ),
+    "equilibrium": (
+        "BaselineGame", "BidSearchResult", "DiscreteTimeGame", "NoInteriorOptimumError",
+        "baseline_utility", "closed_form_bid", "conditional_success_value",
+        "deviation_utility", "discrete_time_utility", "optimal_bid_details",
+        "optimal_bid_numeric", "rank_sum_utility", "simplified_utility",
+        "utility_gradient",
+    ),
+    "escrow": ("EscrowLedger", "InsufficientEscrow", "PendingReservation", "required_escrow"),
+    "money": ("FRACTIONAL_DIGITS", "format_amount", "parse_amount"),
+    "settlement": (
+        "OpOutcome", "SettlementResult", "failure_cost", "guaranteed_minimum", "settle",
+        "settle_patterns", "solver_payoff",
+    ),
+    # The Monte-Carlo runners need numpy; they load on first use (PEP 562), so
+    # that settlement, escrow and the other exact modules import without it.
+    "simulation": (
+        "IidFailure", "NormalValuation", "SimConfig", "SpoofAttack", "ThroughputSweep",
+        "Timeline", "TimelineConfig", "TimelineEvent", "TimelineEventKind",
+        "chain_quiet_between_order_and_guarantee", "run_iid_failure",
+        "run_normal_valuation", "run_simulation", "run_spoof_attack",
+        "run_throughput_sweep", "run_timeline",
+    ),
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuctionTransaction",
-    "BaselineGame",
-    "Behavior",
-    "BidSearchResult",
-    "CensorshipScenario",
-    "DiscreteTimeGame",
-    "EmpiricalStat",
-    "EscrowLedger",
-    "FRACTIONAL_DIGITS",
-    "GasSchedule",
-    "IidFailure",
-    "InsufficientEscrow",
-    "NoInteriorOptimumError",
-    "NormalValuation",
-    "OpOutcome",
-    "PendingReservation",
-    "SettlementResult",
-    "SimConfig",
-    "SolverOperation",
-    "SpoofAttack",
-    "ThroughputSweep",
-    "Timeline",
-    "TimelineConfig",
-    "TimelineEvent",
-    "TimelineEventKind",
-    "admit_operations",
-    "baseline_utility",
-    "censorship_resistance",
-    "chain_quiet_between_order_and_guarantee",
-    "closed_form_bid",
-    "conditional_success_value",
-    "deviation_utility",
-    "discrete_time_utility",
-    "failure_cost",
-    "format_amount",
-    "guaranteed_minimum",
-    "naive_censorship_cost",
-    "optimal_bid_details",
-    "optimal_bid_numeric",
-    "parse_amount",
-    "rank_sum_utility",
-    "required_escrow",
-    "resistance_sweep",
-    "run_iid_failure",
-    "run_normal_valuation",
-    "run_simulation",
-    "run_spoof_attack",
-    "run_throughput_sweep",
-    "run_timeline",
-    "settle",
-    "settle_patterns",
-    "simplified_utility",
-    "solver_gas_budget",
-    "solver_payoff",
-    "utility_gradient",
-]
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+for _module, _names in _EXPORTS.items():
+    if _module != "simulation":
+        _source = importlib.import_module(f".{_module}", __name__)
+        globals().update({name: getattr(_source, name) for name in _names})
+del _module, _names, _source
 
 
 def __getattr__(name: str) -> object:
-    if name != "simulation" and name not in _SIMULATION_NAMES:
+    if name != "simulation" and name not in _EXPORTS["simulation"]:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # import_module, not ``from . import``: that statement calls this hook again
     simulation = importlib.import_module(".simulation", __name__)
@@ -148,4 +66,4 @@ def __getattr__(name: str) -> object:
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _SIMULATION_NAMES | {"simulation"})
+    return sorted(set(globals()) | set(_EXPORTS["simulation"]) | {"simulation"})

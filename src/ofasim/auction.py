@@ -143,6 +143,8 @@ class AuctionTransaction:
         bid_scale: Set at construction: the lcm of the bid denominators.
         scaled_bids: Set at construction: each op's bid times ``bid_scale``,
             an integer, in execution order (the settlement kernel's input).
+        gamma: Set at construction: the solver gas budget of ``schedule``
+            (see :func:`solver_gas_budget`).
     """
 
     schedule: GasSchedule
@@ -150,6 +152,7 @@ class AuctionTransaction:
     private_values: Mapping[str, Fraction] = field(default_factory=dict)
     bid_scale: int = field(init=False, repr=False, compare=False)
     scaled_bids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    gamma: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ops = tuple(self.solver_ops)
@@ -157,8 +160,8 @@ class AuctionTransaction:
         object.__setattr__(
             self, "private_values", MappingProxyType(dict(self.private_values))
         )
-        budget = self.schedule.solver_gas_budget()
-        if sum(op.gas_reserved for op in ops) > budget:
+        gamma = solver_gas_budget(self.schedule)
+        if sum(op.gas_reserved for op in ops) > gamma:
             raise ValueError("reserved gas exceeds the solver gas budget")
         ids = [op.solver_id for op in ops]
         if len(set(ids)) != len(ids):
@@ -169,15 +172,11 @@ class AuctionTransaction:
             raise ValueError("solver_ops not in canonical descending-bid order")
         object.__setattr__(self, "bid_scale", scale)
         object.__setattr__(self, "scaled_bids", bids)
+        object.__setattr__(self, "gamma", gamma)
         for value in self.private_values.values():
             require_exact(value, "private value")
             if value.numerator < 0:  # an int compare; ``Fraction < 0`` is ~10x slower
                 raise ValueError("private values must be non-negative")
-
-    @property
-    def gamma(self) -> int:
-        """Solver gas budget of this transaction."""
-        return self.schedule.solver_gas_budget()
 
 
 def solver_gas_budget(schedule: GasSchedule) -> int:
@@ -219,7 +218,7 @@ def admit_operations(
     Returns:
         The admitted transaction (possibly with no operations).
     """
-    budget = schedule.solver_gas_budget()
+    budget = solver_gas_budget(schedule)
     ops = list(candidates)
     best: dict[str, tuple[tuple, SolverOperation]] = {}
     for key, op in zip(_order_keys(ops, _scaled_bids(ops)[1]), ops):

@@ -226,7 +226,7 @@ def _load_json(path: str) -> Any:
         return _DECODER.decode(text)
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
     except _NonFinite as exc:
         raise ScenarioError(f"{path} is not valid JSON: {exc} is not a finite number") from None
@@ -504,11 +504,18 @@ def _sweep_censorship(args: argparse.Namespace) -> list[list]:
     rivals = []
     for spec in args.rival or ["100:100000"]:
         bid_text, _, gas_text = spec.partition(":")
-        if not gas_text:
-            raise ScenarioError(f"--rival {spec!r}: expected BID:GAS")
-        rivals.append((parse_amount(bid_text), int(gas_text)))
+        try:
+            gas = int(gas_text)
+        except ValueError:
+            raise ScenarioError(f"--rival {spec!r}: expected BID:GAS") from None
+        try:
+            rivals.append((parse_amount(bid_text), gas))
+        except ValueError as exc:
+            raise ScenarioError(f"--rival {spec!r}: {exc}") from exc
     if args.gamma_points < 1:
         raise ScenarioError("--gamma-points must be >= 1")
+    if args.gamma_min > args.gamma_max:
+        raise ScenarioError("--gamma-min must not exceed --gamma-max")
     if args.gamma_points == 1:
         gammas = [args.gamma_min]
     else:
@@ -543,7 +550,7 @@ def _sweep_throughput(args: argparse.Namespace) -> list[list]:
         q=args.q,
     )
     config = SimConfig(trials=args.trials, seed=args.seed, model=model)
-    report = run_simulation(config, jobs=args.jobs)
+    report = run_simulation(config)
     return [["gamma", "ops", "mean_failure_cost", "std_error", "success_probability"]] + [
         [
             row["gamma"],
@@ -630,7 +637,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config = SimConfig(
             trials=fields.get("trials", 1), seed=fields["seed"], model=fields["model"]
         )
-        report = run_simulation(config, jobs=args.jobs)
+        report = run_simulation(config)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     print(_dumps(report))

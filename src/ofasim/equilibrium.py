@@ -237,12 +237,7 @@ def rank_sum_utility(game: DiscreteTimeGame, b: float) -> float:
         n / (Σ_j F^(n−j)) · Σ_r F^(n−r) [ (1−F)(v−b) − (b/n)·F^r ].
     """
     _, cdf, survival, _ = _support_terms(game, b)
-    return _rank_weighted_total(game.n, cdf, survival, game.v, b)
-
-
-def _rank_weighted_total(n: int, cdf: float, survival: float, v: float, b: float) -> float:
-    """Rank-sum expression with the success/cancel probabilities supplied
-    directly (exercised by algebra tests independent of the normal model)."""
+    n, v = game.n, game.v
     weight = sum(cdf**k for k in range(n))
     total = 0.0
     for rank in range(1, n + 1):

@@ -28,8 +28,6 @@ _MAX_DIGITS = 4300
 _LIMIT = 10**_MAX_DIGITS
 _TOO_LARGE = f"currency amount must lie below 1e{_MAX_DIGITS} in magnitude"
 
-Amount = Fraction
-
 ZERO = Fraction(0)
 
 #: The plain form ``format_amount`` emits: ASCII digits, an optional minus

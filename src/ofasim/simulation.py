@@ -37,8 +37,7 @@ Determinism and reduction:
     (``settle_patterns``, ``median_failure_costs``). Identical (seed, config)
     gives bit-identical reports; the stream differs from that of earlier
     versions, which drew every trial × position cell, but the estimators'
-    distribution is the same. The ``jobs`` parameter, kept for
-    compatibility, has no effect. A statistic or amount that does not fit a
+    distribution is the same. A statistic or amount that does not fit a
     float raises ``ValueError``.
 
 Statistics are empirical means with standard errors; comparisons against
@@ -47,12 +46,12 @@ closed forms should use 3-standard-error bands.
 
 from __future__ import annotations
 
-import heapq
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -65,6 +64,7 @@ from .auction import (
     admit_operations,
 )
 from .censorship import CensorshipScenario, censorship_resistance
+from .equilibrium import normal_cdf, normal_sf
 from .escrow import required_escrow
 from .money import ZERO, format_amount
 from .settlement import _pattern_terms, guaranteed_minimum, settle
@@ -75,18 +75,6 @@ _BATCH = 16384
 
 # ---------------------------------------------------------------------------
 # empirical statistics from outcome-pattern sums
-
-
-@dataclass(frozen=True)
-class EmpiricalStat:
-    """Empirical mean with its standard error."""
-
-    mean: float
-    std_error: float
-    trials: int
-
-    def as_dict(self) -> dict:
-        return {"mean": self.mean, "std_error": self.std_error, "trials": self.trials}
 
 
 class _PatternSums(NamedTuple):
@@ -113,10 +101,10 @@ def _iid_law(q: float, width: int) -> np.ndarray:
 def _normal_law(v: float, sigma: float, bid_row: np.ndarray) -> np.ndarray:
     """Outcome-pattern law when position j fails (cancels) with probability
     Φ(z_j), z_j = (b_j − v)/σ: p_k = ∏_{j<k} Φ(z_j)·(1 − Φ(z_k)), and p_n is
-    the product of every Φ(z_j). Φ comes from ``math.erfc``, not 1 − Φ."""
+    the product of every Φ(z_j). 1 − Φ is ``normal_sf``, not a subtraction."""
     z = (bid_row - v) / sigma
-    fail = [0.5 * math.erfc(-zj / math.sqrt(2.0)) for zj in z]
-    succeed = [0.5 * math.erfc(zj / math.sqrt(2.0)) for zj in z]
+    fail = [normal_cdf(zj) for zj in z]
+    succeed = [normal_sf(zj) for zj in z]
     reach = np.cumprod([1.0, *fail])
     return np.append(reach[:-1] * succeed, reach[-1])
 
@@ -138,7 +126,7 @@ def _truncated_normal(
     z = (bid - v) / sigma
     floor = np.nextafter(bid, np.inf)
     if z <= 0:
-        accept = 0.5 * math.erfc(z / math.sqrt(2.0))
+        accept = normal_sf(z)
     else:
         alpha = (z + math.sqrt(z * z + 4.0)) / 2.0
         accept = 0.75  # Robert's acceptance is 0.76 at z = 0 and rises with z
@@ -225,7 +213,7 @@ def _statistics(
     if not (np.isfinite(means).all() and np.isfinite(errors).all()):
         raise ValueError("a Monte-Carlo statistic does not fit a float")
     return [
-        EmpiricalStat(float(mean), float(error), trials).as_dict()
+        {"mean": float(mean), "std_error": float(error), "trials": trials}
         for mean, error in zip(means, errors)
     ]
 
@@ -491,7 +479,7 @@ def _pattern_columns(tx: AuctionTransaction) -> np.ndarray:
 # runners
 
 
-def run_iid_failure(config: SimConfig, jobs: int = 1) -> dict:
+def run_iid_failure(config: SimConfig) -> dict:
     """Monte-Carlo of the iid-failure game.
 
     Each execution position fails independently with probability q; the run
@@ -520,7 +508,7 @@ def run_iid_failure(config: SimConfig, jobs: int = 1) -> dict:
     }
 
 
-def run_normal_valuation(config: SimConfig, jobs: int = 1) -> dict:
+def run_normal_valuation(config: SimConfig) -> dict:
     """Monte-Carlo of the valuation-drift game.
 
     Each trial draws one valuation X per execution position; position j
@@ -606,7 +594,7 @@ def median_failure_costs(
     )
 
 
-def run_throughput_sweep(config: SimConfig, jobs: int = 1) -> dict:
+def run_throughput_sweep(config: SimConfig) -> dict:
     """Expected failure cost of the median-bid operation per gas budget.
 
     For each budget the array is refilled to capacity (budget // gas_per_op
@@ -795,13 +783,10 @@ def run_timeline(config: SimConfig) -> dict:
     execution_submitted = auction_closed + cfg.execution_delay_ms
     settlement_confirmed = execution_submitted + cfg.execution_delay_ms
 
-    queue: list[tuple[int, int, TimelineEvent]] = []
-    seq = 0
+    logged: list[TimelineEvent] = []
 
     def push(at_ms: int, kind: TimelineEventKind, note: str = "") -> None:
-        nonlocal seq
-        heapq.heappush(queue, (at_ms, seq, TimelineEvent(at_ms, kind, note)))
-        seq += 1
+        logged.append(TimelineEvent(at_ms, kind, note))
 
     push(0, TimelineEventKind.ESCROW_PREFETCH, "solver balances cached")
     push(0, TimelineEventKind.ORDER_PLACED)
@@ -848,10 +833,8 @@ def run_timeline(config: SimConfig) -> dict:
     push(execution_submitted, TimelineEventKind.EXECUTION_SUBMITTED)
     push(settlement_confirmed, TimelineEventKind.SETTLEMENT_CONFIRMED)
 
-    events: list[TimelineEvent] = []
-    while queue:
-        _, _, event = heapq.heappop(queue)
-        events.append(event)
+    # a stable sort: events at the same time stay in the order they were logged
+    events = sorted(logged, key=attrgetter("at_ms"))
 
     return {
         "model": "timeline",
@@ -869,14 +852,17 @@ def run_timeline(config: SimConfig) -> dict:
 
 
 def run_simulation(config: SimConfig, jobs: int = 1) -> dict:
-    """Dispatch a configuration to its runner."""
+    """Dispatch a configuration to its runner.
+
+    ``jobs`` is ignored; it stays only while benchmark scripts still pass it.
+    """
     model = config.model
     if isinstance(model, IidFailure):
-        return run_iid_failure(config, jobs)
+        return run_iid_failure(config)
     if isinstance(model, NormalValuation):
-        return run_normal_valuation(config, jobs)
+        return run_normal_valuation(config)
     if isinstance(model, ThroughputSweep):
-        return run_throughput_sweep(config, jobs)
+        return run_throughput_sweep(config)
     if isinstance(model, SpoofAttack):
         return run_spoof_attack(config)
     if isinstance(model, Timeline):

@@ -159,6 +159,9 @@ class TestAuctionTransaction:
         schedule = GasSchedule(tx_gas_limit=1_100_000, user_gas_consumed=100_000)
         tx = AuctionTransaction(schedule=schedule, solver_ops=(op("a", 1),))
         assert tx.gamma == 1_000_000
+        # stored at construction, like bid_scale: no part of equality or repr
+        assert tx == AuctionTransaction(schedule=schedule, solver_ops=(op("a", 1),))
+        assert "gamma" not in repr(tx)
 
 
 class TestAdmitOperations:

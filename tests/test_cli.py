@@ -325,6 +325,18 @@ SWEEP_REJECTIONS = {
         ["censorship", "--gamma-min", "0", "--gamma-points", "2"],
         "gamma must be a positive integer",
     ),
+    "gamma_range_reversed": (
+        ["censorship", "--gamma-min", "5000000", "--gamma-max", "1000000", "--gamma-points", "3"],
+        "--gamma-min must not exceed --gamma-max",
+    ),
+    "rival_gas_not_an_integer": (
+        ["censorship", "--rival", "100:abc"],
+        "--rival '100:abc': expected BID:GAS",
+    ),
+    "rival_bid_not_a_number": (
+        ["censorship", "--rival", "abc:100"],
+        "--rival 'abc:100': not a decimal number: 'abc'",
+    ),
 }
 
 
@@ -926,6 +938,18 @@ def test_byte_order_mark_is_refused_as_json_does(tmp_path, capsys):
     assert captured.err == (
         f"error: {path} is not valid JSON: Unexpected UTF-8 BOM "
         "(decode using utf-8-sig): line 1 column 1 (char 0)\n"
+    )
+
+
+def test_file_that_is_not_utf8_names_its_path(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe")
+    assert cli.main(["simulate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path} is not valid JSON: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte\n"
     )
 
 

@@ -15,6 +15,15 @@ import ofasim
 assert "numpy" not in sys.modules, "import ofasim loaded numpy"
 assert "ofasim.simulation" not in sys.modules
 assert set(ofasim.__all__) <= set(dir(ofasim))
+assert ofasim.__all__ == sorted(set(ofasim.__all__)), "__all__ unsorted or repeated"
+assert "EmpiricalStat" not in ofasim.__all__
+for module, names in ofasim._EXPORTS.items():
+    if module != "simulation":
+        source = sys.modules[f"ofasim.{module}"]
+        for name in names:
+            assert getattr(ofasim, name) is getattr(source, name), name
+leaked = {"_module", "_names", "_source", "module", "names", "name"} & set(dir(ofasim))
+assert not leaked, leaked
 from ofasim import EscrowLedger, guaranteed_minimum, settle
 assert "numpy" not in sys.modules
 from ofasim import run_simulation

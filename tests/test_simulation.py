@@ -121,10 +121,6 @@ class TestIidFailure:
         config = SimConfig(trials=30_000, seed=77, model=_iid())
         assert run_iid_failure(config) == run_iid_failure(config)
 
-    def test_jobs_do_not_change_results(self):
-        config = SimConfig(trials=100_000, seed=20_240_817, model=_iid())
-        assert run_iid_failure(config, jobs=1) == run_iid_failure(config, jobs=4)
-
     def test_per_solver_keys_follow_execution_order(self):
         model = IidFailure(
             n=3, q=0.5, v=Fraction(100), bids=(Fraction(10), Fraction(30), Fraction(20))
@@ -188,13 +184,6 @@ class TestNormalValuation:
         model = NormalValuation(n=2, v=1.0, sigma=1.0, bids=bids)
         report = run_normal_valuation(SimConfig(trials=100, seed=3, model=model))
         assert math.isfinite(report["total_payoff"]["mean"])
-
-    def test_jobs_do_not_change_results(self):
-        model = NormalValuation(n=3, v=100.0, sigma=5.0, bids=(Fraction(99),) * 3)
-        config = SimConfig(trials=60_000, seed=123, model=model)
-        assert run_normal_valuation(config, jobs=1) == run_normal_valuation(
-            config, jobs=3
-        )
 
 
 class TestThroughputSweep:
@@ -466,6 +455,18 @@ class TestDispatcher:
             "spoof_attack",
             "timeline",
         ]
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            _iid(),
+            NormalValuation(n=3, v=100.0, sigma=5.0, bids=(Fraction(99),) * 3),
+        ],
+        ids=["iid", "normal"],
+    )
+    def test_jobs_do_not_change_results(self, model):
+        config = SimConfig(trials=60_000, seed=123, model=model)
+        assert run_simulation(config, jobs=3) == run_simulation(config)
 
 
 @pytest.mark.parametrize("gas", [0, -5])
