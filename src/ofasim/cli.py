@@ -20,6 +20,9 @@ Exit codes: 0 on success, 1 on scenario or validation errors (with a one-line
 diagnostic on stderr and nothing on stdout or in ``--out``), 2 on usage
 errors. Output is built in memory and written only once the command has
 succeeded. ``--jobs`` is accepted for compatibility and has no effect.
+
+Only ``simulate`` and ``sweep throughput`` import ``ofasim.simulation`` and so
+numpy; ``settle`` and the other sweeps start without it.
 """
 
 from __future__ import annotations
@@ -27,28 +30,24 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
+import importlib
 import io
 import json
 import math
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from types import ModuleType
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .auction import Behavior, GasSchedule, SolverOperation, admit_operations
 from .censorship import CensorshipScenario, resistance_sweep
 from .equilibrium import DiscreteTimeGame, optimal_bid_details
 from .money import ZERO, format_amount, parse_amount
 from .settlement import guaranteed_minimum, settle
-from .simulation import (
-    IidFailure,
-    NormalValuation,
-    SimConfig,
-    SpoofAttack,
-    ThroughputSweep,
-    Timeline,
-    TimelineConfig,
-    run_simulation,
-)
+
+if TYPE_CHECKING:
+    from .simulation import SpoofAttack, Timeline
 
 
 class ScenarioError(Exception):
@@ -254,19 +253,27 @@ def _take(fields: dict[str, Any], cls: type) -> dict[str, Any]:
     return {f.name: fields.pop(f.name) for f in dataclasses.fields(cls) if f.name in fields}
 
 
+@functools.cache
+def _simulation() -> ModuleType:
+    """``ofasim.simulation``, imported on the first call: it loads numpy, which
+    only ``simulate`` and ``sweep throughput`` need."""
+    return importlib.import_module(".simulation", __package__)
+
+
 def _spoof_attack(rivals: tuple, gas_price: Fraction = ZERO, **fields: Any) -> SpoofAttack:
     # a spoof config may leave out the gas price; CensorshipScenario requires one
     scenario = CensorshipScenario(
         rival_ops=rivals, gas_price=gas_price, **_take(fields, CensorshipScenario)
     )
-    return SpoofAttack(scenario=scenario, **fields)
+    return _simulation().SpoofAttack(scenario=scenario, **fields)
 
 
 def _timeline(**fields: Any) -> Timeline:
-    config = TimelineConfig(**_take(fields, TimelineConfig))
+    simulation = _simulation()
+    config = simulation.TimelineConfig(**_take(fields, simulation.TimelineConfig))
     if "solver_ops" in fields:
         fields["candidates"] = fields.pop("solver_ops")
-    return Timeline(config=config, **fields)
+    return simulation.Timeline(config=config, **fields)
 
 
 #: Fields shared by the two bidding-game models.
@@ -288,50 +295,54 @@ _RIVAL = _object(
     gas_reserved=(_int(1), True),
 )
 
-#: Model kind → parser of the model object without its ``kind`` field.
-_MODELS: dict[str, Parser] = {
-    "iid_failure": _object(
-        IidFailure,
-        n=(_int(1), True),
-        q=(_expect_number, True),
-        v=(_currency, True),
-        **_GAME_OPS,
-    ),
-    "normal_valuation": _object(
-        NormalValuation,
-        n=(_int(1), True),
-        v=(_currency, True),
-        sigma=(_expect_number, True),
-        **_GAME_OPS,
-    ),
-    "throughput_sweep": _object(
-        ThroughputSweep,
-        gammas=(_array(_int(1)), True),
-        gas_per_op=(_int(1), False),
-        bid_high=(_currency, False),
-        bid_low=(_currency, False),
-        q=(_expect_number, False),
-    ),
-    "spoof_attack": _object(
-        _spoof_attack,
-        rivals=(_array(_RIVAL), True),
-        gamma=(_int(1), True),
-        gas_price=(_currency, False),
-        attacker_value=(_currency, False),
-        bid_margin=(_currency, False),
-        attacker_gas=(_gas_or_null, False),
-        attacker_behavior=(_behavior, False),
-    ),
-    "timeline": _object(
-        _timeline,
-        user_latency_ms=(_int(0), False),
-        auction_duration_ms=(_int(0), False),
-        execution_delay_ms=(_int(0), False),
-        schedule=(_SCHEDULE, False),
-        solver_ops=(_array(_SOLVER_OP), False),
-        escrow_snapshot=(_currency_map, False),
-    ),
-}
+
+@functools.cache
+def _models() -> dict[str, Parser]:
+    """Model kind → parser of the model object without its ``kind`` field."""
+    simulation = _simulation()
+    return {
+        "iid_failure": _object(
+            simulation.IidFailure,
+            n=(_int(1), True),
+            q=(_expect_number, True),
+            v=(_currency, True),
+            **_GAME_OPS,
+        ),
+        "normal_valuation": _object(
+            simulation.NormalValuation,
+            n=(_int(1), True),
+            v=(_currency, True),
+            sigma=(_expect_number, True),
+            **_GAME_OPS,
+        ),
+        "throughput_sweep": _object(
+            simulation.ThroughputSweep,
+            gammas=(_array(_int(1)), True),
+            gas_per_op=(_int(1), False),
+            bid_high=(_currency, False),
+            bid_low=(_currency, False),
+            q=(_expect_number, False),
+        ),
+        "spoof_attack": _object(
+            _spoof_attack,
+            rivals=(_array(_RIVAL), True),
+            gamma=(_int(1), True),
+            gas_price=(_currency, False),
+            attacker_value=(_currency, False),
+            bid_margin=(_currency, False),
+            attacker_gas=(_gas_or_null, False),
+            attacker_behavior=(_behavior, False),
+        ),
+        "timeline": _object(
+            _timeline,
+            user_latency_ms=(_int(0), False),
+            auction_duration_ms=(_int(0), False),
+            execution_delay_ms=(_int(0), False),
+            schedule=(_SCHEDULE, False),
+            solver_ops=(_array(_SOLVER_OP), False),
+            escrow_snapshot=(_currency_map, False),
+        ),
+    }
 
 
 def _parse_model(data: Any) -> Any:
@@ -339,13 +350,14 @@ def _parse_model(data: Any) -> Any:
     kind = obj.get("kind", "")
     if not isinstance(kind, str):
         raise _Invalid("expected a string", ".kind")
-    if kind not in _MODELS:
-        *others, last = _MODELS
+    models = _models()
+    if kind not in models:
+        *others, last = models
         raise _Invalid(
             f"unknown model kind {kind!r} (expected {', '.join(others)} or {last})",
             ".kind",
         )
-    return _MODELS[kind]({name: value for name, value in obj.items() if name != "kind"})
+    return models[kind]({name: value for name, value in obj.items() if name != "kind"})
 
 
 _SETTLE = _object(
@@ -500,18 +512,21 @@ def _comma_ints(text: str, context: str) -> list[int]:
     return values
 
 
+def _flag_amount(text: str, flag: str) -> Fraction:
+    try:
+        return parse_amount(text)
+    except ValueError as exc:
+        raise ScenarioError(f"{flag}: {exc}") from exc
+
+
 def _sweep_censorship(args: argparse.Namespace) -> list[list]:
     rivals = []
     for spec in args.rival or ["100:100000"]:
         bid_text, _, gas_text = spec.partition(":")
-        try:
-            gas = int(gas_text)
-        except ValueError:
-            raise ScenarioError(f"--rival {spec!r}: expected BID:GAS") from None
-        try:
-            rivals.append((parse_amount(bid_text), gas))
-        except ValueError as exc:
-            raise ScenarioError(f"--rival {spec!r}: {exc}") from exc
+        # digits only, as in the JSON configs: int() would also take 1_0000, +5 and spaces
+        if not (gas_text.isascii() and gas_text.isdigit()):
+            raise ScenarioError(f"--rival {spec!r}: expected BID:GAS")
+        rivals.append((_flag_amount(bid_text, f"--rival {spec!r}"), int(gas_text)))
     if args.gamma_points < 1:
         raise ScenarioError("--gamma-points must be >= 1")
     if args.gamma_min > args.gamma_max:
@@ -524,14 +539,14 @@ def _sweep_censorship(args: argparse.Namespace) -> list[list]:
             args.gamma_min + round(span * index / (args.gamma_points - 1))
             for index in range(args.gamma_points)
         ]
-    prices = [parse_amount(part) for part in args.gas_prices.split(",") if part]
+    prices = [_flag_amount(part, "--gas-prices") for part in args.gas_prices.split(",") if part]
     if not prices:
         raise ScenarioError("--gas-prices: empty list")
     template = CensorshipScenario(
         gamma=max(gammas),
         gas_price=prices[0],
         rival_ops=tuple(rivals),
-        attacker_value=parse_amount(args.attacker_value),
+        attacker_value=_flag_amount(args.attacker_value, "--attacker-value"),
     )
     rows = resistance_sweep(gammas, prices, template)
     price_texts = [format_amount(price) for price in prices] * len(gammas)
@@ -542,15 +557,16 @@ def _sweep_censorship(args: argparse.Namespace) -> list[list]:
 
 
 def _sweep_throughput(args: argparse.Namespace) -> list[list]:
-    model = ThroughputSweep(
+    simulation = _simulation()
+    model = simulation.ThroughputSweep(
         gammas=tuple(_comma_ints(args.gammas, "--gammas")),
         gas_per_op=args.gas_per_op,
-        bid_high=parse_amount(args.bid_high),
-        bid_low=parse_amount(args.bid_low),
+        bid_high=_flag_amount(args.bid_high, "--bid-high"),
+        bid_low=_flag_amount(args.bid_low, "--bid-low"),
         q=args.q,
     )
-    config = SimConfig(trials=args.trials, seed=args.seed, model=model)
-    report = run_simulation(config)
+    config = simulation.SimConfig(trials=args.trials, seed=args.seed, model=model)
+    report = simulation.run_simulation(config)
     return [["gamma", "ops", "mean_failure_cost", "std_error", "success_probability"]] + [
         [
             row["gamma"],
@@ -573,6 +589,8 @@ def _sweep_equilibrium(args: argparse.Namespace) -> list[list]:
     for name in ("v", "sigma_min", "sigma_max"):
         if not math.isfinite(getattr(args, name)):
             raise ScenarioError(f"--{name.replace('_', '-')} must be finite")
+    if not args.v > 0:
+        raise ScenarioError("--v must be positive")
     if args.sigma_min > args.sigma_max:
         raise ScenarioError("--sigma-min must not exceed --sigma-max")
     if args.sigma_max + args.sigma_step == args.sigma_max:
@@ -633,11 +651,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     fields = _read(args.file, _SIMULATE, "config")
+    simulation = _simulation()
     try:
-        config = SimConfig(
+        config = simulation.SimConfig(
             trials=fields.get("trials", 1), seed=fields["seed"], model=fields["model"]
         )
-        report = run_simulation(config)
+        report = simulation.run_simulation(config)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     print(_dumps(report))

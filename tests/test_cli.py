@@ -337,6 +337,38 @@ SWEEP_REJECTIONS = {
         ["censorship", "--rival", "abc:100"],
         "--rival 'abc:100': not a decimal number: 'abc'",
     ),
+    # a gas is ASCII digits only, as in the JSON configs; int() would take these
+    "rival_gas_underscore": (
+        ["censorship", "--rival", "100:1_0000"],
+        "--rival '100:1_0000': expected BID:GAS",
+    ),
+    "rival_gas_plus": (["censorship", "--rival", "100:+5"], "--rival '100:+5': expected BID:GAS"),
+    "rival_gas_space": (["censorship", "--rival", "100: 5"], "--rival '100: 5': expected BID:GAS"),
+    "gas_prices_not_a_number": (
+        ["censorship", "--gas-prices", "abc"],
+        "--gas-prices: not a decimal number: 'abc'",
+    ),
+    "attacker_value_not_a_number": (
+        ["censorship", "--attacker-value", "abc"],
+        "--attacker-value: not a decimal number: 'abc'",
+    ),
+    "bid_high_not_a_number": (
+        ["throughput", "--bid-high", "abc"],
+        "--bid-high: not a decimal number: 'abc'",
+    ),
+    "bid_low_not_a_number": (
+        ["throughput", "--bid-low", "abc"],
+        "--bid-low: not a decimal number: 'abc'",
+    ),
+    # b*/v needs a positive v
+    "v_zero": (
+        ["equilibrium", "--n", "2", "--v", "0", "--sigma-min", "1", "--sigma-max", "1"],
+        "--v must be positive",
+    ),
+    "v_negative": (
+        ["equilibrium", "--n", "2", "--v", "-5", "--sigma-min", "1", "--sigma-max", "1"],
+        "--v must be positive",
+    ),
 }
 
 

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import ofasim
 
 PROBE = """
@@ -84,6 +86,53 @@ def test_simulate_runs_without_scipy(tmp_path):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", SIMULATE_PROBE, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+
+
+CLI_PROBE = """
+import contextlib, io, json, sys
+from ofasim import cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] in ("numpy", "scipy"))
+
+settle = f"{sys.argv[1]}/settle.json"
+with open(settle, "w") as handle:
+    json.dump({"schema": "settle/1",
+               "schedule": {"tx_gas_limit": 1100000, "user_gas_consumed": 100000},
+               "solver_ops": [{"solver_id": "a", "bid": "100", "gas_reserved": 100000}]}, handle)
+config = f"{sys.argv[1]}/iid.json"
+with open(config, "w") as handle:
+    json.dump({"schema": "simulate/1", "seed": 1, "trials": 100, "model": {
+        "kind": "iid_failure", "n": 2, "q": 0.5, "v": "100", "bids": ["60", "50"]}}, handle)
+assert not loaded(), loaded()
+run("settle", settle)
+run("sweep", "censorship", "--gamma-points", "3")
+# v = 3500 against sigma <= 1 has no interior optimum: the scipy root-finder never runs
+run("sweep", "equilibrium", "--n", "2,5", "--sigma-min", "0.5", "--sigma-max", "1")
+assert not loaded(), loaded()
+assert "ofasim.simulation" not in sys.modules
+run(*{"throughput": ["sweep", "throughput", "--trials", "100"], "simulate": ["simulate", config]}[sys.argv[2]])
+assert "numpy" in sys.modules
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("command", ["throughput", "simulate"])
+def test_cli_loads_numpy_only_to_simulate(tmp_path, command):
+    src = os.path.dirname(os.path.dirname(ofasim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", CLI_PROBE, str(tmp_path), command],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
