@@ -61,9 +61,11 @@ class GasSchedule:
     gas_price: Fraction = ZERO
 
     def __post_init__(self) -> None:
-        if not isinstance(self.tx_gas_limit, int) or self.tx_gas_limit <= 0:
+        # gas must be exactly an int, so a bool is refused (as is gamma in
+        # required_escrow); the same holds in SolverOperation
+        if type(self.tx_gas_limit) is not int or self.tx_gas_limit <= 0:
             raise ValueError("tx_gas_limit must be a positive integer")
-        if not isinstance(self.user_gas_consumed, int) or self.user_gas_consumed < 0:
+        if type(self.user_gas_consumed) is not int or self.user_gas_consumed < 0:
             raise ValueError("user_gas_consumed must be a non-negative integer")
         if self.user_gas_consumed > self.tx_gas_limit:
             raise ValueError("user_gas_consumed exceeds tx_gas_limit")
@@ -105,9 +107,9 @@ class SolverOperation:
         require_exact(self.bid, "bid")
         if self.bid.numerator < 0:
             raise ValueError("bid must be non-negative")
-        if not isinstance(self.gas_reserved, int) or self.gas_reserved <= 0:
+        if type(self.gas_reserved) is not int or self.gas_reserved <= 0:
             raise ValueError("gas_reserved must be a positive integer")
-        if not isinstance(self.gas_used, int) or not 0 <= self.gas_used <= self.gas_reserved:
+        if type(self.gas_used) is not int or not 0 <= self.gas_used <= self.gas_reserved:
             raise ValueError("gas_used must lie in [0, gas_reserved]")
 
     def sort_key(self) -> tuple:

@@ -17,12 +17,15 @@ per deposit, reserve, settle or cancel: ``available`` and ``reserve`` are
 O(1), ``prefetch_snapshot`` is one O(solvers) copy, and only ``pending`` scans
 the reservations. Mutations take a single internal lock (linearizable).
 
-``required_escrow`` is one integer numerator over ``bid_den · price_den ·
-gamma``, and ``reserve`` compares and subtracts on the numerators and
-denominators (``a·d < n·b``, then ``(a·d − n·b)/(b·d)``). A ``Fraction`` is
-built only for the amounts the ledger stores and returns. Amounts must be
-``int`` or ``Fraction`` and gamma an ``int``; anything else is refused with
-``ValueError``.
+Every stored amount (balance, available amount, reserved amount) is a reduced
+integer pair ``(numerator, denominator)``. ``reserve`` compares ``a·d < n·b``
+and stores ``(a·d − n·b, b·d)`` divided by its gcd; settling, cancelling and
+depositing add a pair the same way. Pairs are kept per entry, not over one
+common denominator per auctioneer: each required escrow's denominator carries
+its auction's gamma, so such a denominator would grow with every order. A
+``Fraction`` is built only for a value returned. Amounts must be ``int`` or
+``Fraction`` and gamma an ``int``, and ledger ids non-empty strings; anything
+else is refused with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -32,11 +35,13 @@ import json
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
+from math import gcd
 from typing import Iterator, Mapping
 
 from .auction import SolverOperation
-from .money import ZERO, format_amount, parse_amount, require_exact
+from .money import format_amount, parse_amount, require_exact
+
+_ZERO = (0, 1)  # the pair of an absent entry
 
 
 class InsufficientEscrow(Exception):
@@ -54,6 +59,30 @@ class InsufficientEscrow(Exception):
             f"{auctioneer!r} but has {format_amount(available)} available"
         )
         self.needed, self.available = needed, available
+
+
+def _required_escrow(
+    bid: Fraction, gas_reserved: int, gamma: int, gas_price: Fraction
+) -> tuple[int, int]:
+    """:func:`required_escrow` as a reduced ``(numerator, denominator)`` pair."""
+    if type(gamma) is not int:  # a bool, float or numpy integer is refused
+        raise ValueError(f"gamma must be an int, got {type(gamma).__name__}")
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    if not 0 < gas_reserved <= gamma:
+        raise ValueError("gas_reserved must lie in (0, gamma]")
+    try:
+        bn, bd = bid.numerator, bid.denominator
+        pn, pd = gas_price.numerator, gas_price.denominator
+    except AttributeError:  # not an int or a Fraction: name the culprit
+        require_exact(bid, "bid")
+        require_exact(gas_price, "gas_price")
+        raise
+    if bn < 0 or pn < 0:
+        raise ValueError("bid and gas_price must be non-negative")
+    n, d = gas_reserved * (bn * pd + pn * bd * gamma), bd * pd * gamma
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 def required_escrow(
@@ -74,27 +103,23 @@ def required_escrow(
         ValueError: If gamma is not a positive int, gas_reserved > gamma, or
             bid or gas_price is not an ``int`` or ``Fraction`` or is < 0.
     """
-    if type(gamma) is not int:  # a bool, float or numpy integer is refused
-        raise ValueError(f"gamma must be an int, got {type(gamma).__name__}")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if not 0 < gas_reserved <= gamma:
-        raise ValueError("gas_reserved must lie in (0, gamma]")
-    try:
-        bn, bd = bid.numerator, bid.denominator
-        pn, pd = gas_price.numerator, gas_price.denominator
-    except AttributeError:  # not an int or a Fraction: name the culprit
-        require_exact(bid, "bid")
-        require_exact(gas_price, "gas_price")
-        raise
-    if bn < 0 or pn < 0:
-        raise ValueError("bid and gas_price must be non-negative")
-    return Fraction(gas_reserved * (bn * pd + pn * bd * gamma), bd * pd * gamma)
+    return Fraction(*_required_escrow(bid, gas_reserved, gamma, gas_price))
 
 
-def _plus(x: Fraction, n: int, d: int) -> Fraction:
-    """``x + n/d``, built once from integer numerators."""
-    return Fraction(x.numerator * d + n * x.denominator, x.denominator * d)
+def _plus(x: tuple[int, int], n: int, d: int) -> tuple[int, int]:
+    """``x + n/d`` as a reduced pair."""
+    num, den = x[0] * d + n * x[1], x[1] * d
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _require_ids(solver_id: str, auctioneer_id: str) -> None:
+    """Refuse a ledger id that is not a non-empty ``str``: ids are sorted and
+    exported as JSON object keys."""
+    if not (isinstance(solver_id, str) and solver_id):
+        raise ValueError(f"solver_id must be a non-empty str, got {solver_id!r}")
+    if not (isinstance(auctioneer_id, str) and auctioneer_id):
+        raise ValueError(f"auctioneer_id must be a non-empty str, got {auctioneer_id!r}")
 
 
 @dataclass(frozen=True)
@@ -106,14 +131,43 @@ class PendingReservation:
         solver_id: Solver whose balance is encumbered.
         auctioneer_id: Auctioneer holding the escrow relationship.
         op_ref: Identity of the reserved operation (its solver id).
-        amount: Reserved amount (the operation's required escrow).
+        amount_pair: Reserved amount (the operation's required escrow) as a
+            reduced ``(numerator, denominator)`` pair; the ``amount``
+            property gives it as a ``Fraction``.
     """
 
     handle: int
     solver_id: str
     auctioneer_id: str
     op_ref: str
-    amount: Fraction
+    amount_pair: tuple[int, int]
+
+    @property
+    def amount(self) -> Fraction:
+        """Reserved amount (the operation's required escrow)."""
+        return Fraction(*self.amount_pair)
+
+
+class _Snapshot(Mapping[str, Fraction]):
+    """Read-only solver → available amount view over a private copy of the
+    ledger's pairs; each lookup builds its ``Fraction``."""
+
+    __slots__ = ("_pairs",)
+
+    def __init__(self, pairs: dict[str, tuple[int, int]]) -> None:
+        self._pairs = pairs
+
+    def __getitem__(self, solver_id: str) -> Fraction:
+        return Fraction(*self._pairs[solver_id])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._pairs)
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
 
 
 class EscrowLedger:
@@ -121,9 +175,9 @@ class EscrowLedger:
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        self._balances: dict[tuple[str, str], Fraction] = {}
+        self._balances: dict[tuple[str, str], tuple[int, int]] = {}
         # auctioneer → solver → balance minus pending, on the keys of _balances
-        self._available: dict[str, dict[str, Fraction]] = {}
+        self._available: dict[str, dict[str, tuple[int, int]]] = {}
         self._pending: dict[int, PendingReservation] = {}
         self._handles = itertools.count(1)
 
@@ -132,28 +186,29 @@ class EscrowLedger:
     ) -> None:
         """Add (numerator, denominator) pairs to a balance and to its available
         amount; the lock is held."""
-        self._balances[key] = _plus(self._balances.get(key, ZERO), *balance)
+        self._balances[key] = _plus(self._balances.get(key, _ZERO), *balance)
         per_solver = self._available.setdefault(key[1], {})
-        per_solver[key[0]] = _plus(per_solver.get(key[0], ZERO), *available)
+        per_solver[key[0]] = _plus(per_solver.get(key[0], _ZERO), *available)
 
     def deposit(self, solver_id: str, auctioneer_id: str, amount: Fraction) -> None:
         """Credit a solver's escrow balance with an auctioneer."""
+        _require_ids(solver_id, auctioneer_id)
         require_exact(amount, "deposit amount")
-        if amount < 0:
-            raise ValueError("deposit amount must be non-negative")
         exact = (amount.numerator, amount.denominator)
+        if exact[0] < 0:
+            raise ValueError("deposit amount must be non-negative")
         with self._lock:
             self._post((solver_id, auctioneer_id), exact, exact)
 
     def balance(self, solver_id: str, auctioneer_id: str) -> Fraction:
         """Deposited balance, ignoring pending reservations."""
         with self._lock:
-            return self._balances.get((solver_id, auctioneer_id), ZERO)
+            return Fraction(*self._balances.get((solver_id, auctioneer_id), _ZERO))
 
     def available(self, solver_id: str, auctioneer_id: str) -> Fraction:
         """Balance minus the sum of pending reservation amounts."""
         with self._lock:
-            return self._available.get(auctioneer_id, {}).get(solver_id, ZERO)
+            return Fraction(*self._available.get(auctioneer_id, {}).get(solver_id, _ZERO))
 
     def pending(self, solver_id: str, auctioneer_id: str) -> tuple[PendingReservation, ...]:
         """Pending reservations for one (solver, auctioneer) pair."""
@@ -188,16 +243,20 @@ class EscrowLedger:
             InsufficientEscrow: If available balance is below the required
                 escrow; the ledger is left unchanged.
         """
-        needed = required_escrow(op.bid, op.gas_reserved, gamma, gas_price)
-        n, d = needed.numerator, needed.denominator
+        _require_ids(solver_id, auctioneer_id)
+        needed = _required_escrow(op.bid, op.gas_reserved, gamma, gas_price)
+        n, d = needed
         with self._lock:
             per_solver = self._available.get(auctioneer_id, {})
-            available = per_solver.get(solver_id, ZERO)
-            a, b = available.numerator, available.denominator
+            a, b = per_solver.get(solver_id, _ZERO)
             if a * d < n * b:
-                raise InsufficientEscrow(solver_id, auctioneer_id, needed, available)
+                raise InsufficientEscrow(
+                    solver_id, auctioneer_id, Fraction(n, d), Fraction(a, b)
+                )
             if n:  # an unfunded pair holds only zeros and stays unmapped
-                per_solver[solver_id] = Fraction(a * d - n * b, b * d)
+                num, den = a * d - n * b, b * d
+                g = gcd(num, den)
+                per_solver[solver_id] = (num // g, den // g)
             reservation = PendingReservation(
                 next(self._handles), solver_id, auctioneer_id, op.solver_id, needed
             )
@@ -224,7 +283,7 @@ class EscrowLedger:
             reservation = self._pending.get(handle)
             if reservation is None:
                 raise KeyError(f"no pending reservation with handle {handle}")
-            an, ad = reservation.amount.numerator, reservation.amount.denominator
+            an, ad = reservation.amount_pair
             if cn * ad > an * cd:
                 raise ValueError(
                     f"charge {format_amount(charged)} exceeds reserved "
@@ -247,12 +306,10 @@ class EscrowLedger:
             held = self._pending.pop(handle, None)
             if held is None:
                 raise KeyError(f"no pending reservation with handle {handle}")
-            amount = held.amount
-            if amount:  # nonzero only on a funded pair
+            n, d = held.amount_pair
+            if n:  # nonzero only on a funded pair
                 per_solver = self._available[held.auctioneer_id]
-                per_solver[held.solver_id] = _plus(
-                    per_solver[held.solver_id], amount.numerator, amount.denominator
-                )
+                per_solver[held.solver_id] = _plus(per_solver[held.solver_id], n, d)
 
     def prefetch_snapshot(self, auctioneer_id: str) -> Mapping[str, Fraction]:
         """Immutable solver → available-balance view for one auctioneer.
@@ -262,14 +319,14 @@ class EscrowLedger:
         further ledger reads.
         """
         with self._lock:
-            return MappingProxyType(dict(self._available.get(auctioneer_id, {})))
+            return _Snapshot(dict(self._available.get(auctioneer_id, {})))
 
     def to_json(self) -> str:
         """Export balances as a solver → auctioneer → amount JSON document."""
         with self._lock:
             nested: dict[str, dict[str, str]] = {}
-            for (solver, auctioneer), amount in sorted(self._balances.items()):
-                nested.setdefault(solver, {})[auctioneer] = format_amount(amount)
+            for (solver, auctioneer), pair in sorted(self._balances.items()):
+                nested.setdefault(solver, {})[auctioneer] = format_amount(Fraction(*pair))
         return json.dumps(nested, indent=2, sort_keys=True)
 
     @classmethod
@@ -288,4 +345,5 @@ class EscrowLedger:
 
     def __iter__(self) -> Iterator[tuple[tuple[str, str], Fraction]]:
         with self._lock:
-            return iter(sorted(self._balances.items()))
+            balances = sorted(self._balances.items())
+        return iter([(key, Fraction(*pair)) for key, pair in balances])

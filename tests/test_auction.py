@@ -92,6 +92,26 @@ class TestSolverOperation:
         assert [o.solver_id for o in ordered] == ["b", "c", "a", "d"]
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: GasSchedule(True, 0), "tx_gas_limit"),
+        (lambda: GasSchedule(10, False), "user_gas_consumed"),
+        (lambda: GasSchedule(10, np.int64(0)), "user_gas_consumed"),
+        (lambda: SolverOperation("s", Fraction(5), True), "gas_reserved"),
+        (lambda: SolverOperation("s", Fraction(5), 5.0), "gas_reserved"),
+        (lambda: SolverOperation("s", Fraction(5), 5, False), "gas_used"),
+        (lambda: SolverOperation("s", Fraction(5), 5, True), "gas_used"),
+    ],
+    ids=["limit_true", "user_gas_false", "user_gas_numpy", "reserved_true", "reserved_float",
+         "used_false", "used_true"],
+)
+def test_gas_must_be_an_int_and_not_a_bool(build, field):
+    # the messages are the existing ones for a non-integer or out-of-range gas
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        build()
+
+
 INEXACT = pytest.mark.parametrize("value", [1.5, "1.5", True], ids=["float", "str", "bool"])
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 from decimal import Decimal
@@ -10,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ofasim.auction import SolverOperation
+from ofasim.auction import Behavior, GasSchedule, SolverOperation, admit_operations
 from ofasim.escrow import (
     EscrowLedger,
     InsufficientEscrow,
@@ -18,6 +19,8 @@ from ofasim.escrow import (
     required_escrow,
 )
 from ofasim.money import parse_amount
+from ofasim.settlement import settle
+from ofasim.simulation import SimConfig, Timeline, TimelineConfig, run_timeline
 
 PHI = Fraction(3, 4_000_000)  # 7.5e-7
 GAMMA = 1_000_000
@@ -235,6 +238,97 @@ class TestSnapshot:
         ledger.deposit("s1", "a", Fraction(100))
         assert snapshot["s1"] == 30
 
+    def test_snapshot_is_a_read_only_mapping(self):
+        ledger = EscrowLedger()
+        for solver, amount in (("s2", 30), ("s1", Fraction(7, 3)), ("s3", 0)):
+            ledger.deposit(solver, "a", amount)
+        ledger.deposit("s1", "other", Fraction(9))
+        ledger.reserve("s2", "a", op(sid="s2"), GAMMA, PHI)
+        snapshot = ledger.prefetch_snapshot("a")
+        expected = {"s2": 30 - parse_amount("10.075"), "s1": Fraction(7, 3), "s3": Fraction(0)}
+        assert snapshot == expected and expected == snapshot
+        assert not snapshot != expected and not expected != snapshot
+        assert snapshot != {**expected, "s3": Fraction(1)}
+        assert snapshot.get("s1") == Fraction(7, 3)
+        assert snapshot.get("missing") is None and snapshot.get("missing", 5) == 5
+        assert "s3" in snapshot and "missing" not in snapshot and 1 not in snapshot
+        assert len(snapshot) == 3
+        assert list(snapshot) == ["s2", "s1", "s3"]  # the ledger's insertion order
+        assert list(snapshot.items()) == list(expected.items())
+        assert all(type(value) is Fraction for value in snapshot.values())
+        assert type(snapshot["s3"]) is Fraction
+        with pytest.raises(KeyError):
+            snapshot["missing"]
+        with pytest.raises(TypeError):
+            snapshot["s1"] = Fraction(0)  # type: ignore[index]
+        with pytest.raises(TypeError):
+            del snapshot["s1"]  # type: ignore[attr-defined]
+        ledger.deposit("s1", "a", Fraction(100))
+        ledger.deposit("s4", "a", Fraction(1))
+        ledger.cancel_reservation(ledger.pending("s2", "a")[0].handle)
+        assert snapshot == expected
+        assert dict(snapshot) == expected
+
+    def test_snapshot_backs_a_timeline_like_a_dict(self):
+        schedule = GasSchedule(tx_gas_limit=1_100_000, user_gas_consumed=100_000, gas_price=PHI)
+        candidates = (
+            SolverOperation("a", Fraction(100), 500_000, 400_000),
+            SolverOperation("b", Fraction(80), 500_000, 500_000),
+            SolverOperation("c", Fraction(60), 500_000, 500_000),
+            SolverOperation("d", Fraction(70), 500_000, 500_000),  # never deposited
+        )
+        ledger = EscrowLedger()
+        for solver, amount in (("a", 10_000), ("b", 0), ("c", 10_000)):
+            ledger.deposit(solver, "auctioneer", amount)
+        snapshot = ledger.prefetch_snapshot("auctioneer")
+
+        def report(escrow):
+            timeline = Timeline(TimelineConfig(), schedule, candidates, escrow)
+            return run_timeline(SimConfig(trials=1, seed=1, model=timeline))
+
+        assert report(snapshot) == report(dict(snapshot))
+        notes = [event["note"] for event in report(snapshot)["events"]]
+        assert "b insufficient escrow (cached)" in notes
+        assert "d insufficient escrow (cached)" in notes
+
+
+class TestLedgerIds:
+    BAD_IDS = pytest.mark.parametrize("bad", [1, None, "", b"s1", True], ids=repr)
+
+    def funded(self):
+        ledger = EscrowLedger()
+        ledger.deposit("s", "a", Fraction(50))
+        return ledger, self.state(ledger)
+
+    @staticmethod
+    def state(ledger):
+        return ledger.to_json(), list(ledger), dict(ledger.prefetch_snapshot("a"))
+
+    @BAD_IDS
+    def test_deposit_refuses_a_bad_id(self, bad):
+        ledger, before = self.funded()
+        with pytest.raises(ValueError, match="^solver_id must be a non-empty str, got "):
+            ledger.deposit(bad, "a", 5)
+        with pytest.raises(ValueError, match="^auctioneer_id must be a non-empty str, got "):
+            ledger.deposit("s", bad, 5)
+        assert self.state(ledger) == before
+
+    @BAD_IDS
+    def test_reserve_refuses_a_bad_id(self, bad):
+        ledger, before = self.funded()
+        with pytest.raises(ValueError, match="^solver_id must be a non-empty str, got "):
+            ledger.reserve(bad, "a", op(), GAMMA, PHI)
+        with pytest.raises(ValueError, match="^auctioneer_id must be a non-empty str, got "):
+            ledger.reserve("s", bad, op(), GAMMA, PHI)
+        assert self.state(ledger) == before
+        assert ledger.pending("s", "a") == ()
+
+    def test_document_with_an_empty_id_is_refused(self):
+        with pytest.raises(ValueError, match="^solver_id must be a non-empty str"):
+            EscrowLedger.from_json('{"": {"a": "1"}}')
+        with pytest.raises(ValueError, match="^auctioneer_id must be a non-empty str"):
+            EscrowLedger.from_json('{"s": {"": "1"}}')
+
 
 class TestJsonRoundTrip:
     def test_export_import(self):
@@ -379,3 +473,106 @@ def test_random_sequence_matches_brute_force_oracle():
 
     assert all(count > 0 for count in seen.values()), seen
     assert any(solver == "ghost" for solver, _ in balances)  # a settled zero hold
+
+
+def test_online_stream_matches_a_fraction_dict_ledger():
+    # A small seeded online stream, as an auctioneer runs it: per order, with
+    # its own gamma, reserve every candidate, admit, cancel the candidates not
+    # admitted, and settle `lag` orders later. A plain Fraction dict ledger
+    # replays it and must agree on every rejection and its fields, on each
+    # snapshot and on the final balances. Every stored pair must be the value's
+    # reduced form, so no common denominator builds up across orders.
+    rng = random.Random(20_261_019)
+    lag, auctioneer = 8, "auctioneer"
+    solvers = [f"s{i:02d}" for i in range(30)]
+    balance = {}
+    for i, sid in enumerate(solvers):
+        low, high = (3, 12) if i % 5 == 0 else (60, 200)  # some solvers are thinly funded
+        scale = rng.randint(1, 9)
+        balance[sid] = Fraction(rng.randint(low * scale, high * scale), scale)
+    held = dict.fromkeys(solvers, Fraction(0))
+    ledger = EscrowLedger()
+    for sid, amount in balance.items():
+        ledger.deposit(sid, auctioneer, amount)
+    gammas = rng.sample(range(1_000_000, 3_000_000), 200)
+    in_flight = []  # (tx, {solver_id: (handle, needed)})
+    counts = {"rejected": 0, "cancelled": 0, "charged": 0}
+
+    def check_pairs():
+        for (sid, _), pair in ledger._balances.items():
+            assert pair == (balance[sid].numerator, balance[sid].denominator)
+        for sid, pair in ledger._available[auctioneer].items():
+            value = balance[sid] - held[sid]
+            assert pair == (value.numerator, value.denominator)
+        for reservation in ledger._pending.values():
+            n, d = reservation.amount_pair
+            assert d > 0 and math.gcd(n, d) == 1
+
+    def settle_order(tx, kept):
+        result = settle(tx)
+        for sid, (handle, needed) in kept.items():
+            charge = Fraction(0)
+            if sid in result.failure_costs:
+                charge = result.failure_costs[sid] + result.gas_charges[sid]
+                counts["charged"] += 1
+            assert charge <= needed
+            ledger.settle_reservation(handle, charge)
+            held[sid] -= needed
+            balance[sid] -= charge
+
+    for gamma in gammas:
+        assert ledger.prefetch_snapshot(auctioneer) == {
+            sid: balance[sid] - held[sid] for sid in solvers
+        }
+        check_pairs()
+        price = Fraction(rng.choice((1, 2, 3)), 100_000)
+        user_gas = rng.randint(50_000, 300_000)
+        schedule = GasSchedule(gamma + user_gas, user_gas, price)
+        chosen = rng.sample(solvers, rng.randint(3, 12))
+        chosen += rng.sample(chosen, len(chosen) // 4)  # a few solvers send a second op
+        reserved = []
+        for sid in chosen:
+            gas = int(gamma * rng.uniform(0.04, 0.3))
+            ok = rng.random() < 0.5
+            candidate = SolverOperation(
+                sid,
+                Fraction(rng.randint(50, 150) * 100 + rng.randint(0, 99), rng.choice((100, 400, 1000))),
+                gas,
+                int(gas * rng.uniform(0.2, 1.0)),
+                Behavior.SUCCEED if ok else Behavior.REVERT,
+            )
+            needed = candidate.bid * gas / gamma + price * gas  # the documented formula
+            try:
+                reservation = ledger.reserve(sid, auctioneer, candidate, gamma, price)
+            except InsufficientEscrow as exc:
+                assert balance[sid] - held[sid] < needed
+                assert (exc.needed, exc.available) == (needed, balance[sid] - held[sid])
+                assert type(exc.needed) is Fraction and type(exc.available) is Fraction
+                counts["rejected"] += 1
+                continue
+            assert balance[sid] - held[sid] >= needed
+            assert reservation.amount == needed and type(reservation.amount) is Fraction
+            held[sid] += needed
+            reserved.append((candidate, reservation.handle, needed))
+        tx = admit_operations([candidate for candidate, _, _ in reserved], schedule)
+        admitted = {id(candidate) for candidate in tx.solver_ops}
+        kept = {}
+        for candidate, handle, needed in reserved:
+            if id(candidate) in admitted:
+                kept[candidate.solver_id] = (handle, needed)
+            else:
+                ledger.cancel_reservation(handle)
+                held[candidate.solver_id] -= needed
+                counts["cancelled"] += 1
+        in_flight.append((tx, kept))
+        if len(in_flight) > lag:
+            settle_order(*in_flight.pop(0))
+    while in_flight:
+        settle_order(*in_flight.pop(0))
+
+    check_pairs()
+    assert all(amount == 0 for amount in held.values())
+    assert dict(ledger.prefetch_snapshot(auctioneer)) == balance
+    assert {sid: ledger.balance(sid, auctioneer) for sid in solvers} == balance
+    assert list(ledger) == sorted(((sid, auctioneer), amount) for sid, amount in balance.items())
+    assert all(count > 0 for count in counts.values()), counts
