@@ -61,8 +61,6 @@ class GasSchedule:
     gas_price: Fraction = ZERO
 
     def __post_init__(self) -> None:
-        # gas must be exactly an int, so a bool is refused (as is gamma in
-        # required_escrow); the same holds in SolverOperation
         if type(self.tx_gas_limit) is not int or self.tx_gas_limit <= 0:
             raise ValueError("tx_gas_limit must be a positive integer")
         if type(self.user_gas_consumed) is not int or self.user_gas_consumed < 0:
@@ -72,10 +70,6 @@ class GasSchedule:
         require_exact(self.gas_price, "gas_price")
         if self.gas_price.numerator < 0:
             raise ValueError("gas_price must be non-negative")
-
-    def solver_gas_budget(self) -> int:
-        """Gas left for solver operations; see :func:`solver_gas_budget`."""
-        return solver_gas_budget(self)
 
 
 @dataclass(frozen=True)
@@ -104,6 +98,8 @@ class SolverOperation:
             object.__setattr__(self, "gas_used", self.gas_reserved)
         if not self.solver_id:
             raise ValueError("solver_id must be non-empty")
+        if not isinstance(self.solver_id, str):  # as escrow's ids: sorted, JSON keys
+            raise ValueError(f"solver_id must be a non-empty str, got {self.solver_id!r}")
         require_exact(self.bid, "bid")
         if self.bid.numerator < 0:
             raise ValueError("bid must be non-negative")
@@ -197,6 +193,19 @@ def solver_gas_budget(schedule: GasSchedule) -> int:
     if budget <= 0:
         raise ValueError("solver gas budget must be positive")
     return budget
+
+
+def require_gas_share(gas_reserved: int, gamma: int) -> None:
+    """Refuse a gas budget that is not a positive ``int``, or reserved gas that
+    is not an ``int`` in (0, gamma]; a bool, float or numpy integer is refused."""
+    if type(gamma) is not int:
+        raise ValueError(f"gamma must be an int, got {type(gamma).__name__}")
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    if type(gas_reserved) is not int:
+        raise ValueError(f"gas_reserved must be an int, got {type(gas_reserved).__name__}")
+    if not 0 < gas_reserved <= gamma:
+        raise ValueError("gas_reserved must lie in (0, gamma]")
 
 
 def admit_operations(

@@ -41,7 +41,7 @@ _NO_RIVALS = "refined resistance needs at least one rival"
 
 
 def _check_gamma(gamma: object) -> None:
-    if not isinstance(gamma, int) or gamma <= 0:
+    if type(gamma) is not int or gamma <= 0:
         raise ValueError("gamma must be a positive integer")
 
 
@@ -76,7 +76,7 @@ class CensorshipScenario:
             require_exact(bid, "rival bid")
             if bid < 0:
                 raise ValueError("rival bids must be non-negative")
-            if isinstance(gas, bool) or not isinstance(gas, int):
+            if type(gas) is not int:
                 raise ValueError("rival gas must be an integer")
             if not 0 < gas <= self.gamma:
                 raise ValueError(_RIVAL_GAS)
@@ -94,8 +94,8 @@ def naive_censorship_cost(gamma: int, gas_price: Fraction) -> Fraction:
         ``gas_price · gamma``; censorship is rational when the attacker's
         value exceeds this.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_gamma(gamma)
+    _check_price(gas_price)
     return gas_price * gamma
 
 

@@ -19,7 +19,7 @@ serialized as decimal strings. Reports are printed exactly as
 Exit codes: 0 on success, 1 on scenario or validation errors (with a one-line
 diagnostic on stderr and nothing on stdout or in ``--out``), 2 on usage
 errors. Output is built in memory and written only once the command has
-succeeded. ``--jobs`` is accepted for compatibility and has no effect.
+succeeded.
 
 Only ``simulate`` and ``sweep throughput`` import ``ofasim.simulation`` and so
 numpy; ``settle`` and the other sweeps start without it.
@@ -120,7 +120,7 @@ def _object(builder: Callable[..., Any], **spec: tuple[Parser, bool]) -> Parser:
 
 def _int(minimum: int | None = None) -> Parser:
     def parse(value: Any) -> int:
-        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
+        if type(value) is not int:
             raise _Invalid("expected an integer")
         if minimum is not None and value < minimum:
             raise _Invalid(f"must be >= {minimum}")
@@ -130,7 +130,7 @@ def _int(minimum: int | None = None) -> Parser:
 
 
 def _expect_number(value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in (int, float):
         raise _Invalid("expected a number")
     # false for NaN, an infinity and an integer too large for a float
     if not abs(value) <= sys.float_info.max:
@@ -145,7 +145,7 @@ def _expect_str(value: Any) -> str:
 
 
 def _currency(value: Any) -> Fraction:
-    if type(value) is str or (isinstance(value, (str, int)) and not isinstance(value, bool)):
+    if type(value) in (str, int):
         try:
             return parse_amount(value)
         except ValueError as exc:
@@ -531,14 +531,10 @@ def _sweep_censorship(args: argparse.Namespace) -> list[list]:
         raise ScenarioError("--gamma-points must be >= 1")
     if args.gamma_min > args.gamma_max:
         raise ScenarioError("--gamma-min must not exceed --gamma-max")
-    if args.gamma_points == 1:
-        gammas = [args.gamma_min]
-    else:
-        span = args.gamma_max - args.gamma_min
-        gammas = [
-            args.gamma_min + round(span * index / (args.gamma_points - 1))
-            for index in range(args.gamma_points)
-        ]
+    span, intervals = args.gamma_max - args.gamma_min, max(args.gamma_points - 1, 1)
+    gammas = [
+        args.gamma_min + round(span * index / intervals) for index in range(args.gamma_points)
+    ]
     prices = [_flag_amount(part, "--gas-prices") for part in args.gas_prices.split(",") if part]
     if not prices:
         raise ScenarioError("--gas-prices: empty list")
@@ -668,7 +664,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    jobs_help = "accepted for compatibility; has no effect"
     parser = argparse.ArgumentParser(
         prog="ofasim",
         description=(
@@ -682,19 +677,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_settle.add_argument("file", help="JSON scenario (schema settle/1)")
 
     p_sweep = sub.add_parser("sweep", help="emit a parameter-sweep CSV")
-    p_sweep.add_argument(
-        "kind", choices=["censorship", "throughput", "equilibrium"]
-    )
+    p_sweep.add_argument("kind", choices=["censorship", "throughput", "equilibrium"])
     p_sweep.add_argument("--out", help="write CSV here instead of stdout")
-    p_sweep.add_argument("--jobs", type=int, default=1, help=jobs_help)
     # censorship
     p_sweep.add_argument("--gamma-min", type=int, default=1_000_000)
     p_sweep.add_argument("--gamma-max", type=int, default=10_000_000)
     p_sweep.add_argument("--gamma-points", type=int, default=10)
     p_sweep.add_argument("--gas-prices", default="0.00000075")
-    p_sweep.add_argument(
-        "--rival", action="append", metavar="BID:GAS", help="repeatable"
-    )
+    p_sweep.add_argument("--rival", action="append", metavar="BID:GAS", help="repeatable")
     p_sweep.add_argument("--attacker-value", default="0")
     # throughput
     p_sweep.add_argument("--gammas", default="1000000,2000000,5000000,10000000")
@@ -713,7 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a simulation config")
     p_sim.add_argument("file", help="JSON config (schema simulate/1)")
-    p_sim.add_argument("--jobs", type=int, default=1, help=jobs_help)
     return parser
 
 
@@ -722,9 +711,6 @@ _PARSER = build_parser()
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 1
     try:
         # looked up by name on each call, so a wrapper set on this module is used
         return globals()[f"cmd_{args.command}"](args)

@@ -85,7 +85,7 @@ class BaselineGame:
     v: object
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
+        if type(self.n) is not int or self.n < 2:
             raise ValueError("n must be an integer >= 2")
         if not 0 < self.q < 1:
             raise ValueError("q must lie strictly in (0, 1)")
@@ -109,7 +109,7 @@ class DiscreteTimeGame:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
+        if type(self.n) is not int or self.n < 2:
             raise ValueError("n must be an integer >= 2")
         if not (math.isfinite(self.v) and math.isfinite(self.sigma)):
             raise ValueError("v and sigma must be finite")

@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Mapping
 
-from .auction import SolverOperation
+from .auction import SolverOperation, require_gas_share
 from .money import format_amount, parse_amount, require_exact
 
 _ZERO = (0, 1)  # the pair of an absent entry
@@ -48,36 +48,31 @@ class InsufficientEscrow(Exception):
     """Reservation rejected: available balance below the required escrow.
 
     Signals that the auctioneer must exclude this bid from the array;
-    ``needed`` and ``available`` hold the two amounts compared.
+    ``needed`` and ``available`` hold the two amounts compared. The message
+    is formatted only when read: a caller that drops the bid never reads it.
     """
 
     def __init__(
         self, solver: str, auctioneer: str, needed: Fraction, available: Fraction
     ) -> None:
-        super().__init__(
-            f"solver {solver!r} needs {format_amount(needed)} escrow with "
-            f"{auctioneer!r} but has {format_amount(available)} available"
-        )
+        super().__init__(solver, auctioneer, needed, available)
         self.needed, self.available = needed, available
+
+    def __str__(self) -> str:
+        return (
+            f"solver {self.args[0]!r} needs {format_amount(self.needed)} escrow with "
+            f"{self.args[1]!r} but has {format_amount(self.available)} available"
+        )
 
 
 def _required_escrow(
     bid: Fraction, gas_reserved: int, gamma: int, gas_price: Fraction
 ) -> tuple[int, int]:
-    """:func:`required_escrow` as a reduced ``(numerator, denominator)`` pair."""
-    if type(gamma) is not int:  # a bool, float or numpy integer is refused
-        raise ValueError(f"gamma must be an int, got {type(gamma).__name__}")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if not 0 < gas_reserved <= gamma:
-        raise ValueError("gas_reserved must lie in (0, gamma]")
-    try:
-        bn, bd = bid.numerator, bid.denominator
-        pn, pd = gas_price.numerator, gas_price.denominator
-    except AttributeError:  # not an int or a Fraction: name the culprit
-        require_exact(bid, "bid")
-        require_exact(gas_price, "gas_price")
-        raise
+    """:func:`required_escrow` as a reduced pair; ``bid`` is an op's, already checked."""
+    require_gas_share(gas_reserved, gamma)
+    require_exact(gas_price, "gas_price")
+    bn, bd = bid.numerator, bid.denominator
+    pn, pd = gas_price.numerator, gas_price.denominator
     if bn < 0 or pn < 0:
         raise ValueError("bid and gas_price must be non-negative")
     n, d = gas_reserved * (bn * pd + pn * bd * gamma), bd * pd * gamma
@@ -100,9 +95,11 @@ def required_escrow(
         ``bid · gas_reserved / gamma + gas_price · gas_reserved``.
 
     Raises:
-        ValueError: If gamma is not a positive int, gas_reserved > gamma, or
-            bid or gas_price is not an ``int`` or ``Fraction`` or is < 0.
+        ValueError: If gamma is not a positive int, gas_reserved is not an
+            int in (0, gamma], or bid or gas_price is not an ``int`` or
+            ``Fraction`` or is < 0.
     """
+    require_exact(bid, "bid")
     return Fraction(*_required_escrow(bid, gas_reserved, gamma, gas_price))
 
 

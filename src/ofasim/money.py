@@ -36,15 +36,16 @@ _PLAIN = re.compile(r"(-?[0-9]+)(?:\.([0-9]+))?")
 
 
 def require_exact(value: object, name: str) -> None:
-    """Refuse a currency value that is not an ``int`` or a ``Fraction``.
+    """Refuse a currency value whose type is not exactly ``int`` or ``Fraction``.
 
     Floats (and Decimals, strings, bools) would silently break exactness, and
-    the integer settlement kernel reads ``numerator``/``denominator`` directly.
+    the integer kernel reads ``numerator``/``denominator`` directly. Every
+    library boundary that takes currency checks it here and keeps it as given.
 
     Raises:
         ValueError: Naming ``name`` and the offending type.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+    if type(value) not in (int, Fraction):
         raise ValueError(f"{name} must be an int or a Fraction, got {type(value).__name__}")
 
 
@@ -66,16 +67,13 @@ def parse_amount(text: str | int) -> Fraction:
             more than ``FRACTIONAL_DIGITS`` fractional digits, or is at least
             10**4300 in magnitude.
     """
-    if type(text) is not str and not isinstance(text, str):
-        if isinstance(text, bool):
-            raise ValueError("currency amount must be a decimal string, not a bool")
-        if isinstance(text, int):
-            if abs(text) >= _LIMIT:
-                raise ValueError(_TOO_LARGE)
-            return Fraction(text)
-        raise ValueError(
-            f"currency amount must be a decimal string, got {type(text).__name__}"
-        )
+    if type(text) is not str:
+        if type(text) is not int:
+            got = "not a bool" if type(text) is bool else f"got {type(text).__name__}"
+            raise ValueError(f"currency amount must be a decimal string, {got}")
+        if abs(text) >= _LIMIT:
+            raise ValueError(_TOO_LARGE)
+        return Fraction(text)
     plain = _PLAIN.fullmatch(text)
     if plain is None:
         try:

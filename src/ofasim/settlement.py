@@ -48,8 +48,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .auction import AuctionTransaction, Behavior
-from .money import ZERO
+from .auction import AuctionTransaction, Behavior, require_gas_share
+from .money import ZERO, require_exact
 
 
 class OpOutcome(Enum):
@@ -120,14 +120,15 @@ def failure_cost(
         success followed, else ``failing_bid · gas_reserved / gamma``.
 
     Raises:
-        ValueError: On sequencing violations — non-positive gamma, reserved
-            gas above gamma, or a successful bid above the failing bid
-            (execution order forbids it).
+        ValueError: If a bid is not an ``int`` or ``Fraction`` or gas not
+            an ``int``, or on a sequencing violation — non-positive gamma,
+            reserved gas above gamma, or a successful bid above the failing
+            bid (execution order forbids it).
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if not 0 < gas_reserved <= gamma:
-        raise ValueError("gas_reserved must lie in (0, gamma]")
+    require_gas_share(gas_reserved, gamma)
+    require_exact(failing_bid, "failing_bid")
+    if successful_bid is not None:
+        require_exact(successful_bid, "successful_bid")
     if failing_bid < 0:
         raise ValueError("failing_bid must be non-negative")
     share = Fraction(gas_reserved, gamma)
@@ -267,7 +268,9 @@ def solver_payoff(
 
     Raises:
         KeyError: If the solver did not participate in the settlement.
+        ValueError: If ``private_value`` is not an ``int`` or ``Fraction``.
     """
+    require_exact(private_value, "private_value")
     if solver_id not in dict(result.executed):
         raise KeyError(f"unknown solver_id: {solver_id!r}")
     won = private_value - result.winner_bid if solver_id == result.winner else ZERO

@@ -62,11 +62,12 @@ from .auction import (
     GasSchedule,
     SolverOperation,
     admit_operations,
+    solver_gas_budget,
 )
 from .censorship import CensorshipScenario, censorship_resistance
 from .equilibrium import normal_cdf, normal_sf
 from .escrow import required_escrow
-from .money import ZERO, format_amount
+from .money import ZERO, format_amount, require_exact
 from .settlement import _pattern_terms, guaranteed_minimum, settle
 
 #: Most proposals the valuation sampler draws at once, so memory stays flat.
@@ -237,6 +238,22 @@ def _float(amount: Union[Fraction, float], what: str) -> float:
         return float(amount)
 
 
+def _check_game(model: Union[IidFailure, NormalValuation]) -> None:
+    """Check the fields the two bidding games share; keep ``bids`` as a tuple."""
+    if type(model.n) is not int:
+        raise ValueError(f"n must be an int, got {type(model.n).__name__}")
+    if model.n < 1:
+        raise ValueError("n must be positive")
+    object.__setattr__(model, "bids", tuple(model.bids))
+    for bid in model.bids:
+        require_exact(bid, "bid")
+    if len(model.bids) != model.n:
+        raise ValueError("bids must have exactly n entries")
+    if type(model.gas_per_op) is not int or model.gas_per_op <= 0:
+        raise ValueError("gas_per_op must be a positive integer")
+    require_exact(model.gas_price, "gas_price")
+
+
 @dataclass(frozen=True)
 class IidFailure:
     """Common-value game with an exogenous iid failure probability.
@@ -258,17 +275,10 @@ class IidFailure:
     gas_price: Fraction = ZERO
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be positive")
         if not 0 <= self.q <= 1:
             raise ValueError("q must lie in [0, 1]")
-        bids = tuple(b if isinstance(b, Fraction) else Fraction(b) for b in self.bids)
-        object.__setattr__(self, "bids", bids)
-        object.__setattr__(
-            self, "v", self.v if isinstance(self.v, Fraction) else Fraction(self.v)
-        )
-        if len(bids) != self.n:
-            raise ValueError("bids must have exactly n entries")
+        require_exact(self.v, "v")
+        _check_game(self)
 
 
 @dataclass(frozen=True)
@@ -293,20 +303,15 @@ class NormalValuation:
     gas_price: Fraction = ZERO
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be positive")
         object.__setattr__(self, "v", _float(self.v, "v"))
         if not (math.isfinite(self.v) and math.isfinite(self.sigma)):
             raise ValueError("v and sigma must be finite")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        bids = tuple(b if isinstance(b, Fraction) else Fraction(b) for b in self.bids)
-        object.__setattr__(self, "bids", bids)
-        if len(bids) != self.n:
-            raise ValueError("bids must have exactly n entries")
+        _check_game(self)
         # below this no float X can land strictly between a bid and its
         # neighbours as the normal law says it should
-        if self.sigma * 2**40 < max(abs(self.v), *bids):
+        if self.sigma * 2**40 < max(abs(self.v), *self.bids):
             raise ValueError("sigma must be at least 2**-40 times max(|v|, bids)")
 
 
@@ -329,20 +334,19 @@ class ThroughputSweep:
     q: float = 0.5
 
     def __post_init__(self) -> None:
-        gammas = tuple(int(g) for g in self.gammas)
-        object.__setattr__(self, "gammas", gammas)
-        if not gammas:
+        object.__setattr__(self, "gammas", tuple(self.gammas))
+        if not self.gammas:
             raise ValueError("gammas must be non-empty")
-        if not isinstance(self.gas_per_op, int) or self.gas_per_op <= 0:
+        if any(type(g) is not int for g in self.gammas):
+            raise ValueError("every gamma must be an integer")
+        if type(self.gas_per_op) is not int or self.gas_per_op <= 0:
             raise ValueError("gas_per_op must be a positive integer")
-        if any(g < self.gas_per_op for g in gammas):
+        if any(g < self.gas_per_op for g in self.gammas):
             raise ValueError("every gamma must fit at least one operation")
         if not 0 < self.q < 1:
             raise ValueError("q must lie strictly in (0, 1)")
-        for name in ("bid_high", "bid_low"):
-            value = getattr(self, name)
-            if not isinstance(value, Fraction):
-                object.__setattr__(self, name, Fraction(value))
+        require_exact(self.bid_high, "bid_high")
+        require_exact(self.bid_low, "bid_low")
         if self.bid_low > self.bid_high or self.bid_low < 0:
             raise ValueError("need 0 <= bid_low <= bid_high")
 
@@ -368,11 +372,11 @@ class SpoofAttack:
     attacker_behavior: Behavior = Behavior.REVERT
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bid_margin, Fraction):
-            object.__setattr__(self, "bid_margin", Fraction(self.bid_margin))
-        if self.attacker_gas is not None and not (
-            0 < self.attacker_gas <= self.scenario.gamma
-        ):
+        require_exact(self.bid_margin, "bid_margin")
+        gas = self.attacker_gas
+        if gas is not None and type(gas) is not int:
+            raise ValueError(f"attacker_gas must be an int, got {type(gas).__name__}")
+        if gas is not None and not 0 < gas <= self.scenario.gamma:
             raise ValueError("attacker_gas must lie in (0, gamma]")
 
 
@@ -387,7 +391,7 @@ class TimelineConfig:
     def __post_init__(self) -> None:
         for name in ("user_latency_ms", "auction_duration_ms", "execution_delay_ms"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
+            if type(value) is not int or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
 
 
@@ -402,6 +406,8 @@ class Timeline:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "candidates", tuple(self.candidates))
+        for amount in (self.escrow_snapshot or {}).values():
+            require_exact(amount, "escrow snapshot amount")
 
 
 Model = Union[IidFailure, NormalValuation, ThroughputSweep, SpoofAttack, Timeline]
@@ -416,9 +422,9 @@ class SimConfig:
     model: Model
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or not 0 < self.trials < 2**63:
+        if type(self.trials) is not int or not 0 < self.trials < 2**63:
             raise ValueError("trials must be a positive integer below 2**63")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
@@ -795,7 +801,7 @@ def run_timeline(config: SimConfig) -> dict:
 
     solvent: list[SolverOperation] = []
     if model.schedule is not None:
-        gamma = model.schedule.solver_gas_budget()
+        gamma = solver_gas_budget(model.schedule)
         for op in model.candidates:
             needed = required_escrow(
                 op.bid, op.gas_reserved, gamma, model.schedule.gas_price

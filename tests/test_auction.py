@@ -38,12 +38,11 @@ class TestGasSchedule:
     def test_solver_gas_budget(self):
         schedule = GasSchedule(tx_gas_limit=11_000_000, user_gas_consumed=1_000_000)
         assert solver_gas_budget(schedule) == 10_000_000
-        assert schedule.solver_gas_budget() == 10_000_000
 
     def test_zero_budget_raises_on_use(self):
         schedule = GasSchedule(tx_gas_limit=100, user_gas_consumed=100)
         with pytest.raises(ValueError, match="budget must be positive"):
-            schedule.solver_gas_budget()
+            solver_gas_budget(schedule)
 
     def test_limit_must_be_positive(self):
         with pytest.raises(ValueError, match="tx_gas_limit"):
@@ -110,6 +109,13 @@ def test_gas_must_be_an_int_and_not_a_bool(build, field):
     # the messages are the existing ones for a non-integer or out-of-range gas
     with pytest.raises(ValueError, match=f"^{field} must "):
         build()
+
+
+@pytest.mark.parametrize("solver_id", [5, b"s1"], ids=repr)
+def test_solver_id_must_be_a_str(solver_id):
+    # 5 used to pass here and fail later, in admission's sort, with a TypeError
+    with pytest.raises(ValueError, match="^solver_id must be a non-empty str, got "):
+        SolverOperation(solver_id, Fraction(5), 5)
 
 
 INEXACT = pytest.mark.parametrize("value", [1.5, "1.5", True], ids=["float", "str", "bool"])
@@ -295,7 +301,7 @@ def _reference_admission(candidates, schedule):
         cur = best.get(candidate.solver_id)
         if cur is None or candidate.sort_key() < cur.sort_key():
             best[candidate.solver_id] = candidate
-    admitted, remaining = [], schedule.solver_gas_budget()
+    admitted, remaining = [], solver_gas_budget(schedule)
     for candidate in sorted(best.values(), key=SolverOperation.sort_key):
         if candidate.gas_reserved > remaining:
             break

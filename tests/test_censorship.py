@@ -42,6 +42,27 @@ class TestNaiveCost:
             naive_censorship_cost(0, PHI)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: CensorshipScenario(gamma=True, gas_price=PHI, rival_ops=()),
+        lambda: resistance_sweep([True], [PHI], scenario()),
+        lambda: naive_censorship_cost(True, PHI),
+    ],
+    ids=["scenario", "sweep", "naive"],
+)
+def test_bool_gamma_is_refused(call):
+    # a bool gamma used to run as gamma 1
+    with pytest.raises(ValueError, match="^gamma must be a positive integer$"):
+        call()
+
+
+def test_naive_cost_refuses_an_inexact_gas_price():
+    # a float price used to give a float cost
+    with pytest.raises(ValueError, match="^gas_price must be an int or a Fraction, got float$"):
+        naive_censorship_cost(1_000_000, 0.5)
+
+
 class TestResistance:
     def test_single_rival_reference_value(self):
         value = censorship_resistance(scenario())

@@ -422,13 +422,6 @@ class TestSimulate:
         assert report["trials"] == 2_000
         assert list(report["per_solver"]) == ["s000", "s001"]
 
-    def test_jobs_are_byte_identical(self, tmp_path, capsys):
-        path = write_json(tmp_path, "config.json", iid_config())
-        assert cli.main(["simulate", path]) == 0
-        serial = capsys.readouterr().out
-        assert cli.main(["simulate", path, "--jobs", "3"]) == 0
-        assert capsys.readouterr().out == serial
-
     def test_spoof_attack_report(self, tmp_path, capsys):
         config = {
             "schema": "simulate/1",
@@ -506,12 +499,15 @@ class TestSimulate:
             "error: trials must be a positive integer below 2**63\n"
         )
 
-    def test_zero_jobs_rejected(self, tmp_path, capsys):
-        path = write_json(tmp_path, "config.json", iid_config())
-        assert cli.main(["simulate", path, "--jobs", "0"]) == 1
+    @pytest.mark.parametrize("argv", [["simulate", "config.json"], ["sweep", "throughput"]])
+    def test_jobs_is_a_usage_error(self, capsys, argv):
+        # --jobs had no effect since the thread pool went; it is no longer an option
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*argv, "--jobs", "3"])
+        assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--jobs must be >= 1" in captured.err
+        assert "unrecognized arguments: --jobs 3" in captured.err
 
 
 # kind -> (its required fields, its optional fields spelled out at the

@@ -283,6 +283,20 @@ class TestOptimalBid:
         assert details.utility_at_bid >= details.utility_lower
         assert details.utility_at_bid >= details.utility_upper
 
+    def test_tiny_sigma_takes_the_gradient_root(self):
+        # at the lower edge the gradient is about n·(6φ(6)(1/σ − 1) − 1), positive
+        # for σ below about 3.65e-8 whatever v is, so the root-finder runs
+        details = optimal_bid_details(DiscreteTimeGame(n=3, v=1.0, sigma=1e-8))
+        assert details.gradient_lower > 0 > details.gradient_upper
+        assert details.method == "gradient-root"
+        assert details.interior
+        assert details.utility_at_bid >= max(details.utility_lower, details.utility_upper)
+
+    def test_larger_sigma_takes_the_golden_section(self):
+        details = optimal_bid_details(DiscreteTimeGame(n=3, v=1.0, sigma=1e-7))
+        assert details.gradient_lower < 0
+        assert details.method == "golden-section"
+
     def test_bracket_spans_six_sigmas(self):
         game = DiscreteTimeGame(n=3, v=0.3, sigma=0.02)
         details = optimal_bid_details(game)

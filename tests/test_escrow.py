@@ -194,10 +194,11 @@ def test_deposit_and_charge_must_be_exact(value):
         (100, 0.5, "gas_price must be an int or a Fraction, got float"),
         (100, "0.5", "gas_price must be an int or a Fraction, got str"),
         (100, Decimal("0.5"), "gas_price must be an int or a Fraction, got Decimal"),
+        (100, True, "gas_price must be an int or a Fraction, got bool"),
         (100.0, PHI, "gamma must be an int, got float"),
         (True, PHI, "gamma must be an int, got bool"),
     ],
-    ids=["float_price", "str_price", "decimal_price", "float_gamma", "bool_gamma"],
+    ids=["float_price", "str_price", "decimal_price", "bool_price", "float_gamma", "bool_gamma"],
 )
 def test_reserve_refuses_inexact_gamma_or_gas_price(gamma, price, message):
     ledger = EscrowLedger()
@@ -214,6 +215,33 @@ def test_reserve_refuses_inexact_gamma_or_gas_price(gamma, price, message):
 def test_required_escrow_refuses_inexact_bid():
     with pytest.raises(ValueError, match="^bid must be an int or a Fraction, got float$"):
         required_escrow(1.5, 1, GAMMA, PHI)
+
+
+@pytest.mark.parametrize(
+    "bid, gas, price, message",
+    [
+        (True, 1, PHI, "bid must be an int or a Fraction, got bool"),
+        (Fraction(1), True, PHI, "gas_reserved must be an int, got bool"),
+        # used to end in a TypeError traceback
+        (Fraction(1), 1.5, PHI, "gas_reserved must be an int, got float"),
+    ],
+    ids=["bool_bid", "bool_gas", "float_gas"],
+)
+def test_required_escrow_refuses_bool_and_float_inputs(bid, gas, price, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        required_escrow(bid, gas, GAMMA, price)
+
+
+def test_rejection_message_is_formatted_on_demand():
+    ledger = EscrowLedger()
+    ledger.deposit("s1", "a", Fraction(12))
+    ledger.reserve("s1", "a", op(), GAMMA, PHI)
+    with pytest.raises(InsufficientEscrow) as excinfo:
+        ledger.reserve("s1", "a", op(), GAMMA, PHI)
+    exc = excinfo.value
+    assert str(exc) == "solver 's1' needs 10.075 escrow with 'a' but has 1.925 available"
+    assert (exc.needed, exc.available) == (parse_amount("10.075"), parse_amount("1.925"))
+    assert type(exc.needed) is Fraction and type(exc.available) is Fraction
 
 
 class TestSnapshot:

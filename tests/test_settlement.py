@@ -79,6 +79,21 @@ class TestFailureCost:
         with pytest.raises(ValueError, match="sequencing"):
             failure_cost(Fraction(10), Fraction(20), 1, 10)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1.5, None, 1, 10), "failing_bid must be an int or a Fraction, got float"),
+            ((Fraction(2), 0.5, 1, 10), "successful_bid must be an int or a Fraction, got float"),
+            ((Fraction(1), None, True, 10), "gas_reserved must be an int, got bool"),
+            ((Fraction(1), None, 1, True), "gamma must be an int, got bool"),
+        ],
+        ids=["float_bid", "float_successor", "bool_gas", "bool_gamma"],
+    )
+    def test_rejects_inexact_inputs(self, args, message):
+        # each used to return a float or run a bool as 1
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            failure_cost(*args)
+
     def test_homogeneous_in_gas_and_gamma(self):
         base = failure_cost(Fraction(7, 2), Fraction(1, 2), 123, 1_000)
         for k in (2, 10, 1_000):
@@ -181,6 +196,12 @@ class TestSolverPayoff:
         result = settle(tx_of(op("a", 100)))
         with pytest.raises(KeyError, match="unknown solver_id"):
             solver_payoff(result, "nobody", Fraction(0))
+
+    def test_inexact_private_value_refused(self):
+        # a float value used to give a float payoff
+        result = settle(tx_of(op("a", 100, behavior=Behavior.SUCCEED)))
+        with pytest.raises(ValueError, match="^private_value must be an int or a Fraction"):
+            solver_payoff(result, "a", 120.5)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -7,6 +7,7 @@ derived closed forms; determinism checks require bit-identical reports.
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -469,7 +470,85 @@ class TestDispatcher:
         assert run_simulation(config, jobs=3) == run_simulation(config)
 
 
-@pytest.mark.parametrize("gas", [0, -5])
+def _spoof_model(**fields):
+    return SpoofAttack(scenario=spoof_scenario(), **fields)
+
+
+def _iid_model(**fields):
+    defaults = {"n": 2, "q": 0.5, "v": Fraction(100), "bids": (Fraction(60),) * 2}
+    return IidFailure(**{**defaults, **fields})
+
+
+def _normal_model(**fields):
+    defaults = {"n": 2, "v": 100.0, "sigma": 5.0, "bids": (Fraction(99),) * 2}
+    return NormalValuation(**{**defaults, **fields})
+
+
+# Each used to be accepted: converted with Fraction() or int(), or run as 1 or 0.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: _iid_model(v=100.0), "v must be an int or a Fraction, got float"),
+        (lambda: _iid_model(v="100"), "v must be an int or a Fraction, got str"),
+        (lambda: _iid_model(bids=(60.5, 60)), "bid must be an int or a Fraction, got float"),
+        (lambda: _iid_model(bids=("60", 60)), "bid must be an int or a Fraction, got str"),
+        (lambda: _iid_model(n=True, bids=(60,)), "n must be an int, got bool"),
+        (lambda: _iid_model(gas_per_op=True), "gas_per_op must be a positive integer"),
+        (lambda: _iid_model(gas_price=0.5), "gas_price must be an int or a Fraction, got float"),
+        (lambda: _normal_model(bids=(99.5, 99)), "bid must be an int or a Fraction, got float"),
+        (lambda: _normal_model(bids=("99", 99)), "bid must be an int or a Fraction, got str"),
+        (lambda: ThroughputSweep(gammas=(1_000_000.7,)), "every gamma must be an integer"),
+        (lambda: ThroughputSweep(gammas=("2000000",)), "every gamma must be an integer"),
+        (
+            lambda: ThroughputSweep(gammas=(1_000_000,), bid_high=100.5),
+            "bid_high must be an int or a Fraction, got float",
+        ),
+        (
+            lambda: ThroughputSweep(gammas=(1_000_000,), bid_low=50.5),
+            "bid_low must be an int or a Fraction, got float",
+        ),
+        (
+            lambda: _spoof_model(bid_margin=0.1),
+            "bid_margin must be an int or a Fraction, got float",
+        ),
+        (lambda: _spoof_model(attacker_gas=5e5), "attacker_gas must be an int, got float"),
+        (
+            lambda: TimelineConfig(user_latency_ms=True),
+            "user_latency_ms must be a non-negative integer",
+        ),
+        (
+            lambda: Timeline(TimelineConfig(), escrow_snapshot={"a": 1.5}),
+            "escrow snapshot amount must be an int or a Fraction, got float",
+        ),
+        (lambda: SimConfig(trials=True, seed=1, model=_iid()), "trials must be a positive integer"),
+        (lambda: SimConfig(trials=1, seed=False, model=_iid()), "seed must be a 64-bit"),
+    ],
+    ids=[
+        "iid_float_v", "iid_str_v", "iid_float_bid", "iid_str_bid", "iid_bool_n",
+        "iid_bool_gas_per_op", "iid_float_gas_price", "normal_float_bid", "normal_str_bid",
+        "throughput_float_gamma", "throughput_str_gamma", "throughput_float_bid_high",
+        "throughput_float_bid_low", "spoof_float_margin",
+        "spoof_float_attacker_gas", "timeline_bool_latency", "timeline_float_snapshot",
+        "bool_trials", "bool_seed",
+    ],
+)
+def test_inexact_inputs_are_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        build()
+
+
+def test_int_amounts_are_accepted_where_fractions_are():
+    ints = IidFailure(n=2, q=0.5, v=100, bids=(60, 61), gas_price=0)
+    fractions = IidFailure(
+        n=2, q=0.5, v=Fraction(100), bids=(Fraction(60), Fraction(61)), gas_price=Fraction(0)
+    )
+    assert ints == fractions
+    assert run_iid_failure(SimConfig(trials=1_000, seed=7, model=ints)) == run_iid_failure(
+        SimConfig(trials=1_000, seed=7, model=fractions)
+    )
+
+
+@pytest.mark.parametrize("gas", [0, -5, True])
 def test_throughput_gas_per_op_must_be_positive(gas):
     with pytest.raises(ValueError, match="gas_per_op must be a positive integer"):
         ThroughputSweep(gammas=(1_000_000,), gas_per_op=gas)

@@ -1,0 +1,103 @@
+"""Differential check: one sha256 per seed and benchmark workload.
+
+Usage (from the repository root):
+
+    python3 tools/differential.py [--src DIR] [SEED ...]
+
+For each seed (default 1 2 3) it builds the benchmark's own ``cli_batch`` and
+``auction_stream`` workloads (``bench/cli_batch.py``, ``bench/auction_stream.py``,
+imported unchanged) against the ``ofasim`` package under ``--src`` (default:
+``src/`` of this checkout) and runs one round of each in process:
+
+- ``cli_batch``: every command's argv, exit code, stdout and stderr, with the
+  temporary input directory masked, so the digest does not depend on where
+  the inputs were written.
+- ``auction_stream``: every order's digest (rejections, admitted ids,
+  guarantee), the kept escrow snapshots, every settlement and the final
+  balances.
+
+Run it once with ``--src`` pointing at another checkout's ``src/`` and once
+without; equal lines mean a change kept both workloads' outputs identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import enum
+import hashlib
+import importlib
+import os
+import sys
+import tempfile
+from collections.abc import Mapping
+from fractions import Fraction
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MASK = "<inputs>"
+
+
+def canonical(value) -> str:
+    """A stable text form of a workload output: mappings sorted by key,
+    dataclasses by field, exceptions by type and message."""
+    if isinstance(value, Mapping):
+        items = sorted((repr(key), canonical(item)) for key, item in value.items())
+        return "{" + ", ".join(f"{key}: {item}" for key, item in items) + "}"
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = dataclasses.fields(value)
+        shown = (f"{f.name}={canonical(getattr(value, f.name))}" for f in fields)
+        return f"{type(value).__name__}({', '.join(shown)})"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(canonical(item) for item in value) + "]"
+    if isinstance(value, BaseException):
+        return f"{type(value).__name__}({value})"
+    if isinstance(value, enum.Enum):
+        return f"{type(value).__name__}.{value.name}"
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    return repr(value)
+
+
+def cli_batch_digest(bench, ofasim, seed: int) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as workdir:
+        workload = bench["cli_batch"].Workload(seed, ofasim, workdir)
+        workload.run_round(lambda: None)
+        digest = hashlib.sha256()
+        for command in workload.commands:
+            code, out, err = command.outcome
+            record = canonical([command.kind, command.argv, code, out, err])
+            digest.update(record.replace(workdir, MASK).encode() + b"\n")
+    return len(workload.commands), digest.hexdigest()
+
+
+def auction_stream_digest(bench, ofasim, seed: int) -> tuple[int, str]:
+    workload = bench["auction_stream"].Workload(seed, ofasim)
+    workload.run_round(lambda: None)
+    round_one = workload.round_one
+    record = canonical(
+        [workload.rounds[0], round_one["snapshots"], round_one["settled"], round_one["balances"]]
+    )
+    return len(workload.orders), hashlib.sha256(record.encode()).hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("seeds", nargs="*", type=int, default=[1, 2, 3])
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding ofasim")
+    args = parser.parse_args()
+    sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "bench")]
+    ofasim = importlib.import_module("ofasim")
+    importlib.import_module("ofasim.cli")  # the package does not import its CLI
+    bench = {name: importlib.import_module(name) for name in ("cli_batch", "auction_stream")}
+    for seed in args.seeds:
+        for name, digest_of in (
+            ("cli_batch", cli_batch_digest),
+            ("auction_stream", auction_stream_digest),
+        ):
+            ops, digest = digest_of(bench, ofasim, seed)
+            print(f"{name} seed={seed} ops={ops} sha256={digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
