@@ -143,6 +143,9 @@ class AuctionTransaction:
             an integer, in execution order (the settlement kernel's input).
         gamma: Set at construction: the solver gas budget of ``schedule``
             (see :func:`solver_gas_budget`).
+
+    :func:`admit_operations` skips only the constructor's checks that its
+    construction guarantees (budget, distinct ids, order), not the private values.
     """
 
     schedule: GasSchedule
@@ -154,10 +157,6 @@ class AuctionTransaction:
 
     def __post_init__(self) -> None:
         ops = tuple(self.solver_ops)
-        object.__setattr__(self, "solver_ops", ops)
-        object.__setattr__(
-            self, "private_values", MappingProxyType(dict(self.private_values))
-        )
         gamma = solver_gas_budget(self.schedule)
         if sum(op.gas_reserved for op in ops) > gamma:
             raise ValueError("reserved gas exceeds the solver gas budget")
@@ -168,9 +167,14 @@ class AuctionTransaction:
         keys = _order_keys(ops, bids)
         if any(later < earlier for earlier, later in zip(keys, keys[1:])):
             raise ValueError("solver_ops not in canonical descending-bid order")
-        object.__setattr__(self, "bid_scale", scale)
-        object.__setattr__(self, "scaled_bids", bids)
-        object.__setattr__(self, "gamma", gamma)
+        self._finish(ops, MappingProxyType(dict(self.private_values)), scale, bids, gamma)
+
+    def _finish(self, *values: object) -> None:
+        """Set the fields after ``schedule`` to ``values``, in order, then check
+        the private values: the part of construction admission goes through."""
+        names = ("solver_ops", "private_values", "bid_scale", "scaled_bids", "gamma")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
         for value in self.private_values.values():
             require_exact(value, "private value")
             if value.numerator < 0:  # an int compare; ``Fraction < 0`` is ~10x slower
@@ -231,20 +235,29 @@ def admit_operations(
     """
     budget = solver_gas_budget(schedule)
     ops = list(candidates)
+    full_scale, scaled = _scaled_bids(ops)
     best: dict[str, tuple[tuple, SolverOperation]] = {}
-    for key, op in zip(_order_keys(ops, _scaled_bids(ops)[1]), ops):
+    for key, op in zip(_order_keys(ops, scaled), ops):
         cur = best.get(op.solver_id)
         if cur is None or key < cur[0]:
             best[op.solver_id] = (key, op)
     admitted: list[SolverOperation] = []
+    keys: list[tuple] = []
     remaining = budget
-    for _, op in sorted(best.values(), key=itemgetter(0)):
+    for key, op in sorted(best.values(), key=itemgetter(0)):
         if op.gas_reserved > remaining:
             break
         admitted.append(op)
+        keys.append(key)
         remaining -= op.gas_reserved
     admitted_ids = {o.solver_id for o in admitted}
     values = {k: v for k, v in (private_values or {}).items() if k in admitted_ids}
-    return AuctionTransaction(
-        schedule=schedule, solver_ops=tuple(admitted), private_values=values
-    )
+    # the transaction's scale, the lcm of the admitted denominators, divides full_scale
+    scale = math.lcm(*(op.bid.denominator for op in admitted))
+    factor = full_scale // scale
+    bids = tuple(-key[0] // factor for key in keys)
+    # built without __post_init__, whose other checks hold by construction
+    tx = object.__new__(AuctionTransaction)
+    object.__setattr__(tx, "schedule", schedule)
+    tx._finish(tuple(admitted), MappingProxyType(values), scale, bids, budget)
+    return tx

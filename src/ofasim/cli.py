@@ -16,10 +16,15 @@ optional field left out takes the library's default. Output currency is
 serialized as decimal strings. Reports are printed exactly as
 ``json.dumps(report, indent=2)`` would print them.
 
+A plain command line (a subcommand, its positionals, then exact ``--flag
+value`` pairs whose values do not start with ``-``) is read without argparse,
+into the namespace it would build; argparse reads every other line, so help
+and usage errors are its own. Integer lists take ASCII digits only.
+
 Exit codes: 0 on success, 1 on scenario or validation errors (with a one-line
 diagnostic on stderr and nothing on stdout or in ``--out``), 2 on usage
 errors. Output is built in memory and written only once the command has
-succeeded.
+succeeded. As a program, a stdout closed by its reader ends in exit 1.
 
 Only ``simulate`` and ``sweep throughput`` import ``ofasim.simulation`` and so
 numpy; ``settle`` and the other sweeps start without it.
@@ -35,6 +40,7 @@ import importlib
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from types import ModuleType
@@ -503,13 +509,12 @@ def cmd_settle(args: argparse.Namespace) -> int:
 
 
 def _comma_ints(text: str, context: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ScenarioError(f"{context}: expected comma-separated integers") from exc
-    if not values:
+    parts = [part for part in text.split(",") if part]
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ScenarioError(f"{context}: expected comma-separated integers")
+    if not parts:
         raise ScenarioError(f"{context}: empty list")
-    return values
+    return [int(part) for part in parts]
 
 
 def _flag_amount(text: str, flag: str) -> Fraction:
@@ -663,6 +668,34 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # parser
 
 
+#: The ``sweep`` options, each declared once as flag → (type, default, other
+#: ``add_argument`` keywords), for both ``build_parser`` and ``_plain_args``.
+_SWEEP_OPTIONS: dict[str, tuple[Callable[[str], Any], Any, dict[str, str]]] = {
+    "--out": (str, None, {"help": "write CSV here instead of stdout"}),
+    # censorship
+    "--gamma-min": (int, 1_000_000, {}),
+    "--gamma-max": (int, 10_000_000, {}),
+    "--gamma-points": (int, 10, {}),
+    "--gas-prices": (str, "0.00000075", {}),
+    "--rival": (str, None, {"action": "append", "metavar": "BID:GAS", "help": "repeatable"}),
+    "--attacker-value": (str, "0", {}),
+    # throughput
+    "--gammas": (str, "1000000,2000000,5000000,10000000", {}),
+    "--gas-per-op": (int, 100_000, {}),
+    "--bid-high": (str, "100", {}),
+    "--bid-low": (str, "50", {}),
+    "--q": (float, 0.5, {}),
+    "--trials": (int, 4000, {}),
+    "--seed": (int, 20_240_817, {}),
+    # equilibrium
+    "--v": (float, 3500.0, {}),
+    "--sigma-min": (float, 0.5, {}),
+    "--sigma-max": (float, 12.0, {}),
+    "--sigma-step": (float, 0.5, {}),
+    "--n": (str, "2,5,10,25,50", {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ofasim",
@@ -677,29 +710,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_settle.add_argument("file", help="JSON scenario (schema settle/1)")
 
     p_sweep = sub.add_parser("sweep", help="emit a parameter-sweep CSV")
-    p_sweep.add_argument("kind", choices=["censorship", "throughput", "equilibrium"])
-    p_sweep.add_argument("--out", help="write CSV here instead of stdout")
-    # censorship
-    p_sweep.add_argument("--gamma-min", type=int, default=1_000_000)
-    p_sweep.add_argument("--gamma-max", type=int, default=10_000_000)
-    p_sweep.add_argument("--gamma-points", type=int, default=10)
-    p_sweep.add_argument("--gas-prices", default="0.00000075")
-    p_sweep.add_argument("--rival", action="append", metavar="BID:GAS", help="repeatable")
-    p_sweep.add_argument("--attacker-value", default="0")
-    # throughput
-    p_sweep.add_argument("--gammas", default="1000000,2000000,5000000,10000000")
-    p_sweep.add_argument("--gas-per-op", type=int, default=100_000)
-    p_sweep.add_argument("--bid-high", default="100")
-    p_sweep.add_argument("--bid-low", default="50")
-    p_sweep.add_argument("--q", type=float, default=0.5)
-    p_sweep.add_argument("--trials", type=int, default=4000)
-    p_sweep.add_argument("--seed", type=int, default=20_240_817)
-    # equilibrium
-    p_sweep.add_argument("--v", type=float, default=3500.0)
-    p_sweep.add_argument("--sigma-min", type=float, default=0.5)
-    p_sweep.add_argument("--sigma-max", type=float, default=12.0)
-    p_sweep.add_argument("--sigma-step", type=float, default=0.5)
-    p_sweep.add_argument("--n", default="2,5,10,25,50")
+    p_sweep.add_argument("kind", choices=list(_SWEEPS))
+    for flag, (convert, default, keywords) in _SWEEP_OPTIONS.items():
+        p_sweep.add_argument(flag, type=convert, default=default, **keywords)
 
     p_sim = sub.add_parser("simulate", help="run a simulation config")
     p_sim.add_argument("file", help="JSON config (schema simulate/1)")
@@ -708,9 +721,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 _PARSER = build_parser()
 
+#: Each ``sweep`` namespace attribute's default, in the parser's order.
+_SWEEP_DEFAULTS = {flag[2:].replace("-", "_"): spec[1] for flag, spec in _SWEEP_OPTIONS.items()}
+
+
+def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
+    """``_PARSER.parse_args(argv)`` for a plain command line (see the module
+    docstring), each value converted with its flag's type; ``None`` for any
+    other line, which argparse then reads."""
+    if not argv:
+        return None
+    command, *rest = argv
+    if command in ("settle", "simulate"):
+        plain = len(rest) == 1 and not rest[0].startswith("-")
+        return argparse.Namespace(command=command, file=rest[0]) if plain else None
+    if command != "sweep" or len(rest) % 2 == 0 or rest[0] not in _SWEEPS:
+        return None
+    fields = {"command": command, "kind": rest[0], **_SWEEP_DEFAULTS}
+    for flag, text in zip(rest[1::2], rest[2::2]):
+        if flag not in _SWEEP_OPTIONS or text.startswith("-"):
+            return None
+        convert, _, keywords = _SWEEP_OPTIONS[flag]
+        name = flag[2:].replace("-", "_")
+        try:
+            value = convert(text)
+        except ValueError:
+            return None
+        # the one "action" in the table is "append"
+        fields[name] = (fields[name] or []) + [value] if "action" in keywords else value
+    return argparse.Namespace(**fields)
+
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _plain_args(sys.argv[1:] if argv is None else argv) or _PARSER.parse_args(argv)
     try:
         # looked up by name on each call, so a wrapper set on this module is used
         return globals()[f"cmd_{args.command}"](args)
@@ -719,5 +762,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+def run() -> int:
+    """``main`` as the ``ofasim`` program: a stdout closed by its reader ends
+    in exit code 1 and no traceback, as in Python's note on SIGPIPE."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

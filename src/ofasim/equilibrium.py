@@ -43,6 +43,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .money import require_real
+
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -87,6 +89,8 @@ class BaselineGame:
     def __post_init__(self) -> None:
         if type(self.n) is not int or self.n < 2:
             raise ValueError("n must be an integer >= 2")
+        require_real(self.q, "q")
+        require_real(self.v, "v")
         if not 0 < self.q < 1:
             raise ValueError("q must lie strictly in (0, 1)")
         if not self.v > 0:
@@ -111,6 +115,8 @@ class DiscreteTimeGame:
     def __post_init__(self) -> None:
         if type(self.n) is not int or self.n < 2:
             raise ValueError("n must be an integer >= 2")
+        require_real(self.v, "v")
+        require_real(self.sigma, "sigma")
         if not (math.isfinite(self.v) and math.isfinite(self.sigma)):
             raise ValueError("v and sigma must be finite")
         if self.sigma < 0:

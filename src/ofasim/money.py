@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from numbers import Real
 
 #: Number of fractional decimal digits accepted on input and emitted on output.
 FRACTIONAL_DIGITS = 18
@@ -47,6 +48,13 @@ def require_exact(value: object, name: str) -> None:
     """
     if type(value) not in (int, Fraction):
         raise ValueError(f"{name} must be an int or a Fraction, got {type(value).__name__}")
+
+
+def require_real(value: object, name: str) -> None:
+    """Refuse a float-valued model parameter that is a bool or not a
+    ``numbers.Real``; each model then checks its finite range itself."""
+    if type(value) is bool or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
 
 
 def parse_amount(text: str | int) -> Fraction:

@@ -1,44 +1,22 @@
 """Monte-Carlo and discrete-event harness for failure-cost auctions.
 
-Runners:
-  - ``run_iid_failure``: symmetric game where each executed operation fails
-    independently with probability q; reports per-solver, total and
-    beneficiary payoff statistics.
-  - ``run_normal_valuation``: solvers privately observe X ~ N(v, σ²) at
-    execution time and cancel when X falls below their bid; winner payoffs
-    use the realized X.
-  - ``run_throughput_sweep``: expected failure cost of the median-bid
-    operation as the gas budget grows (the array is refilled to capacity at
-    each budget).
-  - ``run_spoof_attack``: deterministic settlement of a gas-exhaustion
-    censorship attempt against the same auction without the attacker.
-  - ``run_timeline``: discrete-event simulation of the asynchronous auction
-    pipeline (escrow prefetch, order receipt, auction, guarantee issuance,
-    on-chain execution), with a structural chain-quiet check between order
-    receipt and guarantee issuance.
+Each runner (``run_iid_failure``, ``run_normal_valuation``,
+``run_throughput_sweep``, ``run_spoof_attack``, ``run_timeline``) takes a
+``SimConfig``, and ``run_simulation`` dispatches on its model.
 
-Determinism and reduction:
-    A trial's payoffs depend only on its outcome pattern, the first
-    execution position (descending-bid order) whose operation succeeds, and,
-    in the valuation model, on the winner's X. So a run draws no per-trial
-    cells: all randomness comes from one ``numpy.random.default_rng(seed)``
-    (PCG64) per run, which draws the pattern counts as one multinomial of
-    the patterns' exact law (one per sweep rung, in listed order) and then,
-    in the valuation model, each drawn pattern's winners in pattern order:
-    X ~ N(v, σ²) conditioned on X above the winner's bid, in bounded batches.
-    Time is O(n) for the failure models and O(n + trials) for the valuation
-    model, and memory does not grow with the trial count. The statistics
-    come from the per-pattern counts and winner sums and a pattern table of
-    per-pattern payoffs and payouts. The table is divided straight from the
-    settlement kernel's integer numerators (``settlement._pattern_terms``),
-    with no settlement object per pattern, and a throughput rung's failure
-    costs from the integer numerators of its bids; ``int / int`` rounds
-    correctly, so every float equals ``float()`` of the exact amount
-    (``settle_patterns``, ``median_failure_costs``). Identical (seed, config)
-    gives bit-identical reports; the stream differs from that of earlier
-    versions, which drew every trial × position cell, but the estimators'
-    distribution is the same. A statistic or amount that does not fit a
-    float raises ``ValueError``.
+Determinism and reduction: a trial's payoffs depend only on its outcome
+pattern (the first execution position whose operation succeeds) and, in the
+valuation model, on the winner's X. All randomness comes from one
+``numpy.random.default_rng(seed)`` (PCG64) per run: the pattern counts as one
+multinomial of the patterns' exact law (one per sweep rung, in listed order),
+then, in the valuation model, each drawn pattern's winners in pattern order,
+in bounded batches. Time is O(n), plus O(trials) in the valuation model, and
+memory does not grow with the trial count. Identical (seed, config) gives
+bit-identical reports; the stream differs from that of earlier versions, which
+drew every trial × position cell, but the estimators' distribution is the
+same. Pattern tables are divided straight from the settlement kernel's integer
+numerators, so every float equals ``float()`` of its exact amount; a statistic
+or amount that does not fit a float raises ``ValueError``.
 
 Statistics are empirical means with standard errors; comparisons against
 closed forms should use 3-standard-error bands.
@@ -67,7 +45,7 @@ from .auction import (
 from .censorship import CensorshipScenario, censorship_resistance
 from .equilibrium import normal_cdf, normal_sf
 from .escrow import required_escrow
-from .money import ZERO, format_amount, require_exact
+from .money import ZERO, format_amount, require_exact, require_real
 from .settlement import _pattern_terms, guaranteed_minimum, settle
 
 #: Most proposals the valuation sampler draws at once, so memory stays flat.
@@ -275,6 +253,7 @@ class IidFailure:
     gas_price: Fraction = ZERO
 
     def __post_init__(self) -> None:
+        require_real(self.q, "q")
         if not 0 <= self.q <= 1:
             raise ValueError("q must lie in [0, 1]")
         require_exact(self.v, "v")
@@ -303,6 +282,8 @@ class NormalValuation:
     gas_price: Fraction = ZERO
 
     def __post_init__(self) -> None:
+        require_real(self.v, "v")
+        require_real(self.sigma, "sigma")
         object.__setattr__(self, "v", _float(self.v, "v"))
         if not (math.isfinite(self.v) and math.isfinite(self.sigma)):
             raise ValueError("v and sigma must be finite")
@@ -343,6 +324,7 @@ class ThroughputSweep:
             raise ValueError("gas_per_op must be a positive integer")
         if any(g < self.gas_per_op for g in self.gammas):
             raise ValueError("every gamma must fit at least one operation")
+        require_real(self.q, "q")
         if not 0 < self.q < 1:
             raise ValueError("q must lie strictly in (0, 1)")
         require_exact(self.bid_high, "bid_high")
@@ -556,14 +538,9 @@ def run_normal_valuation(config: SimConfig) -> dict:
 def _rung(
     model: ThroughputSweep, gamma: int
 ) -> tuple[list[int], int, int, list[int], int]:
-    """One throughput rung on integer numerators.
-
-    Returns ``(bids, bid_den, median, costs, cost_den)``: ``bids[i] / bid_den``
-    is the i-th bid of the array refilled at ``gamma`` (execution order),
-    ``median`` the position of the measured rank-⌈N/2⌉ op, and
-    ``costs[j] / cost_den`` that op's failure cost when the (j+1)-th op below
-    it is the first to succeed; the last entry is the cost when none does.
-    """
+    """``median_failure_costs`` on integer numerators: ``(bids, bid_den,
+    median, costs, cost_den)``, each bid over ``bid_den``, each cost over
+    ``cost_den``."""
     count = gamma // model.gas_per_op
     if count < 1:
         raise ValueError("gamma must fit at least one operation")

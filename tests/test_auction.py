@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -332,3 +333,35 @@ def test_integer_order_matches_the_fraction_order(seed):
         (c.bid * Fraction(c.gas_reserved, tx.gamma) for c in reference), Fraction(0)
     )
     assert type(guaranteed_minimum(tx)) is Fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_admission_builds_what_the_constructor_builds(seed):
+    # admission skips the constructor's re-checks; its transaction must not differ
+    rng = np.random.default_rng(seed)
+    candidates = _tied_candidates(rng, int(rng.integers(0, 25)))
+    ids = sorted({c.solver_id for c in candidates} | {"outsider"})
+    rng.shuffle(ids)
+    values = {
+        sid: Fraction(int(rng.integers(0, 500)), int(rng.choice([1, 3, 10, 1009])))
+        for sid in ids
+        if rng.random() < 0.7
+    }
+    schedule = GasSchedule(
+        tx_gas_limit=int(rng.integers(1, 300_001)) + 50, user_gas_consumed=50
+    )
+    tx = admit_operations(candidates, schedule, values)
+    admitted = {o.solver_id for o in tx.solver_ops}
+    kept = {sid: value for sid, value in values.items() if sid in admitted}
+    built = AuctionTransaction(schedule, tx.solver_ops, kept)
+    for f in dataclasses.fields(AuctionTransaction):  # the compare=False ones too
+        assert getattr(tx, f.name) == getattr(built, f.name), f.name
+    assert type(tx.private_values) is type(built.private_values)
+    assert list(tx.private_values) == list(built.private_values) == list(kept)
+
+    if tx.solver_ops:
+        sid = tx.solver_ops[int(rng.integers(0, len(tx.solver_ops)))].solver_id
+        for bad in (Fraction(-1, 3), -1, 1.5, True, "2"):
+            with pytest.raises(ValueError, match="^private value"):
+                admit_operations(candidates, schedule, {**values, sid: bad})

@@ -10,9 +10,11 @@ from __future__ import annotations
 import contextlib
 import csv
 import enum
+import importlib
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -368,6 +370,19 @@ SWEEP_REJECTIONS = {
     "v_negative": (
         ["equilibrium", "--n", "2", "--v", "-5", "--sigma-min", "1", "--sigma-max", "1"],
         "--v must be positive",
+    ),
+    # ASCII digits only, as a --rival gas; int() would take each of these
+    "gammas_underscore_and_plus": (
+        ["throughput", "--gammas", "1_000_000,+2000000", "--trials", "8"],
+        "--gammas: expected comma-separated integers",
+    ),
+    "gammas_not_ascii": (
+        ["throughput", "--gammas", "1000000,٥000000", "--trials", "8"],
+        "--gammas: expected comma-separated integers",
+    ),
+    "n_space_and_plus": (
+        ["equilibrium", "--n", " 2,+3", "--sigma-min", "1", "--sigma-max", "1"],
+        "--n: expected comma-separated integers",
     ),
 }
 
@@ -1028,3 +1043,116 @@ def test_report_emitter_leaves_unknown_types_to_json(value):
     with pytest.raises(TypeError) as theirs:
         json.dumps(value, indent=2)
     assert str(ours.value) == str(theirs.value)
+
+
+# Plain command lines skip argparse; every other line must still reach it.
+_FLAGS = list(cli._SWEEP_OPTIONS)
+_ODD_TOKENS = [
+    "--gamma", "--sig", "--out=x", "-h", "--help", "--", "--zzz", "-q", "-",
+    "settle", "sweep", "simulate", "censorship", "latency",
+]
+_VALUES = [
+    "3", "0", "007", "0.5", "1e3", "2,5", "100:100000", "x.csv", "inf", "nan",
+    "-5", "1_000", " 7", "+3", "٥", "", "-", "abc", "1,,2",
+]
+
+
+def _random_argv(rng: random.Random) -> list[str]:
+    argv = [rng.choice(["settle", "simulate", "sweep", "sweep", "sweep", "-h", "audit"])]
+    if argv[0] == "sweep":
+        argv.append(rng.choice([*cli._SWEEPS, "latency", "--out"]))
+    elif rng.random() < 0.8:
+        argv.append(rng.choice(["in.json", *_VALUES]))
+    pairs = rng.randrange(4) if argv[0] == "sweep" or rng.random() < 0.2 else 0
+    for _ in range(pairs):
+        flag = rng.choice(_FLAGS) if rng.random() < 0.85 else rng.choice(_ODD_TOKENS)
+        argv += [flag, rng.choice(_VALUES)] if rng.random() < 0.95 else [flag]
+    return argv
+
+
+def _argparse_vars(argv):
+    """``vars`` of argparse's namespace, or ``None`` if it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli._PARSER.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def test_plain_reader_agrees_with_argparse():
+    rng = random.Random(20_240_817)
+    answered = 0
+    for _ in range(3000):
+        argv = _random_argv(rng)
+        expected = _argparse_vars(argv)
+        plain = cli._plain_args(argv)
+        # by repr, so NaN equals NaN; and argparse's None must never be matched
+        if plain is not None:
+            answered += 1
+            assert repr(vars(plain)) == repr(expected), argv
+    assert answered > 300
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "censorship", "--rival", "1:2", "--rival", "3:4"],
+        ["sweep", "equilibrium", "--v", "nan", "--n", "2"],
+        ["sweep", "throughput", "--trials", "٥", "--q", " 7"],
+        ["settle", ""],
+    ],
+)
+def test_plain_reader_answers_plain_lines(argv):
+    assert repr(vars(cli._plain_args(argv))) == repr(_argparse_vars(argv))
+
+
+def test_benchmark_command_lines_take_the_plain_path(tmp_path):
+    # bench/cli_batch.py's own generator, so the benchmark's lines are the ones checked
+    root = os.path.dirname(os.path.dirname(os.path.dirname(cli.__file__)))
+    sys.path.insert(0, os.path.join(root, "bench"))
+    try:
+        cli_batch = importlib.import_module("cli_batch")
+        for seed in (1, 2, 3):
+            workdir = tmp_path / str(seed)
+            workdir.mkdir()
+            for command in cli_batch.Workload(seed, sys.modules["ofasim"], str(workdir)).commands:
+                plain = cli._plain_args(command.argv)
+                assert plain is not None, command.argv
+                assert repr(vars(plain)) == repr(_argparse_vars(command.argv))
+    finally:
+        sys.path.remove(os.path.join(root, "bench"))
+        for name in ("cli_batch", "model"):
+            sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["settle", "scenario.json"],
+        ["simulate", "config.json"],
+        ["sweep", "censorship", "--gamma-points", "40"],
+    ],
+    ids=["settle", "simulate", "sweep"],
+)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, argv, unbuffered):
+    write_json(tmp_path, "scenario.json", settle_scenario())
+    write_json(tmp_path, "config.json", iid_config())
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    # buffered, the write fails at the last flush; unbuffered, inside print()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    program = subprocess.Popen(
+        [sys.executable, "-m", "ofasim.cli", *argv],
+        cwd=tmp_path,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    program.stdout.close()  # before the program writes, so its first write fails
+    err = program.stderr.read()
+    program.stderr.close()
+    assert (program.wait(timeout=60), err) == (1, b"")

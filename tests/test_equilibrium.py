@@ -64,6 +64,12 @@ class TestBaselineGame:
         with pytest.raises(ValueError, match="strictly in"):
             BaselineGame(n=2, q=Fraction(1), v=Fraction(100))
 
+    @pytest.mark.parametrize("field", ["q", "v"])
+    def test_rejects_a_bool(self, field):
+        fields = {"n": 2, "q": Fraction(1, 2), "v": Fraction(100), field: True}
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got bool$"):
+            BaselineGame(**fields)
+
     def test_closed_form_bid_reference_value(self):
         game = BaselineGame(n=2, q=Fraction(1, 2), v=Fraction(100))
         assert closed_form_bid(game) == Fraction(200, 3)
@@ -186,6 +192,13 @@ class TestUtilityForms:
     def test_non_finite_game_rejected(self, v, sigma):
         with pytest.raises(ValueError, match="v and sigma must be finite"):
             DiscreteTimeGame(n=3, v=v, sigma=sigma)
+
+    @pytest.mark.parametrize("field", ["v", "sigma"])
+    @pytest.mark.parametrize("bad", [True, False, "1", None], ids=repr)
+    def test_bool_or_non_number_rejected(self, field, bad):
+        # a bool used to be accepted and run as 1.0 or 0.0
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+            DiscreteTimeGame(**{"n": 3, "v": 100.0, "sigma": 5.0, field: bad})
 
     def test_zero_sigma_rejected(self):
         game = DiscreteTimeGame(n=3, v=100.0, sigma=0.0)

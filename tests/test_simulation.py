@@ -548,6 +548,30 @@ def test_int_amounts_are_accepted_where_fractions_are():
     )
 
 
+# A bool used to run as 1.0 or 0.0, and a numeric string as its number.
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda bad: _iid_model(q=bad), "q"),
+        (lambda bad: _normal_model(v=bad), "v"),
+        (lambda bad: _normal_model(sigma=bad), "sigma"),
+        (lambda bad: ThroughputSweep(gammas=(1_000_000,), q=bad), "q"),
+    ],
+    ids=["iid_q", "normal_v", "normal_sigma", "throughput_q"],
+)
+@pytest.mark.parametrize("bad", [True, False, "0.5", None], ids=repr)
+def test_float_parameters_refuse_a_bool_or_a_non_number(build, field, bad):
+    message = f"{field} must be a real number, got {type(bad).__name__}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(bad)
+
+
+def test_float_parameters_take_any_real_number():
+    assert _normal_model(v=100, sigma=5) == _normal_model(v=100.0, sigma=5.0)
+    assert _iid_model(q=Fraction(1, 2)).q == 0.5
+    assert ThroughputSweep(gammas=(1_000_000,), q=Fraction(1, 4)).q == 0.25
+
+
 @pytest.mark.parametrize("gas", [0, -5, True])
 def test_throughput_gas_per_op_must_be_positive(gas):
     with pytest.raises(ValueError, match="gas_per_op must be a positive integer"):

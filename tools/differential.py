@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 tools/differential.py [--src DIR] [SEED ...]
+    python3 tools/differential.py [--src DIR | --against DIR] [SEED ...]
 
 For each seed (default 1 2 3) it builds the benchmark's own ``cli_batch`` and
 ``auction_stream`` workloads (``bench/cli_batch.py``, ``bench/auction_stream.py``,
@@ -16,8 +16,10 @@ imported unchanged) against the ``ofasim`` package under ``--src`` (default:
   guarantee), the kept escrow snapshots, every settlement and the final
   balances.
 
-Run it once with ``--src`` pointing at another checkout's ``src/`` and once
-without; equal lines mean a change kept both workloads' outputs identical.
+Equal lines for two checkouts mean a change kept both workloads' outputs
+identical. ``--against DIR`` makes that one command: it runs the digests for
+``--src`` and for ``DIR/src``, each in its own interpreter, prints both sets,
+and exits 1 if any line differs.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import enum
 import hashlib
 import importlib
 import os
+import subprocess
 import sys
 import tempfile
 from collections.abc import Mapping
@@ -80,11 +83,27 @@ def auction_stream_digest(bench, ofasim, seed: int) -> tuple[int, str]:
     return len(workload.orders), hashlib.sha256(record.encode()).hexdigest()
 
 
+def compare(sources: list[str], seeds: list[int]) -> int:
+    """Print the digests of each ``src`` directory; 1 if any line differs."""
+    outputs = []
+    for src in sources:
+        argv = [sys.executable, os.path.abspath(__file__), "--src", src, *map(str, seeds)]
+        done = subprocess.run(argv, stdout=subprocess.PIPE, text=True, check=True)
+        print(f"# {src}\n{done.stdout}", end="", flush=True)
+        outputs.append(done.stdout)
+    same = outputs[0] == outputs[1]
+    print("identical" if same else "DIFFERENT")
+    return 0 if same else 1
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("seeds", nargs="*", type=int, default=[1, 2, 3])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding ofasim")
+    parser.add_argument("--against", metavar="DIR", help="another checkout to compare with")
     args = parser.parse_args()
+    if args.against:
+        return compare([args.src, os.path.join(args.against, "src")], args.seeds)
     sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "bench")]
     ofasim = importlib.import_module("ofasim")
     importlib.import_module("ofasim.cli")  # the package does not import its CLI
