@@ -32,7 +32,7 @@ Two symmetric bidding games over a common prize:
     exists there and ``optimal_bid_numeric`` raises ``NoInteriorOptimumError``
     with boundary diagnostics. Interior optima do exist when v is on the
     order of σ·|z|·φ(z) (small prizes), and the optimizer finds them by
-    bracketed gradient root-finding with a golden-section fallback.
+    golden-section search on the bracket.
 
 Normal CDF/PDF come from ``math.erfc`` (absolute error well below 1e-12);
 identity tolerances elsewhere are kept an order of magnitude looser.
@@ -41,6 +41,7 @@ identity tolerances elsewhere are kept an order of magnitude looser.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .money import require_real
@@ -104,8 +105,7 @@ class DiscreteTimeGame:
     Attributes:
         n: Number of bidders (≥ 2).
         v: Mean of the valuation X at execution time (finite).
-        sigma: Standard deviation of X (finite and ≥ 0; the utility
-            functions require a strictly positive sigma).
+        sigma: Standard deviation of X (finite and > 0).
     """
 
     n: int
@@ -117,10 +117,12 @@ class DiscreteTimeGame:
             raise ValueError("n must be an integer >= 2")
         require_real(self.v, "v")
         require_real(self.sigma, "sigma")
-        if not (math.isfinite(self.v) and math.isfinite(self.sigma)):
+        # exact for int and Fraction (no float conversion), and false for NaN
+        limit = sys.float_info.max
+        if not (abs(self.v) <= limit and abs(self.sigma) <= limit):
             raise ValueError("v and sigma must be finite")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not self.sigma > 0:
+            raise ValueError("sigma must be positive")
 
 
 def baseline_utility(game: BaselineGame, b):
@@ -188,8 +190,6 @@ def conditional_success_value(v: float, sigma: float, b: float) -> float:
 
 def _support_terms(game: DiscreteTimeGame, b: float) -> tuple[float, float, float, float]:
     """Common ingredients (z, F, 1−F, 1−Fⁿ) with out-of-support guards."""
-    if game.sigma <= 0:
-        raise ValueError("sigma must be positive")
     z = (b - game.v) / game.sigma
     cdf = normal_cdf(z)
     survival = normal_sf(z)
@@ -214,8 +214,7 @@ def discrete_time_utility(game: DiscreteTimeGame, b: float) -> float:
     CDF/PDF of X ~ N(v, σ²) at b. Note σ·f_X(b) = φ((b−v)/σ).
 
     Raises:
-        ValueError: If sigma is not positive or b lies outside the support
-            (F numerically 0 or 1).
+        ValueError: If b lies outside the support (F numerically 0 or 1).
     """
     z, _, survival, one_minus_fn = _support_terms(game, b)
     pdf = normal_pdf(z)
@@ -280,7 +279,7 @@ class BidSearchResult:
     Attributes:
         bid: The located argmax candidate.
         interior: True when the candidate is a genuine interior maximum.
-        method: "gradient-root" or "golden-section".
+        method: Always "golden-section", the one search there is.
         lower / upper: Bracket endpoints.
         gradient_lower / gradient_upper: Utility gradient at the endpoints.
         utility_lower / utility_upper / utility_at_bid: Utility values for
@@ -320,7 +319,9 @@ class NoInteriorOptimumError(Exception):
 
 
 def _golden_section_argmax(f, lower: float, upper: float, tol: float) -> float:
-    """Deterministic golden-section maximization on [lower, upper]."""
+    """Deterministic golden-section maximization on [lower, upper]: the midpoint
+    of the final interval once it is no wider than tol, or, if rounding merges
+    the probes first, the best of the few floats left in the interval."""
     a, b = lower, upper
     span = b - a
     c = b - _INV_GOLDEN * span
@@ -329,6 +330,11 @@ def _golden_section_argmax(f, lower: float, upper: float, tol: float) -> float:
     for _ in range(200):
         if b - a <= tol:
             break
+        if not a < c < d < b:
+            floats = [a]
+            while floats[-1] < b:
+                floats.append(math.nextafter(floats[-1], b))
+            return max(floats, key=f)
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
@@ -343,50 +349,34 @@ def _golden_section_argmax(f, lower: float, upper: float, tol: float) -> float:
 def optimal_bid_details(game: DiscreteTimeGame) -> BidSearchResult:
     """Search [v−6σ, v+6σ] for the utility-maximizing bid.
 
-    Tries bracketed root-finding on the gradient first (Brent, 1e-10 relative
-    tolerance, 200 iterations); falls back to golden-section maximization of
-    the utility when the gradient does not change sign or the root is not a
-    maximum. The result records whether the located argmax is interior.
+    Golden-section maximization of the utility, to a final interval no wider
+    than 1e-10·max(1, |v|) nor than 1e-6 of the bracket, so a bracket that
+    tiny σ makes narrow is still resolved finely. The result records whether
+    the located argmax is interior.
     """
-    if game.sigma <= 0:
-        raise ValueError("sigma must be positive")
     lower = game.v - BRACKET_SIGMAS * game.sigma
     upper = game.v + BRACKET_SIGMAS * game.sigma
 
     def util(b: float) -> float:
         return discrete_time_utility(game, b)
 
-    def grad(b: float) -> float:
-        return utility_gradient(game, b)
-
-    grad_lower, grad_upper = grad(lower), grad(upper)
-    util_lower, util_upper = util(lower), util(upper)
-
-    best = None
-    method = "golden-section"
-    if grad_lower > 0.0 > grad_upper:
-        from scipy.optimize import brentq  # deferred: ~50 MiB and most of import time
-
-        root = brentq(grad, lower, upper, xtol=1e-12, rtol=1e-10, maxiter=200)
-        if util(root) >= max(util_lower, util_upper):
-            best, method = float(root), "gradient-root"
-    if best is None:
-        tol = 1e-10 * max(1.0, abs(game.v))
-        best = _golden_section_argmax(util, lower, upper, tol)
-
-    margin = 1e-6 * (upper - lower)
-    interior = lower + margin < best < upper - margin
-    return BidSearchResult(
-        bid=best,
-        interior=interior,
-        method=method,
+    # first, so a bracket past the support fails here, before the search
+    edges = dict(
         lower=lower,
         upper=upper,
-        gradient_lower=grad_lower,
-        gradient_upper=grad_upper,
-        utility_lower=util_lower,
-        utility_upper=util_upper,
+        gradient_lower=utility_gradient(game, lower),
+        gradient_upper=utility_gradient(game, upper),
+        utility_lower=util(lower),
+        utility_upper=util(upper),
+    )
+    margin = 1e-6 * (upper - lower)
+    best = _golden_section_argmax(util, lower, upper, min(1e-10 * max(1.0, abs(game.v)), margin))
+    return BidSearchResult(
+        bid=best,
+        interior=lower + margin < best < upper - margin,
+        method="golden-section",
         utility_at_bid=util(best),
+        **edges,
     )
 
 
@@ -400,7 +390,6 @@ def optimal_bid_numeric(game: DiscreteTimeGame) -> float:
         NoInteriorOptimumError: When the utility is monotone on the bracket
             and the argmax sits on a boundary (the case for prizes large
             relative to sigma); the exception carries boundary diagnostics.
-        ValueError: If sigma is not positive.
     """
     result = optimal_bid_details(game)
     if not result.interior:

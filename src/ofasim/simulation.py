@@ -25,6 +25,7 @@ closed forms should use 3-standard-error bands.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -285,7 +286,9 @@ class NormalValuation:
         require_real(self.v, "v")
         require_real(self.sigma, "sigma")
         object.__setattr__(self, "v", _float(self.v, "v"))
-        if not (math.isfinite(self.v) and math.isfinite(self.sigma)):
+        # exact for an int or Fraction sigma (no float conversion), and false for NaN
+        limit = sys.float_info.max
+        if not (abs(self.v) <= limit and abs(self.sigma) <= limit):
             raise ValueError("v and sigma must be finite")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")

@@ -317,6 +317,10 @@ SWEEP_REJECTIONS = {
         ["equilibrium", "--sigma-min", "0", "--n", "2"],
         "sigma must be positive",
     ),
+    "sigma_min_negative": (
+        ["equilibrium", "--sigma-min", "-1", "--n", "2"],
+        "sigma must be positive",
+    ),
     # n=2 warns at this prize before n=1 fails; the warning must not be printed
     "bad_n_after_warning": (
         ["equilibrium", "--sigma-min", "5", "--sigma-max", "5", "--n", "2,1"],

@@ -22,6 +22,7 @@ from ofasim.equilibrium import (
     BaselineGame,
     DiscreteTimeGame,
     NoInteriorOptimumError,
+    _golden_section_argmax,
     baseline_utility,
     closed_form_bid,
     conditional_success_value,
@@ -187,6 +188,9 @@ class TestUtilityForms:
             (float("inf"), 5.0),
             (100.0, float("nan")),
             (100.0, float("inf")),
+            # beyond the float range: math.isfinite used to raise OverflowError
+            pytest.param(10**400, 1.0, id="int-v-beyond-float"),
+            pytest.param(1.0, Fraction(10**400), id="fraction-sigma-beyond-float"),
         ],
     )
     def test_non_finite_game_rejected(self, v, sigma):
@@ -201,9 +205,12 @@ class TestUtilityForms:
             DiscreteTimeGame(**{"n": 3, "v": 100.0, "sigma": 5.0, field: bad})
 
     def test_zero_sigma_rejected(self):
-        game = DiscreteTimeGame(n=3, v=100.0, sigma=0.0)
         with pytest.raises(ValueError, match="sigma must be positive"):
-            discrete_time_utility(game, 100.0)
+            discrete_time_utility(DiscreteTimeGame(n=3, v=100.0, sigma=0.0), 100.0)
+
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(ValueError, match="^sigma must be positive$"):
+            DiscreteTimeGame(n=3, v=100.0, sigma=-1.0)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -296,14 +303,38 @@ class TestOptimalBid:
         assert details.utility_at_bid >= details.utility_lower
         assert details.utility_at_bid >= details.utility_upper
 
-    def test_tiny_sigma_takes_the_gradient_root(self):
-        # at the lower edge the gradient is about n·(6φ(6)(1/σ − 1) − 1), positive
-        # for σ below about 3.65e-8 whatever v is, so the root-finder runs
-        details = optimal_bid_details(DiscreteTimeGame(n=3, v=1.0, sigma=1e-8))
-        assert details.gradient_lower > 0 > details.gradient_upper
-        assert details.method == "gradient-root"
-        assert details.interior
-        assert details.utility_at_bid >= max(details.utility_lower, details.utility_upper)
+    def test_tiny_sigma_bid_reaches_the_grid_maximum(self):
+        # the tolerance shrinks with the bracket, and where σ is a few ulps of v
+        # the bracket holds few floats: the bid must still be the best of them
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            n = int(rng.choice([2, 3, 5, 10, 25]))
+            v = float(10 ** rng.uniform(-6, 12))
+            sigma = float(10 ** rng.uniform(-16, math.log10(3.6e-8)))
+            game = DiscreteTimeGame(n=n, v=v, sigma=sigma)
+            details = optimal_bid_details(game)
+            grid = np.linspace(details.lower, details.upper, 2001)
+            utilities = [discrete_time_utility(game, float(b)) for b in grid]
+            shortfall = max(utilities) - details.utility_at_bid
+            assert shortfall <= 1e-8 * (max(utilities) - min(utilities)), (n, v, sigma)
+
+    def test_golden_section_tolerance_unchanged_at_larger_sigma(self):
+        # where 1e-10·max(1, |v|) is the finer tolerance the bid is bit for bit
+        # the one that tolerance alone gives
+        rng = np.random.default_rng(18)
+        for _ in range(60):
+            n = int(rng.choice([2, 3, 5, 10, 25]))
+            v = float(10 ** rng.uniform(-6, 12))
+            sigma = max(1.0, v) * float(10 ** rng.uniform(-5, math.log10(2.0)))
+            game = DiscreteTimeGame(n=n, v=v, sigma=sigma)
+            details = optimal_bid_details(game)
+            expected = _golden_section_argmax(
+                lambda b: discrete_time_utility(game, b),
+                details.lower,
+                details.upper,
+                1e-10 * max(1.0, abs(v)),
+            )
+            assert details.bid == expected, (n, v, sigma)
 
     def test_larger_sigma_takes_the_golden_section(self):
         details = optimal_bid_details(DiscreteTimeGame(n=3, v=1.0, sigma=1e-7))

@@ -117,8 +117,8 @@ with open(config, "w") as handle:
 assert not loaded(), loaded()
 run("settle", settle)
 run("sweep", "censorship", "--gamma-points", "3")
-# v = 3500 against sigma <= 1 has no interior optimum: the scipy root-finder never runs
 run("sweep", "equilibrium", "--n", "2,5", "--sigma-min", "0.5", "--sigma-max", "1")
+run("sweep", "equilibrium", "--v", "1", "--sigma-min", "1e-8", "--sigma-max", "1e-8", "--n", "3")
 assert not loaded(), loaded()
 assert "ofasim.simulation" not in sys.modules
 run(*{"throughput": ["sweep", "throughput", "--trials", "100"], "simulate": ["simulate", config]}[sys.argv[2]])

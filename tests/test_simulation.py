@@ -159,7 +159,14 @@ class TestNormalValuation:
         assert within_three_se(report["scaled_per_execution_payoff"], expected)
 
     @pytest.mark.parametrize(
-        "v, sigma", [(100.0, float("nan")), (100.0, float("inf")), (float("nan"), 5.0)]
+        "v, sigma",
+        [
+            (100.0, float("nan")),
+            (100.0, float("inf")),
+            (float("nan"), 5.0),
+            # math.isfinite used to raise OverflowError here
+            pytest.param(1.0, 10**400, id="int-sigma-beyond-float"),
+        ],
     )
     def test_non_finite_parameters_rejected(self, v, sigma):
         # a NaN sigma used to pass and yield an all-revert report

@@ -19,7 +19,11 @@ imported unchanged) against the ``ofasim`` package under ``--src`` (default:
 Equal lines for two checkouts mean a change kept both workloads' outputs
 identical. ``--against DIR`` makes that one command: it runs the digests for
 ``--src`` and for ``DIR/src``, each in its own interpreter, prints both sets,
-and exits 1 if any line differs.
+and exits 1 if any digest line differs.
+
+Each run also prints the package's net line count, as
+``cat SRC/ofasim/*.py | wc -l`` gives it, on a ``#`` line; ``--against``
+prints the change in it, which does not affect the exit status.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
+import glob
 import hashlib
 import importlib
 import os
@@ -83,15 +88,26 @@ def auction_stream_digest(bench, ofasim, seed: int) -> tuple[int, str]:
     return len(workload.orders), hashlib.sha256(record.encode()).hexdigest()
 
 
+def src_lines(src: str) -> int:
+    """Newlines in ``src/ofasim/*.py``, the count ``cat ... | wc -l`` prints."""
+    total = 0
+    for path in glob.glob(os.path.join(src, "ofasim", "*.py")):
+        with open(path, "rb") as handle:
+            total += handle.read().count(b"\n")
+    return total
+
+
 def compare(sources: list[str], seeds: list[int]) -> int:
-    """Print the digests of each ``src`` directory; 1 if any line differs."""
-    outputs = []
+    """Print the digests of each ``src`` directory; 1 if any digest differs."""
+    digests = []
     for src in sources:
         argv = [sys.executable, os.path.abspath(__file__), "--src", src, *map(str, seeds)]
         done = subprocess.run(argv, stdout=subprocess.PIPE, text=True, check=True)
         print(f"# {src}\n{done.stdout}", end="", flush=True)
-        outputs.append(done.stdout)
-    same = outputs[0] == outputs[1]
+        digests.append([line for line in done.stdout.splitlines() if not line.startswith("#")])
+    lines = [src_lines(src) for src in sources]
+    print(f"# src lines: {lines[0]} here, {lines[1]} against ({lines[0] - lines[1]:+d})")
+    same = digests[0] == digests[1]
     print("identical" if same else "DIFFERENT")
     return 0 if same else 1
 
@@ -108,6 +124,7 @@ def main() -> int:
     ofasim = importlib.import_module("ofasim")
     importlib.import_module("ofasim.cli")  # the package does not import its CLI
     bench = {name: importlib.import_module(name) for name in ("cli_batch", "auction_stream")}
+    print(f"# src lines: {src_lines(args.src)}", flush=True)
     for seed in args.seeds:
         for name, digest_of in (
             ("cli_batch", cli_batch_digest),
