@@ -343,7 +343,8 @@ def _golden_section_argmax(f, lower: float, upper: float, tol: float) -> float:
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
             fd = f(d)
-    return 0.5 * (a + b)
+    # the bits of 0.5 * (a + b) outside the subnormals, without its overflow past 8.99e307
+    return 0.5 * a + 0.5 * b
 
 
 def optimal_bid_details(game: DiscreteTimeGame) -> BidSearchResult:

@@ -25,7 +25,9 @@ common denominator per auctioneer: each required escrow's denominator carries
 its auction's gamma, so such a denominator would grow with every order. A
 ``Fraction`` is built only for a value returned. Amounts must be ``int`` or
 ``Fraction`` and gamma an ``int``, and ledger ids non-empty strings; anything
-else is refused with ``ValueError``.
+else is refused with ``ValueError``. A reservation is a ``PendingReservation``
+named tuple: hashable and immutable, it iterates and equals a plain tuple of
+its values, and ``dataclasses.fields`` does not apply to it.
 """
 
 from __future__ import annotations
@@ -33,10 +35,9 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .auction import SolverOperation, require_gas_share
 from .money import format_amount, parse_amount, require_exact
@@ -119,9 +120,8 @@ def _require_ids(solver_id: str, auctioneer_id: str) -> None:
         raise ValueError(f"auctioneer_id must be a non-empty str, got {auctioneer_id!r}")
 
 
-@dataclass(frozen=True)
-class PendingReservation:
-    """An in-flight reservation for one unsettled operation.
+class PendingReservation(NamedTuple):
+    """An in-flight reservation for one unsettled operation (a named tuple).
 
     Attributes:
         handle: Unique reservation identifier within the ledger.

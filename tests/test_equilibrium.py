@@ -347,6 +347,12 @@ class TestOptimalBid:
         assert details.lower == 0.3 - BRACKET_SIGMAS * 0.02
         assert details.upper == 0.3 + BRACKET_SIGMAS * 0.02
 
+    def test_bracket_near_the_largest_float(self):
+        # the midpoint of two ends past about 8.99e307 overflows to inf
+        assert optimal_bid_details(DiscreteTimeGame(n=3, v=1e308, sigma=1e-300)).bid == 1e308
+        best = _golden_section_argmax(lambda b: -abs(b - 1.7e308), 1.6e308, 1.79e308, 1e296)
+        assert best == pytest.approx(1.7e308, rel=1e-10)
+
     def test_zero_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma must be positive"):
             optimal_bid_details(DiscreteTimeGame(n=3, v=100.0, sigma=0.0))

@@ -10,6 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from ofasim.auction import Behavior, GasSchedule, SolverOperation, admit_operations
 from ofasim.escrow import (
@@ -191,25 +194,45 @@ def test_deposit_and_charge_must_be_exact(value):
 @pytest.mark.parametrize(
     "gamma, price, message",
     [
-        (100, 0.5, "gas_price must be an int or a Fraction, got float"),
-        (100, "0.5", "gas_price must be an int or a Fraction, got str"),
-        (100, Decimal("0.5"), "gas_price must be an int or a Fraction, got Decimal"),
-        (100, True, "gas_price must be an int or a Fraction, got bool"),
-        (100.0, PHI, "gamma must be an int, got float"),
+        (GAMMA, 0.5, "gas_price must be an int or a Fraction, got float"),
+        (GAMMA, "0.5", "gas_price must be an int or a Fraction, got str"),
+        (GAMMA, Decimal("0.5"), "gas_price must be an int or a Fraction, got Decimal"),
+        (GAMMA, True, "gas_price must be an int or a Fraction, got bool"),
+        (GAMMA, -PHI, "bid and gas_price must be non-negative"),
+        (GAMMA, -1, "bid and gas_price must be non-negative"),
+        (1e6, PHI, "gamma must be an int, got float"),
         (True, PHI, "gamma must be an int, got bool"),
+        (np.int64(GAMMA), PHI, "gamma must be an int, got int64"),
+        (0, PHI, "gamma must be positive"),
+        (-5, PHI, "gamma must be positive"),
+        (99_999, PHI, "gas_reserved must lie in (0, gamma]"),  # the op reserves 100,000
+        # precedence: gamma, then gas, then the price's type, then signs
+        (True, 0.5, "gamma must be an int, got bool"),
+        (99_999, "x", "gas_reserved must lie in (0, gamma]"),
+        (GAMMA, -0.5, "gas_price must be an int or a Fraction, got float"),
     ],
-    ids=["float_price", "str_price", "decimal_price", "bool_price", "float_gamma", "bool_gamma"],
+    ids=[
+        "float_price", "str_price", "decimal_price", "bool_price", "negative_price",
+        "negative_int_price", "float_gamma", "bool_gamma", "int64_gamma", "zero_gamma",
+        "negative_gamma", "gas_above_gamma", "gamma_first", "gas_before_price",
+        "type_before_sign",
+    ],
 )
 def test_reserve_refuses_inexact_gamma_or_gas_price(gamma, price, message):
     ledger = EscrowLedger()
     ledger.deposit("s1", "a", 50)
-    small = op(gas=1)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        required_escrow(small.bid, small.gas_reserved, gamma, price)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        ledger.reserve("s1", "a", small, gamma, price)
-    assert ledger.available("s1", "a") == 50
-    assert ledger.pending("s1", "a") == ()
+    held = ledger.reserve("s1", "a", op(gas=1), GAMMA, PHI)
+    before = ledger.to_json(), ledger.available("s1", "a"), ledger.pending("s1", "a")
+    refused = op()
+    for call in (
+        lambda: required_escrow(refused.bid, refused.gas_reserved, gamma, price),
+        lambda: ledger.reserve("s1", "a", refused, gamma, price),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert excinfo.type is ValueError and str(excinfo.value) == message
+    assert (ledger.to_json(), ledger.available("s1", "a"), ledger.pending("s1", "a")) == before
+    assert before[2] == (held,)
 
 
 def test_required_escrow_refuses_inexact_bid():
@@ -242,6 +265,23 @@ def test_rejection_message_is_formatted_on_demand():
     assert str(exc) == "solver 's1' needs 10.075 escrow with 'a' but has 1.925 available"
     assert (exc.needed, exc.available) == (parse_amount("10.075"), parse_amount("1.925"))
     assert type(exc.needed) is Fraction and type(exc.available) is Fraction
+
+
+def test_pending_reservation_is_an_immutable_hashable_record():
+    ledger = EscrowLedger()
+    ledger.deposit("s1", "a", 50)
+    reservation = ledger.reserve("s1", "a", op(bid=Fraction(7, 3)), GAMMA, PHI)
+    needed = required_escrow(Fraction(7, 3), 100_000, GAMMA, PHI)
+    assert reservation.amount == needed and type(reservation.amount) is Fraction
+    assert reservation.amount_pair == (needed.numerator, needed.denominator)
+    assert tuple(reservation) == (reservation.handle, "s1", "a", "s1", reservation.amount_pair)
+    assert reservation == PendingReservation(*reservation)
+    assert hash(reservation) == hash(PendingReservation(*reservation))
+    assert {reservation: 1}[PendingReservation(*reservation)] == 1
+    with pytest.raises(AttributeError):
+        reservation.amount_pair = (0, 1)  # type: ignore[misc]
+    with pytest.raises(TypeError):
+        reservation[4] = (0, 1)  # type: ignore[index]
 
 
 class TestSnapshot:
@@ -344,10 +384,15 @@ class TestLedgerIds:
     @BAD_IDS
     def test_reserve_refuses_a_bad_id(self, bad):
         ledger, before = self.funded()
-        with pytest.raises(ValueError, match="^solver_id must be a non-empty str, got "):
-            ledger.reserve(bad, "a", op(), GAMMA, PHI)
-        with pytest.raises(ValueError, match="^auctioneer_id must be a non-empty str, got "):
-            ledger.reserve("s", bad, op(), GAMMA, PHI)
+        for solver, auctioneer, gamma, price, which in [
+            (bad, "a", GAMMA, PHI, "solver_id"),
+            ("s", bad, GAMMA, PHI, "auctioneer_id"),
+            (bad, bad, True, 0.5, "solver_id"),  # ids are checked first
+        ]:
+            with pytest.raises(ValueError) as excinfo:
+                ledger.reserve(solver, auctioneer, op(), gamma, price)
+            assert excinfo.type is ValueError
+            assert str(excinfo.value) == f"{which} must be a non-empty str, got {bad!r}"
         assert self.state(ledger) == before
         assert ledger.pending("s", "a") == ()
 
@@ -604,3 +649,121 @@ def test_online_stream_matches_a_fraction_dict_ledger():
     assert {sid: ledger.balance(sid, auctioneer) for sid in solvers} == balance
     assert list(ledger) == sorted(((sid, auctioneer), amount) for sid, amount in balance.items())
     assert all(count > 0 for count in counts.values()), counts
+
+
+class LedgerMachine(RuleBasedStateMachine):
+    """Deposits, reserves (funded, unfunded and rejected), settlements and
+    cancellations over two auctioneers, checked after every step against a
+    model of deposits, charges and live holds kept in Fractions."""
+
+    SOLVERS, AUCTIONEERS = ("s1", "s2", "ghost"), ("a", "b")  # "ghost" never deposits
+
+    def __init__(self):
+        super().__init__()
+        self.ledger = EscrowLedger()
+        self.deposited: dict[tuple[str, str], Fraction] = {}
+        self.charged: dict[tuple[str, str], Fraction] = {}
+        self.live: dict[int, tuple[tuple[str, str], Fraction]] = {}  # handle → (pair, hold)
+        self.settled: list[tuple[Fraction, Fraction]] = []  # (balance taken, its hold)
+
+    def state(self):
+        ledger, keys = self.ledger, [(s, a) for s in self.SOLVERS for a in self.AUCTIONEERS]
+        return ledger.to_json(), [(ledger.available(*k), ledger.pending(*k)) for k in keys]
+
+    @rule(
+        solver=st.sampled_from(SOLVERS[:2]),
+        auctioneer=st.sampled_from(AUCTIONEERS),
+        amount=st.fractions(min_value=0, max_value=40, max_denominator=1_000),
+    )
+    def deposit(self, solver, auctioneer, amount):
+        self.ledger.deposit(solver, auctioneer, amount)
+        key = (solver, auctioneer)
+        self.deposited[key] = self.deposited.get(key, Fraction(0)) + amount
+
+    @rule(
+        solver=st.sampled_from(SOLVERS),
+        auctioneer=st.sampled_from(AUCTIONEERS),
+        bid=st.fractions(min_value=0, max_value=60, max_denominator=100) | st.just(Fraction(0)),
+        gas=st.integers(1, GAMMA),
+        price=st.sampled_from([PHI, Fraction(1, 100_000), 0]),
+        near=st.none() | st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(10**6 + 1, 10**6)]),
+        refused=st.none() | st.sampled_from(
+            [("", "a", GAMMA, PHI), ("s1", None, GAMMA, PHI), ("s1", "a", True, PHI),
+             ("s1", "a", 99_999, PHI), ("s1", "a", GAMMA, 0.5), ("s1", "a", GAMMA, -PHI)]
+        ),
+    )
+    def reserve(self, solver, auctioneer, bid, gas, price, near, refused):
+        before = self.state()
+        if refused:
+            with pytest.raises(ValueError):
+                self.ledger.reserve(refused[0], refused[1], op("s1", gas=100_000), *refused[2:])
+            assert self.state() == before
+            return
+        key = (solver, auctioneer)
+        free = self.deposited.get(key, 0) - self.charged.get(key, 0) - self.held(key)
+        if near is not None:  # aim the bid so the hold is that share of what is free
+            bid = max(Fraction(0), free * near - price * gas) * GAMMA / gas
+        needed = bid * gas / GAMMA + price * gas  # the documented formula
+        operation = op(solver, bid, gas)
+        try:
+            reservation = self.ledger.reserve(solver, auctioneer, operation, GAMMA, price)
+        except InsufficientEscrow as exc:
+            assert (exc.needed, exc.available) == (needed, free) and needed > free
+            assert self.state() == before
+            return
+        assert needed <= free and reservation.amount == needed
+        self.live[reservation.handle] = (key, needed)
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data(), share=st.fractions(min_value=0, max_value=2, max_denominator=7))
+    def settle(self, data, share):
+        handle = data.draw(st.sampled_from(sorted(self.live)))
+        key, hold = self.live[handle]
+        charge = hold * share
+        if charge > hold:
+            before = self.state()
+            with pytest.raises(ValueError, match="exceeds reserved"):
+                self.ledger.settle_reservation(handle, charge)
+            assert self.state() == before
+            return
+        balance = self.ledger.balance(*key)
+        self.ledger.settle_reservation(handle, charge)
+        del self.live[handle]
+        self.charged[key] = self.charged.get(key, Fraction(0)) + charge
+        self.settled.append((balance - self.ledger.balance(*key), hold))
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def cancel(self, data):
+        handle = data.draw(st.sampled_from(sorted(self.live)))
+        self.ledger.cancel_reservation(handle)
+        del self.live[handle]
+
+    def held(self, key):
+        return sum((hold for k, hold in self.live.values() if k == key), Fraction(0))
+
+    @invariant()
+    def books_balance(self):
+        ledger = self.ledger
+        assert sum((amount for _, amount in ledger), Fraction(0)) == sum(
+            self.deposited.values(), Fraction(0)
+        ) - sum(self.charged.values(), Fraction(0))
+        for s in self.SOLVERS:
+            for a in self.AUCTIONEERS:
+                key = (s, a)
+                balance = self.deposited.get(key, 0) - self.charged.get(key, 0)
+                assert ledger.balance(s, a) == balance
+                assert ledger.available(s, a) == balance - self.held(key) >= 0
+                assert sorted((r.handle, r.amount) for r in ledger.pending(s, a)) == sorted(
+                    (h, hold) for h, (k, hold) in self.live.items() if k == key
+                )
+        pairs = list(ledger._balances.values()) + [r.amount_pair for r in ledger._pending.values()]
+        pairs += [pair for per_solver in ledger._available.values() for pair in per_solver.values()]
+        assert all(d > 0 and math.gcd(n, d) == 1 for n, d in pairs)
+        assert all(charge <= hold for charge, hold in self.settled)
+
+
+LedgerMachine.TestCase.settings = settings(
+    derandomize=True, max_examples=60, stateful_step_count=30, deadline=None
+)
+TestLedgerMachine = LedgerMachine.TestCase

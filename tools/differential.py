@@ -1,4 +1,4 @@
-"""Differential check: one sha256 per seed and benchmark workload.
+"""Differential check: one sha256 per seed and workload (two benchmark rounds, a ledger session).
 
 Usage (from the repository root):
 
@@ -16,7 +16,15 @@ imported unchanged) against the ``ofasim`` package under ``--src`` (default:
   guarantee), the kept escrow snapshots, every settlement and the final
   balances.
 
-Equal lines for two checkouts mean a change kept both workloads' outputs
+It also runs one seeded ``escrow`` session of ``ESCROW_STEPS`` random ledger
+calls: deposits, reserves (accepted, short of escrow, or refused for a bad
+id, gamma, gas or price), settlements (some overcharged), cancellations
+(some of unknown handles) and snapshots. Its digest covers every outcome,
+each exception's type and message (``InsufficientEscrow`` included), the
+``pending()`` amounts and the final balances, so it checks the ledger's
+error paths, which ``auction_stream`` never reaches.
+
+Equal lines for two checkouts mean a change kept all three outputs
 identical. ``--against DIR`` makes that one command: it runs the digests for
 ``--src`` and for ``DIR/src``, each in its own interpreter, prints both sets,
 and exits 1 if any digest line differs.
@@ -35,14 +43,25 @@ import glob
 import hashlib
 import importlib
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from collections.abc import Mapping
+from decimal import Decimal
 from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MASK = "<inputs>"
+ESCROW_STEPS = 2000
+SOLVERS, AUCTIONEERS = ("s0", "s1", "s2", "ghost"), ("a", "b")  # "ghost" never deposits
+# (solver, auctioneer, gamma, gas_price) that reserve refuses with ValueError
+BAD_RESERVES = [
+    ("", "a", 10**6, 1), (None, "a", 10**6, 1), ("s0", b"a", 10**6, 1), ("s0", True, 10**6, 1),
+    ("s0", "a", True, 1), ("s0", "a", 1e6, 1), ("s0", "a", 0, 1), ("s0", "a", -1, 1),
+    ("s0", "a", 1, 1), ("s0", "a", 10**6, 0.5), ("s0", "a", 10**6, "1"),
+    ("s0", "a", 10**6, True), ("s0", "a", 10**6, Decimal(1)), ("s0", "a", 10**6, Fraction(-1, 3)),
+]
 
 
 def canonical(value) -> str:
@@ -88,6 +107,49 @@ def auction_stream_digest(bench, ofasim, seed: int) -> tuple[int, str]:
     return len(workload.orders), hashlib.sha256(record.encode()).hexdigest()
 
 
+def escrow_digest(bench, ofasim, seed: int) -> tuple[int, str]:
+    rng = random.Random(seed)
+    ledger = ofasim.escrow.EscrowLedger()
+    live: list[tuple[int, Fraction]] = []  # (handle, amount) of pending reservations
+    outcomes = []
+    for _ in range(ESCROW_STEPS):
+        roll = rng.random()
+        solver, auctioneer = rng.choice(SOLVERS), rng.choice(AUCTIONEERS)
+        try:
+            if roll < 0.15 and solver != "ghost":
+                amount = Fraction(rng.randint(0, 400), rng.randint(1, 12))
+                outcome = ledger.deposit(solver, auctioneer, amount)
+            elif roll < 0.6:
+                gamma = rng.randint(10**6, 3 * 10**6)
+                price = rng.choice((0, Fraction(1, 10**5), Fraction(3, 7 * 10**5)))
+                bid = Fraction(rng.randint(0, 15_000), rng.choice((100, 300, 1000)))
+                op = ofasim.auction.SolverOperation(solver, bid, rng.randint(1, gamma))
+                if rng.random() < 0.1:
+                    solver, auctioneer, gamma, price = rng.choice(BAD_RESERVES)
+                r = ledger.reserve(solver, auctioneer, op, gamma, price)
+                live.append((r.handle, r.amount))
+                outcome = (r.handle, r.solver_id, r.auctioneer_id, r.op_ref, r.amount)
+            elif roll < 0.9 and live:  # a refused call leaves its hold pending for good
+                handle, amount = live.pop(rng.randrange(len(live)))
+                if rng.random() < 0.05:
+                    handle += 10**6  # no such reservation
+                if roll < 0.8:
+                    charge = amount * Fraction(rng.randint(0, 110), 100)
+                    outcome = ledger.settle_reservation(handle, charge)
+                else:
+                    outcome = ledger.cancel_reservation(handle)
+            else:
+                outcome = (
+                    dict(ledger.prefetch_snapshot(auctioneer)),
+                    [(r.handle, r.amount) for r in ledger.pending(solver, auctioneer)],
+                )
+        except (ofasim.escrow.InsufficientEscrow, ValueError, KeyError) as exc:
+            outcome = exc
+        outcomes.append(outcome)
+    outcomes.append([ledger.to_json(), list(ledger)])
+    return ESCROW_STEPS, hashlib.sha256(canonical(outcomes).encode()).hexdigest()
+
+
 def src_lines(src: str) -> int:
     """Newlines in ``src/ofasim/*.py``, the count ``cat ... | wc -l`` prints."""
     total = 0
@@ -129,6 +191,7 @@ def main() -> int:
         for name, digest_of in (
             ("cli_batch", cli_batch_digest),
             ("auction_stream", auction_stream_digest),
+            ("escrow", escrow_digest),
         ):
             ops, digest = digest_of(bench, ofasim, seed)
             print(f"{name} seed={seed} ops={ops} sha256={digest}", flush=True)
