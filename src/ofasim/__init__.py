@@ -16,18 +16,17 @@ import importlib
 _EXPORTS = {
     "auction": (
         "AuctionTransaction", "Behavior", "GasSchedule", "SolverOperation",
-        "admit_operations", "solver_gas_budget",
+        "admit_operations",
     ),
     "censorship": (
         "CensorshipScenario", "censorship_resistance", "naive_censorship_cost",
         "resistance_sweep",
     ),
     "equilibrium": (
-        "BaselineGame", "BidSearchResult", "DiscreteTimeGame", "NoInteriorOptimumError",
-        "baseline_utility", "closed_form_bid", "conditional_success_value",
-        "deviation_utility", "discrete_time_utility", "optimal_bid_details",
-        "optimal_bid_numeric", "rank_sum_utility", "simplified_utility",
-        "utility_gradient",
+        "BaselineGame", "BidSearchResult", "DiscreteTimeGame", "baseline_utility",
+        "closed_form_bid", "conditional_success_value", "deviation_utility",
+        "discrete_time_utility", "optimal_bid_details", "rank_sum_utility",
+        "simplified_utility", "utility_gradient",
     ),
     "escrow": ("EscrowLedger", "InsufficientEscrow", "PendingReservation", "required_escrow"),
     "money": ("FRACTIONAL_DIGITS", "format_amount", "parse_amount"),

@@ -7,7 +7,9 @@ The gas available to solver operations is the budget
 
     gamma = tx_gas_limit − user_gas_consumed,
 
-and an admitted array always satisfies ``sum(gas_reserved) <= gamma``.
+read as ``GasSchedule.gamma``. A schedule refuses a budget that is not
+positive when it is built, and an admitted array always satisfies
+``sum(gas_reserved) <= gamma``.
 
 Ordering is canonical and total: descending bid, then ascending gas_reserved,
 then lexicographic solver id. Admission keeps the longest prefix of that
@@ -65,11 +67,17 @@ class GasSchedule:
             raise ValueError("tx_gas_limit must be a positive integer")
         if type(self.user_gas_consumed) is not int or self.user_gas_consumed < 0:
             raise ValueError("user_gas_consumed must be a non-negative integer")
-        if self.user_gas_consumed > self.tx_gas_limit:
-            raise ValueError("user_gas_consumed exceeds tx_gas_limit")
+        if self.user_gas_consumed >= self.tx_gas_limit:
+            raise ValueError("solver gas budget tx_gas_limit - user_gas_consumed must be positive")
         require_exact(self.gas_price, "gas_price")
         if self.gas_price.numerator < 0:
             raise ValueError("gas_price must be non-negative")
+
+    @property
+    def gamma(self) -> int:
+        """The solver gas budget ``tx_gas_limit − user_gas_consumed``, positive
+        by construction."""
+        return self.tx_gas_limit - self.user_gas_consumed
 
 
 @dataclass(frozen=True)
@@ -141,8 +149,6 @@ class AuctionTransaction:
         bid_scale: Set at construction: the lcm of the bid denominators.
         scaled_bids: Set at construction: each op's bid times ``bid_scale``,
             an integer, in execution order (the settlement kernel's input).
-        gamma: Set at construction: the solver gas budget of ``schedule``
-            (see :func:`solver_gas_budget`).
 
     :func:`admit_operations` skips only the constructor's checks that its
     construction guarantees (budget, distinct ids, order), not the private values.
@@ -153,12 +159,10 @@ class AuctionTransaction:
     private_values: Mapping[str, Fraction] = field(default_factory=dict)
     bid_scale: int = field(init=False, repr=False, compare=False)
     scaled_bids: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    gamma: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ops = tuple(self.solver_ops)
-        gamma = solver_gas_budget(self.schedule)
-        if sum(op.gas_reserved for op in ops) > gamma:
+        if sum(op.gas_reserved for op in ops) > self.schedule.gamma:
             raise ValueError("reserved gas exceeds the solver gas budget")
         ids = [op.solver_id for op in ops]
         if len(set(ids)) != len(ids):
@@ -167,36 +171,18 @@ class AuctionTransaction:
         keys = _order_keys(ops, bids)
         if any(later < earlier for earlier, later in zip(keys, keys[1:])):
             raise ValueError("solver_ops not in canonical descending-bid order")
-        self._finish(ops, MappingProxyType(dict(self.private_values)), scale, bids, gamma)
+        self._finish(ops, MappingProxyType(dict(self.private_values)), scale, bids)
 
     def _finish(self, *values: object) -> None:
         """Set the fields after ``schedule`` to ``values``, in order, then check
         the private values: the part of construction admission goes through."""
-        names = ("solver_ops", "private_values", "bid_scale", "scaled_bids", "gamma")
+        names = ("solver_ops", "private_values", "bid_scale", "scaled_bids")
         for name, value in zip(names, values):
             object.__setattr__(self, name, value)
         for value in self.private_values.values():
             require_exact(value, "private value")
             if value.numerator < 0:  # an int compare; ``Fraction < 0`` is ~10x slower
                 raise ValueError("private values must be non-negative")
-
-
-def solver_gas_budget(schedule: GasSchedule) -> int:
-    """Gas available to solver operations.
-
-    Args:
-        schedule: Gas parameters of the transaction.
-
-    Returns:
-        ``tx_gas_limit − user_gas_consumed``.
-
-    Raises:
-        ValueError: If the budget is not positive (malformed auction).
-    """
-    budget = schedule.tx_gas_limit - schedule.user_gas_consumed
-    if budget <= 0:
-        raise ValueError("solver gas budget must be positive")
-    return budget
 
 
 def require_gas_share(gas_reserved: int, gamma: int) -> None:
@@ -233,7 +219,6 @@ def admit_operations(
     Returns:
         The admitted transaction (possibly with no operations).
     """
-    budget = solver_gas_budget(schedule)
     ops = list(candidates)
     full_scale, scaled = _scaled_bids(ops)
     best: dict[str, tuple[tuple, SolverOperation]] = {}
@@ -243,7 +228,7 @@ def admit_operations(
             best[op.solver_id] = (key, op)
     admitted: list[SolverOperation] = []
     keys: list[tuple] = []
-    remaining = budget
+    remaining = schedule.gamma
     for key, op in sorted(best.values(), key=itemgetter(0)):
         if op.gas_reserved > remaining:
             break
@@ -259,5 +244,5 @@ def admit_operations(
     # built without __post_init__, whose other checks hold by construction
     tx = object.__new__(AuctionTransaction)
     object.__setattr__(tx, "schedule", schedule)
-    tx._finish(tuple(admitted), MappingProxyType(values), scale, bids, budget)
+    tx._finish(tuple(admitted), MappingProxyType(values), scale, bids)
     return tx

@@ -524,6 +524,11 @@ def _flag_amount(text: str, flag: str) -> Fraction:
         raise ScenarioError(f"{flag}: {exc}") from exc
 
 
+#: Most points one sweep grid may hold: sigma values in ``sweep equilibrium``,
+#: gammas in ``sweep censorship``.
+MAX_GRID_POINTS = 10_000
+
+
 def _sweep_censorship(args: argparse.Namespace) -> list[list]:
     rivals = []
     for spec in args.rival or ["100:100000"]:
@@ -534,6 +539,8 @@ def _sweep_censorship(args: argparse.Namespace) -> list[list]:
         rivals.append((_flag_amount(bid_text, f"--rival {spec!r}"), int(gas_text)))
     if args.gamma_points < 1:
         raise ScenarioError("--gamma-points must be >= 1")
+    if args.gamma_points > MAX_GRID_POINTS:
+        raise ScenarioError(f"--gamma-points must be at most {MAX_GRID_POINTS}")
     if args.gamma_min > args.gamma_max:
         raise ScenarioError("--gamma-min must not exceed --gamma-max")
     span, intervals = args.gamma_max - args.gamma_min, max(args.gamma_points - 1, 1)
@@ -580,10 +587,6 @@ def _sweep_throughput(args: argparse.Namespace) -> list[list]:
     ]
 
 
-#: Most sigma values one ``sweep equilibrium`` grid may hold.
-MAX_SIGMA_POINTS = 10_000
-
-
 def _sweep_equilibrium(args: argparse.Namespace) -> list[list]:
     if not args.sigma_step > 0:
         raise ScenarioError("--sigma-step must be positive")
@@ -601,8 +604,8 @@ def _sweep_equilibrium(args: argparse.Namespace) -> list[list]:
     sigma = args.sigma_min
     while sigma <= args.sigma_max + 1e-9:
         # the cap also ends a grid whose step stops advancing before --sigma-max
-        if len(sigmas) == MAX_SIGMA_POINTS:
-            raise ScenarioError(f"the sigma grid has more than {MAX_SIGMA_POINTS} points")
+        if len(sigmas) == MAX_GRID_POINTS:
+            raise ScenarioError(f"the sigma grid has more than {MAX_GRID_POINTS} points")
         sigmas.append(round(sigma, 10))
         sigma += args.sigma_step
     rows, warnings = [["n", "sigma", "v", "b_star", "b_star_over_v"]], []

@@ -29,7 +29,7 @@ Two symmetric bidding games over a common prize:
     A caution that matters for optimization: U(b) as displayed is monotone
     decreasing in b across the whole bracket [v−6σ, v+6σ] whenever v is large
     relative to σ (e.g. prize ~3500 with σ ≤ 12), so no interior maximum
-    exists there and ``optimal_bid_numeric`` raises ``NoInteriorOptimumError``
+    exists there: ``optimal_bid_details`` then reports ``interior=False``
     with boundary diagnostics. Interior optima do exist when v is on the
     order of σ·|z|·φ(z) (small prizes), and the optimizer finds them by
     golden-section search on the bracket.
@@ -77,7 +77,7 @@ class BaselineGame:
     Attributes:
         n: Number of bidders (≥ 2).
         q: Per-execution failure probability, strictly inside (0, 1).
-        v: Common value of winning (> 0).
+        v: Common value of winning (finite and > 0).
 
     Fields accept exact rational values; the closed forms below then evaluate
     exactly.
@@ -94,6 +94,9 @@ class BaselineGame:
         require_real(self.v, "v")
         if not 0 < self.q < 1:
             raise ValueError("q must lie strictly in (0, 1)")
+        # exact for int and Fraction, so an exact 10**400 stays accepted
+        if not abs(self.v) < math.inf:
+            raise ValueError("v must be finite")
         if not self.v > 0:
             raise ValueError("v must be positive")
 
@@ -298,26 +301,6 @@ class BidSearchResult:
     utility_at_bid: float
 
 
-class NoInteriorOptimumError(Exception):
-    """The utility has no interior maximum on the search bracket.
-
-    Raised when the utility is monotone over [v−6σ, v+6σ] so the argmax sits
-    on a boundary; carries the search diagnostics as ``result``.
-    """
-
-    def __init__(self, result: BidSearchResult) -> None:
-        self.result = result
-        super().__init__(
-            "no interior optimum in "
-            f"[{result.lower:.6g}, {result.upper:.6g}]: "
-            f"gradient {result.gradient_lower:.6g} at the lower edge, "
-            f"{result.gradient_upper:.6g} at the upper edge; bracket argmax "
-            f"at {result.bid:.6g} "
-            f"(utility {result.utility_at_bid:.6g} vs "
-            f"{result.utility_lower:.6g} / {result.utility_upper:.6g} at the edges)"
-        )
-
-
 def _golden_section_argmax(f, lower: float, upper: float, tol: float) -> float:
     """Deterministic golden-section maximization on [lower, upper]: the midpoint
     of the final interval once it is no wider than tol, or, if rounding merges
@@ -379,20 +362,3 @@ def optimal_bid_details(game: DiscreteTimeGame) -> BidSearchResult:
         utility_at_bid=util(best),
         **edges,
     )
-
-
-def optimal_bid_numeric(game: DiscreteTimeGame) -> float:
-    """Utility-maximizing bid on [v−6σ, v+6σ].
-
-    Returns:
-        The interior argmax of ``discrete_time_utility``.
-
-    Raises:
-        NoInteriorOptimumError: When the utility is monotone on the bracket
-            and the argmax sits on a boundary (the case for prizes large
-            relative to sigma); the exception carries boundary diagnostics.
-    """
-    result = optimal_bid_details(game)
-    if not result.interior:
-        raise NoInteriorOptimumError(result)
-    return result.bid

@@ -153,7 +153,7 @@ def _pattern_terms(
     its fee counting the user's gas, over pd and over ``vd · pd · scale``
     (vd: its private value's denominator), or None; the payout over den.
     """
-    gamma = tx.gamma
+    gamma = tx.schedule.gamma
     scale, bids = tx.bid_scale, tx.scaled_bids
     den = scale * gamma
     price = tx.schedule.gas_price
@@ -182,7 +182,7 @@ def _settle_first_success(tx: AuctionTransaction, first: int) -> SettlementResul
     """Settle ``tx`` as if op ``first`` were the first to succeed (see
     :func:`_pattern_terms`); a ``Fraction`` is built per returned amount."""
     reverted_terms, winner_terms, payout = _pattern_terms(tx, first)
-    den = tx.bid_scale * tx.gamma
+    den = tx.bid_scale * tx.schedule.gamma
     pd = tx.schedule.gas_price.denominator
     ops = tx.solver_ops
     reverted = ops[:first]
@@ -290,4 +290,4 @@ def guaranteed_minimum(tx: AuctionTransaction) -> Fraction:
     weighted = sum(
         bid * op.gas_reserved for bid, op in zip(tx.scaled_bids, tx.solver_ops)
     )
-    return Fraction(weighted, tx.bid_scale * tx.gamma)
+    return Fraction(weighted, tx.bid_scale * tx.schedule.gamma)

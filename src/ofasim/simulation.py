@@ -41,7 +41,6 @@ from .auction import (
     GasSchedule,
     SolverOperation,
     admit_operations,
-    solver_gas_budget,
 )
 from .censorship import CensorshipScenario, censorship_resistance
 from .equilibrium import normal_cdf, normal_sf
@@ -382,7 +381,11 @@ class TimelineConfig:
 
 @dataclass(frozen=True)
 class Timeline:
-    """Timeline model: latencies plus an optional auction to run through it."""
+    """Timeline model: latencies plus an optional auction to run through it.
+
+    Candidates and an escrow snapshot belong to that auction: without a
+    schedule, both must be empty.
+    """
 
     config: TimelineConfig
     schedule: Optional[GasSchedule] = None
@@ -393,6 +396,8 @@ class Timeline:
         object.__setattr__(self, "candidates", tuple(self.candidates))
         for amount in (self.escrow_snapshot or {}).values():
             require_exact(amount, "escrow snapshot amount")
+        if self.schedule is None and (self.candidates or self.escrow_snapshot):
+            raise ValueError("solver ops and an escrow snapshot need a schedule")
 
 
 Model = Union[IidFailure, NormalValuation, ThroughputSweep, SpoofAttack, Timeline]
@@ -447,7 +452,7 @@ def _pattern_columns(tx: AuctionTransaction) -> np.ndarray:
     exact amount.
     """
     n = len(tx.solver_ops)
-    den = tx.bid_scale * tx.gamma
+    den = tx.bid_scale * tx.schedule.gamma
     payoff_den = den * tx.schedule.gas_price.denominator
     rows, payouts = [], []
     with _float_range("payoff"):
@@ -779,9 +784,10 @@ def run_timeline(config: SimConfig) -> dict:
     push(order_received, TimelineEventKind.ORDER_RECEIVED)
     push(order_received, TimelineEventKind.AUCTION_OPENED)
 
-    solvent: list[SolverOperation] = []
+    guarantee_value: Optional[str] = None
     if model.schedule is not None:
-        gamma = solver_gas_budget(model.schedule)
+        solvent: list[SolverOperation] = []
+        gamma = model.schedule.gamma
         for op in model.candidates:
             needed = required_escrow(
                 op.bid, op.gas_reserved, gamma, model.schedule.gas_price
@@ -803,9 +809,6 @@ def run_timeline(config: SimConfig) -> dict:
                     TimelineEventKind.BID_REJECTED,
                     f"{op.solver_id} insufficient escrow (cached)",
                 )
-
-    guarantee_value: Optional[str] = None
-    if model.schedule is not None:
         tx = admit_operations(solvent, model.schedule)
         guarantee_value = format_amount(guaranteed_minimum(tx))
 

@@ -18,7 +18,6 @@ from ofasim.auction import (
     _order_keys,
     _scaled_bids,
     admit_operations,
-    solver_gas_budget,
 )
 from ofasim.settlement import guaranteed_minimum
 
@@ -35,23 +34,32 @@ def op(sid, bid, gas=100_000, used=None, behavior=Behavior.REVERT):
     )
 
 
-class TestGasSchedule:
-    def test_solver_gas_budget(self):
-        schedule = GasSchedule(tx_gas_limit=11_000_000, user_gas_consumed=1_000_000)
-        assert solver_gas_budget(schedule) == 10_000_000
+BUDGET_MESSAGE = "solver gas budget tx_gas_limit - user_gas_consumed must be positive"
 
-    def test_zero_budget_raises_on_use(self):
-        schedule = GasSchedule(tx_gas_limit=100, user_gas_consumed=100)
-        with pytest.raises(ValueError, match="budget must be positive"):
-            solver_gas_budget(schedule)
+
+class TestGasSchedule:
+    def test_gamma_is_the_limit_less_the_user_gas(self):
+        for limit, user in [(11_000_000, 1_000_000), (1, 0), (101, 100), (2**70, 2**69)]:
+            schedule = GasSchedule(tx_gas_limit=limit, user_gas_consumed=user)
+            assert schedule.gamma == limit - user
+        # a property, not a field: the fields and repr are unchanged
+        names = [f.name for f in dataclasses.fields(GasSchedule)]
+        assert names == ["tx_gas_limit", "user_gas_consumed", "gas_price"]
+        assert "gamma" not in repr(schedule)
+
+    def test_zero_budget_raises_at_construction(self):
+        for limit in (5, 100, 1):
+            with pytest.raises(ValueError, match=f"^{BUDGET_MESSAGE}$"):
+                GasSchedule(tx_gas_limit=limit, user_gas_consumed=limit)
 
     def test_limit_must_be_positive(self):
         with pytest.raises(ValueError, match="tx_gas_limit"):
             GasSchedule(tx_gas_limit=0, user_gas_consumed=0)
 
     def test_user_gas_cannot_exceed_limit(self):
-        with pytest.raises(ValueError, match="exceeds tx_gas_limit"):
-            GasSchedule(tx_gas_limit=100, user_gas_consumed=101)
+        for user in (101, 10**6):
+            with pytest.raises(ValueError, match=f"^{BUDGET_MESSAGE}$"):
+                GasSchedule(tx_gas_limit=100, user_gas_consumed=user)
 
     def test_negative_gas_price_rejected(self):
         with pytest.raises(ValueError, match="gas_price"):
@@ -185,10 +193,9 @@ class TestAuctionTransaction:
     def test_gamma_property(self):
         schedule = GasSchedule(tx_gas_limit=1_100_000, user_gas_consumed=100_000)
         tx = AuctionTransaction(schedule=schedule, solver_ops=(op("a", 1),))
-        assert tx.gamma == 1_000_000
-        # stored at construction, like bid_scale: no part of equality or repr
-        assert tx == AuctionTransaction(schedule=schedule, solver_ops=(op("a", 1),))
-        assert "gamma" not in repr(tx)
+        # the schedule is the one home of the budget; a transaction keeps no copy
+        assert tx.schedule.gamma == 1_000_000
+        assert not hasattr(tx, "gamma")
 
 
 class TestAdmitOperations:
@@ -251,7 +258,7 @@ class TestAdmitOperations:
 @given(seed=st.integers(0, 2**32 - 1))
 def test_admitted_gas_never_exceeds_budget(seed):
     tx = random_transaction(np.random.default_rng(seed))
-    assert sum(o.gas_reserved for o in tx.solver_ops) <= tx.gamma
+    assert sum(o.gas_reserved for o in tx.solver_ops) <= tx.schedule.gamma
 
 
 @settings(max_examples=100, deadline=None)
@@ -302,7 +309,7 @@ def _reference_admission(candidates, schedule):
         cur = best.get(candidate.solver_id)
         if cur is None or candidate.sort_key() < cur.sort_key():
             best[candidate.solver_id] = candidate
-    admitted, remaining = [], solver_gas_budget(schedule)
+    admitted, remaining = [], schedule.gamma
     for candidate in sorted(best.values(), key=SolverOperation.sort_key):
         if candidate.gas_reserved > remaining:
             break
@@ -330,7 +337,7 @@ def test_integer_order_matches_the_fraction_order(seed):
     reference = _reference_admission(candidates, schedule)
     assert [id(c) for c in tx.solver_ops] == [id(c) for c in reference]
     assert guaranteed_minimum(tx) == sum(
-        (c.bid * Fraction(c.gas_reserved, tx.gamma) for c in reference), Fraction(0)
+        (c.bid * Fraction(c.gas_reserved, tx.schedule.gamma) for c in reference), Fraction(0)
     )
     assert type(guaranteed_minimum(tx)) is Fraction
 

@@ -331,6 +331,11 @@ SWEEP_REJECTIONS = {
         ["censorship", "--gamma-min", "0", "--gamma-points", "2"],
         "gamma must be a positive integer",
     ),
+    # the grid is refused before it is built
+    "gamma_points_over_the_cap": (
+        ["censorship", "--gamma-points", str(cli.MAX_GRID_POINTS + 1)],
+        f"--gamma-points must be at most {cli.MAX_GRID_POINTS}",
+    ),
     "gamma_range_reversed": (
         ["censorship", "--gamma-min", "5000000", "--gamma-max", "1000000", "--gamma-points", "3"],
         "--gamma-min must not exceed --gamma-max",
@@ -737,11 +742,11 @@ def test_throughput_rejects_non_positive_gas_per_op(capsys, gas):
         ),
         (
             ["--sigma-min", "0", "--sigma-max", "1", "--sigma-step", "1e-12"],
-            f"the sigma grid has more than {cli.MAX_SIGMA_POINTS} points",
+            f"the sigma grid has more than {cli.MAX_GRID_POINTS} points",
         ),
         (
             ["--sigma-min=-1e17", "--sigma-max", "1"],
-            f"the sigma grid has more than {cli.MAX_SIGMA_POINTS} points",
+            f"the sigma grid has more than {cli.MAX_GRID_POINTS} points",
         ),
     ],
     ids=["step_does_not_advance", "too_many_points", "stuck_below_sigma_max"],
@@ -848,7 +853,12 @@ MALFORMED_FILES = [
     (
         "schedule_builder",
         settle_scenario(schedule={"tx_gas_limit": 5, "user_gas_consumed": 6}),
-        "scenario.schedule: user_gas_consumed exceeds tx_gas_limit",
+        "scenario.schedule: solver gas budget tx_gas_limit - user_gas_consumed must be positive",
+    ),
+    (
+        "zero_budget",
+        settle_scenario(schedule={"tx_gas_limit": 5, "user_gas_consumed": 5}),
+        "scenario.schedule: solver gas budget tx_gas_limit - user_gas_consumed must be positive",
     ),
     (
         "private_value_literal",
@@ -927,6 +937,13 @@ MALFORMED_FILES = [
         model_config("timeline", escrow_snapshot={"a": "1", "b": 2.5}),
         "config.model.escrow_snapshot.b: currency must be a decimal string, not a "
         "float (binary floats would break exact accounting)",
+    ),
+    (
+        "timeline_ops_without_schedule",
+        model_config(
+            "timeline", solver_ops=[{"solver_id": "a", "bid": "1", "gas_reserved": 1}]
+        ),
+        "config.model: solver ops and an escrow snapshot need a schedule",
     ),
     (
         "snapshot_not_an_object",

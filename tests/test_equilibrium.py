@@ -21,7 +21,6 @@ from ofasim.equilibrium import (
     BRACKET_SIGMAS,
     BaselineGame,
     DiscreteTimeGame,
-    NoInteriorOptimumError,
     _golden_section_argmax,
     baseline_utility,
     closed_form_bid,
@@ -32,7 +31,6 @@ from ofasim.equilibrium import (
     normal_pdf,
     normal_sf,
     optimal_bid_details,
-    optimal_bid_numeric,
     rank_sum_utility,
     simplified_utility,
     utility_gradient,
@@ -70,6 +68,14 @@ class TestBaselineGame:
         fields = {"n": 2, "q": Fraction(1, 2), "v": Fraction(100), field: True}
         with pytest.raises(ValueError, match=f"^{field} must be a real number, got bool$"):
             BaselineGame(**fields)
+
+    def test_v_must_be_finite(self):
+        for v in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^v must be finite$"):
+                BaselineGame(n=2, q=Fraction(1, 2), v=v)
+        # exact and beyond the float range: accepted, and the bid stays exact
+        game = BaselineGame(n=2, q=Fraction(1, 2), v=10**400)
+        assert closed_form_bid(game) == Fraction(2 * 10**400, 3)
 
     def test_closed_form_bid_reference_value(self):
         game = BaselineGame(n=2, q=Fraction(1, 2), v=Fraction(100))
@@ -261,15 +267,18 @@ class TestUtilityGradient:
 
     def test_gradient_zero_at_interior_optimum(self):
         game = DiscreteTimeGame(n=5, v=0.5, sigma=0.01)
-        bid = optimal_bid_numeric(game)
-        assert abs(utility_gradient(game, bid)) < 1e-4
+        details = optimal_bid_details(game)
+        assert details.interior
+        assert abs(utility_gradient(game, details.bid)) < 1e-4
 
 
 class TestOptimalBid:
     def test_large_prize_has_no_interior_optimum(self):
-        game = DiscreteTimeGame(n=5, v=3500.0, sigma=5.0)
-        with pytest.raises(NoInteriorOptimumError, match="no interior optimum"):
-            optimal_bid_numeric(game)
+        # monotone over the whole bracket: the argmax is its lower edge
+        for n, sigma in [(2, 0.5), (5, 5.0), (25, 12.0)]:
+            details = optimal_bid_details(DiscreteTimeGame(n=n, v=3500.0, sigma=sigma))
+            assert not details.interior
+            assert details.bid == pytest.approx(details.lower, abs=1e-4)
 
     def test_no_interior_diagnostics_point_at_the_lower_edge(self):
         game = DiscreteTimeGame(n=5, v=3500.0, sigma=5.0)
@@ -281,9 +290,6 @@ class TestOptimalBid:
         assert details.gradient_upper < 0
         assert details.utility_lower > details.utility_upper
         assert details.bid == pytest.approx(details.lower, abs=1e-4)
-        with pytest.raises(NoInteriorOptimumError) as excinfo:
-            optimal_bid_numeric(game)
-        assert excinfo.value.result == details
 
     @pytest.mark.parametrize(
         "n,v,sigma,frozen",
@@ -298,7 +304,6 @@ class TestOptimalBid:
         details = optimal_bid_details(game)
         assert details.interior
         assert details.bid == pytest.approx(frozen, abs=1e-8)
-        assert optimal_bid_numeric(game) == details.bid
         # genuinely a maximum: beats both bracket edges
         assert details.utility_at_bid >= details.utility_lower
         assert details.utility_at_bid >= details.utility_upper

@@ -38,7 +38,7 @@ from ofasim.simulation import ThroughputSweep, median_failure_costs
 
 def case_analysis_settle(tx: AuctionTransaction) -> SettlementResult:
     """Settlement with the payout derived per outcome case, not summed."""
-    gamma = tx.gamma
+    gamma = tx.schedule.gamma
     price = tx.schedule.gas_price
     executed = []
     reverted = []

@@ -406,6 +406,19 @@ class TestTimeline:
         assert report["guarantee_value"] == "80"
         assert report["chain_quiet_between_order_and_guarantee"]
 
+    def test_an_auction_without_a_schedule_is_refused(self):
+        op = SolverOperation("a", Fraction(1), 100_000)
+        for fields in ({"candidates": (op,)}, {"escrow_snapshot": {"a": Fraction(1)}}):
+            with pytest.raises(
+                ValueError, match="^solver ops and an escrow snapshot need a schedule$"
+            ):
+                Timeline(TimelineConfig(), **fields)
+        # empty is no auction: it stays valid, as the default is
+        report = run_timeline(
+            SimConfig(1, 1, Timeline(TimelineConfig(), candidates=(), escrow_snapshot={}))
+        )
+        assert report["guarantee_value"] is None
+
     def test_quiet_check_flags_chain_access_inside_the_window(self):
         events = [
             TimelineEvent(0, TimelineEventKind.ESCROW_PREFETCH),
