@@ -34,7 +34,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .money import ZERO, require_exact
+from .money import ZERO, require_exact, require_int
 
 
 class Behavior(Enum):
@@ -63,10 +63,8 @@ class GasSchedule:
     gas_price: Fraction = ZERO
 
     def __post_init__(self) -> None:
-        if type(self.tx_gas_limit) is not int or self.tx_gas_limit <= 0:
-            raise ValueError("tx_gas_limit must be a positive integer")
-        if type(self.user_gas_consumed) is not int or self.user_gas_consumed < 0:
-            raise ValueError("user_gas_consumed must be a non-negative integer")
+        require_int(self.tx_gas_limit, "tx_gas_limit", 1)
+        require_int(self.user_gas_consumed, "user_gas_consumed", 0)
         if self.user_gas_consumed >= self.tx_gas_limit:
             raise ValueError("solver gas budget tx_gas_limit - user_gas_consumed must be positive")
         require_exact(self.gas_price, "gas_price")
@@ -104,17 +102,13 @@ class SolverOperation:
     def __post_init__(self) -> None:
         if self.gas_used is None:
             object.__setattr__(self, "gas_used", self.gas_reserved)
-        if not self.solver_id:
-            raise ValueError("solver_id must be non-empty")
-        if not isinstance(self.solver_id, str):  # as escrow's ids: sorted, JSON keys
+        if not (isinstance(self.solver_id, str) and self.solver_id):  # as escrow's ids
             raise ValueError(f"solver_id must be a non-empty str, got {self.solver_id!r}")
         require_exact(self.bid, "bid")
         if self.bid.numerator < 0:
             raise ValueError("bid must be non-negative")
-        if type(self.gas_reserved) is not int or self.gas_reserved <= 0:
-            raise ValueError("gas_reserved must be a positive integer")
-        if type(self.gas_used) is not int or not 0 <= self.gas_used <= self.gas_reserved:
-            raise ValueError("gas_used must lie in [0, gas_reserved]")
+        require_int(self.gas_reserved, "gas_reserved", 1)
+        require_int(self.gas_used, "gas_used", 0, self.gas_reserved)
 
     def sort_key(self) -> tuple:
         """Canonical execution-order key: bid desc, gas asc, id asc.

@@ -34,15 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .money import ZERO, require_exact
+from .money import ZERO, require_exact, require_int
 
-_RIVAL_GAS = "rival gas must lie in (0, gamma]"
 _NO_RIVALS = "refined resistance needs at least one rival"
-
-
-def _check_gamma(gamma: object) -> None:
-    if type(gamma) is not int or gamma <= 0:
-        raise ValueError("gamma must be a positive integer")
 
 
 def _check_price(gas_price: object) -> None:
@@ -69,17 +63,14 @@ class CensorshipScenario:
     attacker_value: Fraction = ZERO
 
     def __post_init__(self) -> None:
-        _check_gamma(self.gamma)
+        require_int(self.gamma, "gamma", 1)
         _check_price(self.gas_price)
         object.__setattr__(self, "rival_ops", tuple(tuple(r) for r in self.rival_ops))
         for bid, gas in self.rival_ops:
             require_exact(bid, "rival bid")
             if bid < 0:
                 raise ValueError("rival bids must be non-negative")
-            if type(gas) is not int:
-                raise ValueError("rival gas must be an integer")
-            if not 0 < gas <= self.gamma:
-                raise ValueError(_RIVAL_GAS)
+            require_int(gas, "rival gas", 1, self.gamma)
         require_exact(self.attacker_value, "attacker_value")
 
 
@@ -94,7 +85,7 @@ def naive_censorship_cost(gamma: int, gas_price: Fraction) -> Fraction:
         ``gas_price · gamma``; censorship is rational when the attacker's
         value exceeds this.
     """
-    _check_gamma(gamma)
+    require_int(gamma, "gamma", 1)
     _check_price(gas_price)
     return gas_price * gamma
 
@@ -165,23 +156,21 @@ def resistance_sweep(
     if not gammas or not prices:
         raise ValueError("sweep ranges must be non-empty")
     rivals = template.rival_ops
-    # The template's rivals are valid, so a point fails on its gamma, then its
-    # price, then the widest rival's gas, then an empty rival set. Past the
-    # first point, the rest of the first gamma's row meets each price, and
-    # each later gamma is met with prices already checked.
-    max_gas = max((gas for _, gas in rivals), default=0)
-    _check_gamma(gammas[0])
+    # The template's rivals are valid, so a point fails on its gamma, its price,
+    # the widest rival's gas (as any too-wide rival), then an empty rival set.
+    # Past the first point, the rest of the first gamma's row meets each price,
+    # and each later gamma is met with prices already checked.
+    max_gas = max((gas for _, gas in rivals), default=1)
+    require_int(gammas[0], "gamma", 1)
     _check_price(prices[0])
-    if max_gas > gammas[0]:
-        raise ValueError(_RIVAL_GAS)
+    require_int(max_gas, "rival gas", 1, gammas[0])
     if not rivals:
         raise ValueError(_NO_RIVALS)
     for price in prices[1:]:
         _check_price(price)
     for gamma in gammas[1:]:
-        _check_gamma(gamma)
-        if max_gas > gamma:
-            raise ValueError(_RIVAL_GAS)
+        require_int(gamma, "gamma", 1)
+        require_int(max_gas, "rival gas", 1, gamma)
     best_bid = max(bid for bid, _ in rivals)
     min_gas = min(gas for _, gas in rivals)
     value = template.attacker_value

@@ -10,11 +10,11 @@ Scenario files are JSON with a versioned top-level ``"schema"`` field
 (``settle/1``, ``simulate/1``). Every JSON object is checked against a
 field-spec table (field name → parser, required or optional): unknown fields
 are rejected at every nesting level, currency must be decimal strings (floats
-are refused — binary floats would silently break exact accounting), gas and
-counts must be integers, and ``NaN``/``Infinity`` are refused everywhere. An
-optional field left out takes the library's default. Output currency is
-serialized as decimal strings. Reports are printed exactly as
-``json.dumps(report, indent=2)`` would print them.
+are refused — binary floats would silently break exact accounting), and
+``NaN``/``Infinity`` are refused everywhere. Integers and solver ids reach the
+library as given: it checks values, the CLI only converts them and checks the
+JSON's shape. An optional field left out takes the library's default. Reports
+print as ``json.dumps(report, indent=2)`` would, currency as decimal strings.
 
 A plain command line (a subcommand, its positionals, then exact ``--flag
 value`` pairs whose values do not start with ``-``) is read without argparse,
@@ -124,15 +124,15 @@ def _object(builder: Callable[..., Any], **spec: tuple[Parser, bool]) -> Parser:
     return parse
 
 
-def _int(minimum: int | None = None) -> Parser:
-    def parse(value: Any) -> int:
-        if type(value) is not int:
-            raise _Invalid("expected an integer")
-        if minimum is not None and value < minimum:
-            raise _Invalid(f"must be >= {minimum}")
-        return value
+def _given(value: Any) -> Any:
+    """A value the library checks itself (gas, counts, seeds, solver ids)."""
+    return value
 
-    return parse
+
+def _gas_used(value: Any) -> Any:
+    if value is None:  # the library would read null as a left-out gas_used
+        raise _Invalid("expected an integer, got null")
+    return value
 
 
 def _expect_number(value: Any) -> float:
@@ -142,12 +142,6 @@ def _expect_number(value: Any) -> float:
     if not abs(value) <= sys.float_info.max:
         raise _Invalid("expected a finite number")
     return float(value)
-
-
-def _expect_str(value: Any) -> str:
-    if not isinstance(value, str):
-        raise _Invalid("expected a string")
-    return value
 
 
 def _currency(value: Any) -> Fraction:
@@ -180,7 +174,9 @@ _BEHAVIORS = {behavior.value: behavior for behavior in Behavior}
 
 
 def _behavior(value: Any) -> Behavior:
-    behavior = _BEHAVIORS.get(_expect_str(value))
+    if not isinstance(value, str):
+        raise _Invalid("expected a string")
+    behavior = _BEHAVIORS.get(value)
     if behavior is None:
         raise _Invalid("behavior must be 'succeed' or 'revert'")
     return behavior
@@ -239,17 +235,17 @@ def _load_json(path: str) -> Any:
 
 _SCHEDULE = _object(
     GasSchedule,
-    tx_gas_limit=(_int(), True),
-    user_gas_consumed=(_int(), True),
+    tx_gas_limit=(_given, True),
+    user_gas_consumed=(_given, True),
     gas_price=(_currency, False),
 )
 
 _SOLVER_OP = _object(
     SolverOperation,
-    gas_reserved=(_int(1), True),
-    solver_id=(_expect_str, True),
+    gas_reserved=(_given, True),
+    solver_id=(_given, True),
     bid=(_currency, True),
-    gas_used=(_int(0), False),
+    gas_used=(_gas_used, False),
     behavior=(_behavior, False),
 )
 
@@ -285,20 +281,14 @@ def _timeline(**fields: Any) -> Timeline:
 #: Fields shared by the two bidding-game models.
 _GAME_OPS: dict[str, tuple[Parser, bool]] = {
     "bids": (_array(_currency), True),
-    "gas_per_op": (_int(1), False),
+    "gas_per_op": (_given, False),
     "gas_price": (_currency, False),
 }
-
-
-def _gas_or_null(value: Any) -> int | None:
-    # null, like leaving the field out, reserves the whole budget
-    return None if value is None else _int(1)(value)
-
 
 _RIVAL = _object(
     lambda bid, gas_reserved: (bid, gas_reserved),
     bid=(_currency, True),
-    gas_reserved=(_int(1), True),
+    gas_reserved=(_given, True),
 )
 
 
@@ -309,22 +299,22 @@ def _models() -> dict[str, Parser]:
     return {
         "iid_failure": _object(
             simulation.IidFailure,
-            n=(_int(1), True),
+            n=(_given, True),
             q=(_expect_number, True),
             v=(_currency, True),
             **_GAME_OPS,
         ),
         "normal_valuation": _object(
             simulation.NormalValuation,
-            n=(_int(1), True),
+            n=(_given, True),
             v=(_currency, True),
             sigma=(_expect_number, True),
             **_GAME_OPS,
         ),
         "throughput_sweep": _object(
             simulation.ThroughputSweep,
-            gammas=(_array(_int(1)), True),
-            gas_per_op=(_int(1), False),
+            gammas=(_array(_given), True),
+            gas_per_op=(_given, False),
             bid_high=(_currency, False),
             bid_low=(_currency, False),
             q=(_expect_number, False),
@@ -332,18 +322,19 @@ def _models() -> dict[str, Parser]:
         "spoof_attack": _object(
             _spoof_attack,
             rivals=(_array(_RIVAL), True),
-            gamma=(_int(1), True),
+            gamma=(_given, True),
             gas_price=(_currency, False),
             attacker_value=(_currency, False),
             bid_margin=(_currency, False),
-            attacker_gas=(_gas_or_null, False),
+            # null, like leaving the field out, reserves the whole budget
+            attacker_gas=(_given, False),
             attacker_behavior=(_behavior, False),
         ),
         "timeline": _object(
             _timeline,
-            user_latency_ms=(_int(0), False),
-            auction_duration_ms=(_int(0), False),
-            execution_delay_ms=(_int(0), False),
+            user_latency_ms=(_given, False),
+            auction_duration_ms=(_given, False),
+            execution_delay_ms=(_given, False),
             schedule=(_SCHEDULE, False),
             solver_ops=(_array(_SOLVER_OP), False),
             escrow_snapshot=(_currency_map, False),
@@ -374,12 +365,13 @@ _SETTLE = _object(
     private_values=(_currency_map, False),
 )
 
+
 _SIMULATE = _object(
-    dict,
+    lambda schema, model, seed, trials=1: _simulation().SimConfig(trials, seed, model),
     schema=(_schema("simulate/1"), True),
     model=(_parse_model, True),
-    trials=(_int(1), False),
-    seed=(_int(0), True),
+    trials=(_given, False),
+    seed=(_given, True),
 )
 
 
@@ -544,8 +536,10 @@ def _sweep_censorship(args: argparse.Namespace) -> list[list]:
     if args.gamma_min > args.gamma_max:
         raise ScenarioError("--gamma-min must not exceed --gamma-max")
     span, intervals = args.gamma_max - args.gamma_min, max(args.gamma_points - 1, 1)
+    # exact quotients, rounded half to even: a float one can pass --gamma-max past 2**53
     gammas = [
-        args.gamma_min + round(span * index / intervals) for index in range(args.gamma_points)
+        args.gamma_min + round(Fraction(span * index, intervals))
+        for index in range(args.gamma_points)
     ]
     prices = [_flag_amount(part, "--gas-prices") for part in args.gas_prices.split(",") if part]
     if not prices:
@@ -654,13 +648,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    fields = _read(args.file, _SIMULATE, "config")
-    simulation = _simulation()
+    config = _read(args.file, _SIMULATE, "config")
     try:
-        config = simulation.SimConfig(
-            trials=fields.get("trials", 1), seed=fields["seed"], model=fields["model"]
-        )
-        report = simulation.run_simulation(config)
+        report = _simulation().run_simulation(config)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     print(_dumps(report))

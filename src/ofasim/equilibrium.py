@@ -44,7 +44,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .money import require_real
+from .money import require_int, require_real
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -88,8 +88,7 @@ class BaselineGame:
     v: object
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 2:
-            raise ValueError("n must be an integer >= 2")
+        require_int(self.n, "n", 2)
         require_real(self.q, "q")
         require_real(self.v, "v")
         if not 0 < self.q < 1:
@@ -116,8 +115,7 @@ class DiscreteTimeGame:
     sigma: float
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 2:
-            raise ValueError("n must be an integer >= 2")
+        require_int(self.n, "n", 2)
         require_real(self.v, "v")
         require_real(self.sigma, "sigma")
         # exact for int and Fraction (no float conversion), and false for NaN

@@ -57,6 +57,17 @@ def require_real(value: object, name: str) -> None:
         raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
 
 
+def require_int(value: object, name: str, low: int, high: int | None = None) -> None:
+    """Refuse gas, a count, a latency or a seed that is not exactly an ``int``
+    (a bool, float, numpy integer or string) or lies outside [low, high]:
+    ``<name> must be an int, got <type>`` or ``<name> must lie in [low, high]``,
+    with ``inf`` for a ``high`` of None."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+    if value < low or high is not None and value > high:
+        raise ValueError(f"{name} must lie in [{low}, {'inf' if high is None else high}]")
+
+
 def parse_amount(text: str | int) -> Fraction:
     """Parse a decimal-string (or integer) currency amount exactly.
 

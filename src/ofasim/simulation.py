@@ -45,11 +45,14 @@ from .auction import (
 from .censorship import CensorshipScenario, censorship_resistance
 from .equilibrium import normal_cdf, normal_sf
 from .escrow import required_escrow
-from .money import ZERO, format_amount, require_exact, require_real
+from .money import ZERO, format_amount, require_exact, require_int, require_real
 from .settlement import _pattern_terms, guaranteed_minimum, settle
 
 #: Most proposals the valuation sampler draws at once, so memory stays flat.
 _BATCH = 16384
+
+#: Most operations one throughput rung may hold (each is a bid and a cost row).
+MAX_RUNG_OPS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +221,13 @@ def _float(amount: Union[Fraction, float], what: str) -> float:
 
 def _check_game(model: Union[IidFailure, NormalValuation]) -> None:
     """Check the fields the two bidding games share; keep ``bids`` as a tuple."""
-    if type(model.n) is not int:
-        raise ValueError(f"n must be an int, got {type(model.n).__name__}")
-    if model.n < 1:
-        raise ValueError("n must be positive")
+    require_int(model.n, "n", 1)
     object.__setattr__(model, "bids", tuple(model.bids))
     for bid in model.bids:
         require_exact(bid, "bid")
     if len(model.bids) != model.n:
         raise ValueError("bids must have exactly n entries")
-    if type(model.gas_per_op) is not int or model.gas_per_op <= 0:
-        raise ValueError("gas_per_op must be a positive integer")
+    require_int(model.gas_per_op, "gas_per_op", 1)
     require_exact(model.gas_price, "gas_price")
 
 
@@ -307,7 +306,8 @@ class ThroughputSweep:
     at the median bid rank ⌈N/2⌉ is the measured one: it always executes and
     reverts, every higher-bidding op reverts too, and the lower-bidding ops
     fail independently with probability q — so the measured expectation
-    isolates how the penalty itself scales with the budget.
+    isolates how the penalty itself scales with the budget. Each gamma must
+    hold from one to ``MAX_RUNG_OPS`` operations of ``gas_per_op``.
     """
 
     gammas: tuple[int, ...]
@@ -320,12 +320,10 @@ class ThroughputSweep:
         object.__setattr__(self, "gammas", tuple(self.gammas))
         if not self.gammas:
             raise ValueError("gammas must be non-empty")
-        if any(type(g) is not int for g in self.gammas):
-            raise ValueError("every gamma must be an integer")
-        if type(self.gas_per_op) is not int or self.gas_per_op <= 0:
-            raise ValueError("gas_per_op must be a positive integer")
-        if any(g < self.gas_per_op for g in self.gammas):
-            raise ValueError("every gamma must fit at least one operation")
+        require_int(self.gas_per_op, "gas_per_op", 1)
+        widest = (MAX_RUNG_OPS + 1) * self.gas_per_op - 1
+        for index, gamma in enumerate(self.gammas):
+            require_int(gamma, f"gammas[{index}]", self.gas_per_op, widest)
         require_real(self.q, "q")
         if not 0 < self.q < 1:
             raise ValueError("q must lie strictly in (0, 1)")
@@ -357,11 +355,8 @@ class SpoofAttack:
 
     def __post_init__(self) -> None:
         require_exact(self.bid_margin, "bid_margin")
-        gas = self.attacker_gas
-        if gas is not None and type(gas) is not int:
-            raise ValueError(f"attacker_gas must be an int, got {type(gas).__name__}")
-        if gas is not None and not 0 < gas <= self.scenario.gamma:
-            raise ValueError("attacker_gas must lie in (0, gamma]")
+        if self.attacker_gas is not None:
+            require_int(self.attacker_gas, "attacker_gas", 1, self.scenario.gamma)
 
 
 @dataclass(frozen=True)
@@ -374,9 +369,7 @@ class TimelineConfig:
 
     def __post_init__(self) -> None:
         for name in ("user_latency_ms", "auction_duration_ms", "execution_delay_ms"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 0:
-                raise ValueError(f"{name} must be a non-negative integer")
+            require_int(getattr(self, name), name, 0)
 
 
 @dataclass(frozen=True)
@@ -412,10 +405,8 @@ class SimConfig:
     model: Model
 
     def __post_init__(self) -> None:
-        if type(self.trials) is not int or not 0 < self.trials < 2**63:
-            raise ValueError("trials must be a positive integer below 2**63")
-        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        require_int(self.trials, "trials", 1, 2**63 - 1)
+        require_int(self.seed, "seed", 0, 2**64 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +540,8 @@ def _rung(
     """``median_failure_costs`` on integer numerators: ``(bids, bid_den,
     median, costs, cost_den)``, each bid over ``bid_den``, each cost over
     ``cost_den``."""
+    require_int(gamma, "gamma", model.gas_per_op, (MAX_RUNG_OPS + 1) * model.gas_per_op - 1)
     count = gamma // model.gas_per_op
-    if count < 1:
-        raise ValueError("gamma must fit at least one operation")
     steps = max(count - 1, 1)
     high, low = model.bid_high, model.bid_low
     bid_den = high.denominator * low.denominator * steps

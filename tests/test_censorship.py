@@ -53,7 +53,7 @@ class TestNaiveCost:
 )
 def test_bool_gamma_is_refused(call):
     # a bool gamma used to run as gamma 1
-    with pytest.raises(ValueError, match="^gamma must be a positive integer$"):
+    with pytest.raises(ValueError, match="^gamma must be an int, got bool$"):
         call()
 
 
@@ -116,8 +116,9 @@ class TestResistance:
 
     @pytest.mark.parametrize("gas", [10.0, True], ids=["float", "bool"])
     def test_rival_gas_must_be_an_integer(self, gas):
-        with pytest.raises(ValueError, match="^rival gas must be an integer$"):
+        with pytest.raises(ValueError) as excinfo:
             scenario(gamma=100, rivals=((Fraction(1), gas),))
+        assert str(excinfo.value) == f"rival gas must be an int, got {type(gas).__name__}"
 
     def test_naive_limit_as_rival_footprint_vanishes(self):
         # shrinking the cheapest rival's gas and bid toward zero recovers the
@@ -222,3 +223,8 @@ def test_sweep_equals_per_point_reference(seed):
     prices = [price() for _ in range(rng.randint(1, 4))]
     expected = outcome(lambda: reference_sweep(gammas, prices, template))
     assert outcome(lambda: resistance_sweep(gammas, prices, template)) == expected
+
+
+def test_negative_rival_bid_is_refused():
+    with pytest.raises(ValueError, match="^rival bids must be non-negative$"):
+        scenario(rivals=((Fraction(-1, 2), 100_000),))

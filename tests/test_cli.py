@@ -19,6 +19,7 @@ import resource
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -199,6 +200,44 @@ class TestSweepCensorship:
         assert rows[0] == ["gamma", "gas_price", "resistance"]
         assert len(rows) == 3
 
+    def test_grid_stays_exact_past_float_precision(self, capsys):
+        # a float quotient put the last point at 1152921504606847040
+        argv = ["--gamma-min", "1000000", "--gamma-max", "1152921504606846979"]
+        argv += ["--gamma-points", "2", "--gas-prices", "0"]
+        assert cli.main(["sweep", "censorship", *argv]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert [row[0] for row in rows] == ["1000000", "1152921504606846979"]
+
+    @staticmethod
+    def _gammas(low, high, points, capsys):
+        argv = ["--gamma-min", str(low), "--gamma-max", str(high)]
+        argv += ["--gamma-points", str(points), "--gas-prices", "0"]
+        assert cli.main(["sweep", "censorship", *argv]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        return [int(row[0]) for row in rows]
+
+    def test_exact_grid_equals_the_float_grid_below_2_to_the_39(self, capsys):
+        # A quotient off a half by at least 1/(2·intervals) cannot round to it as
+        # a float while its ulp is below 1/intervals: for every --gamma-points
+        # up to the cap, that holds for spans below 2**39.
+        rng = random.Random(20)
+        cases = [(2**39 - 1, cli.MAX_GRID_POINTS), (2**39 - 1, cli.MAX_GRID_POINTS - 1)]
+        cases += [(rng.randrange(2**39), rng.randint(1, 60)) for _ in range(400)]
+        cases += [(rng.randrange(2**39), rng.randint(1, cli.MAX_GRID_POINTS)) for _ in range(20)]
+        for span, points in cases:
+            low = rng.randrange(10**6, 10**7)
+            intervals = max(points - 1, 1)
+            floats = [low + round(span * index / intervals) for index in range(points)]
+            assert self._gammas(low, low + span, points, capsys) == floats, (span, points)
+
+    @pytest.mark.parametrize("points", [2, 3, 7, 10])
+    def test_exact_grid_rounds_halves_to_even(self, points, capsys):
+        # the low end is even, so each offset keeps the parity of its rounding
+        low = 1_000_000
+        for span in range(40):
+            grid = self._gammas(low, low + span, points, capsys)
+            assert grid == [low + round(Fraction(span * i, points - 1)) for i in range(points)]
+
     def test_bad_rival_spec(self, capsys):
         assert cli.main(["sweep", "censorship", "--rival", "100"]) == 1
         assert "expected BID:GAS" in capsys.readouterr().err
@@ -324,12 +363,12 @@ SWEEP_REJECTIONS = {
     # n=2 warns at this prize before n=1 fails; the warning must not be printed
     "bad_n_after_warning": (
         ["equilibrium", "--sigma-min", "5", "--sigma-max", "5", "--n", "2,1"],
-        "n must be an integer >= 2",
+        "n must lie in [2, inf]",
     ),
     "gas_prices_empty": (["censorship", "--gas-prices", ","], "--gas-prices: empty list"),
     "gamma_min_zero": (
         ["censorship", "--gamma-min", "0", "--gamma-points", "2"],
-        "gamma must be a positive integer",
+        "gamma must lie in [1, inf]",
     ),
     # the grid is refused before it is built
     "gamma_points_over_the_cap": (
@@ -339,6 +378,21 @@ SWEEP_REJECTIONS = {
     "gamma_range_reversed": (
         ["censorship", "--gamma-min", "5000000", "--gamma-max", "1000000", "--gamma-points", "3"],
         "--gamma-min must not exceed --gamma-max",
+    ),
+    "sigma_step_does_not_advance": (
+        ["equilibrium", "--v", "1", "--n", "2", "--sigma-min", "1e17", "--sigma-max", "2e17"],
+        "--sigma-step is too small to advance sigma at --sigma-max",
+    ),
+    # the grid stops at the cap, before any bid search
+    "sigma_grid_over_the_cap": (
+        ["equilibrium", "--v", "1", "--n", "2", "--sigma-max", "1", "--sigma-step", "1e-12"],
+        f"the sigma grid has more than {cli.MAX_GRID_POINTS} points",
+    ),
+    "gammas_empty": (["throughput", "--gammas", ","], "--gammas: empty list"),
+    # refused before the rung's 1,000,001 bids are built
+    "rung_over_the_bound": (
+        ["throughput", "--gammas", "1000001", "--gas-per-op", "1"],
+        "gammas[0] must lie in [1, 1000000]",
     ),
     "rival_gas_not_an_integer": (
         ["censorship", "--rival", "100:abc"],
@@ -512,7 +566,7 @@ class TestSimulate:
         config["trials"] = 0
         path = write_json(tmp_path, "config.json", config)
         assert cli.main(["simulate", path]) == 1
-        assert "config.trials: must be >= 1" in capsys.readouterr().err
+        assert "config: trials must lie in [1, 9223372036854775807]" in capsys.readouterr().err
 
     def test_trials_beyond_int64_rejected(self, tmp_path, capsys):
         # numpy draws the pattern counts as int64: 2**63 would be a traceback
@@ -520,7 +574,7 @@ class TestSimulate:
         config["trials"] = 9223372036854775808
         path = write_json(tmp_path, "config.json", config)
         assert run_rejected(capsys, path) == (
-            "error: trials must be a positive integer below 2**63\n"
+            "error: config: trials must lie in [1, 9223372036854775807]\n"
         )
 
     @pytest.mark.parametrize("argv", [["simulate", "config.json"], ["sweep", "throughput"]])
@@ -720,7 +774,7 @@ def test_throughput_rejects_trials_beyond_int64(capsys):
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: trials must be a positive integer below 2**63\n"
+    assert captured.err == "error: trials must lie in [1, 9223372036854775807]\n"
 
 
 @pytest.mark.parametrize("gas", ["0", "-5"])
@@ -729,7 +783,7 @@ def test_throughput_rejects_non_positive_gas_per_op(capsys, gas):
     assert cli.main(["sweep", "throughput", f"--gas-per-op={gas}", "--trials", "8"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: gas_per_op must be a positive integer\n"
+    assert captured.err == "error: gas_per_op must lie in [1, inf]\n"
 
 
 @pytest.mark.parametrize(
@@ -826,9 +880,14 @@ MALFORMED_FILES = [
     ),
     (
         "first_failing_field_in_spec_order",
-        # bid comes first in the file, but gas_reserved is checked first
-        settle_scenario(solver_ops=_ops_with(1, bid="1.2.3", gas_reserved="9")),
-        "scenario.solver_ops[1].gas_reserved: expected an integer",
+        # behavior comes first in the file but after bid in the spec
+        settle_scenario(
+            solver_ops=[
+                {"behavior": 1, "solver_id": "s0", "bid": "1.2.3", "gas_reserved": 100_000},
+                *_ops_with(0)[1:],
+            ]
+        ),
+        "scenario.solver_ops[0].bid: not a decimal number: '1.2.3'",
     ),
     (
         "top_level_missing_fields",
@@ -848,7 +907,7 @@ MALFORMED_FILES = [
     (
         "solver_op_builder",
         settle_scenario(solver_ops=_ops_with(0, gas_used=100_001)),
-        "scenario.solver_ops[0]: gas_used must lie in [0, gas_reserved]",
+        "scenario.solver_ops[0]: gas_used must lie in [0, 100000]",
     ),
     (
         "schedule_builder",
@@ -887,14 +946,14 @@ MALFORMED_FILES = [
             gamma=1_000_000,
             rivals=[{"bid": "100", "gas_reserved": "100000"}],
         ),
-        "config.model.rivals[0].gas_reserved: expected an integer",
+        "config.model: rival gas must be an int, got str",
     ),
     (
         "spoof_builder",
         model_config(
             "spoof_attack", gamma=10, rivals=[{"bid": "100", "gas_reserved": 11}]
         ),
-        "config.model: rival gas must lie in (0, gamma]",
+        "config.model: rival gas must lie in [1, 10]",
     ),
     (
         "unknown_kind",
@@ -920,7 +979,7 @@ MALFORMED_FILES = [
     (
         "gamma_entry",
         model_config("throughput_sweep", gammas=[1_000_000, 0]),
-        "config.model.gammas[1]: must be >= 1",
+        "config.model: gammas[1] must lie in [100000, 100000099999]",
     ),
     (
         "timeline_behavior",
@@ -956,9 +1015,30 @@ MALFORMED_FILES = [
         "scenario.private_values: expected an object",
     ),
     (
+        "behavior_not_a_string",
+        settle_scenario(solver_ops=_ops_with(0, behavior=1)),
+        "scenario.solver_ops[0].behavior: expected a string",
+    ),
+    (
+        "bid_not_a_string_or_float",
+        settle_scenario(solver_ops=_ops_with(2, bid=[])),
+        "scenario.solver_ops[2].bid: currency must be a decimal string",
+    ),
+    (
+        # null is not read as a left-out gas_used
+        "gas_used_null",
+        settle_scenario(solver_ops=_ops_with(1, gas_used=None)),
+        "scenario.solver_ops[1].gas_used: expected an integer, got null",
+    ),
+    (
+        "spoof_without_rivals",
+        model_config("spoof_attack", gamma=1_000_000, rivals=[]),
+        "spoof attack needs at least one rival",
+    ),
+    (
         "seed_range",
         {**iid_config(), "seed": -1},
-        "config.seed: must be >= 0",
+        "config: seed must lie in [0, 18446744073709551615]",
     ),
 ]
 

@@ -56,7 +56,7 @@ class TestNormalHelpers:
 
 class TestBaselineGame:
     def test_rejects_single_bidder(self):
-        with pytest.raises(ValueError, match="n must be"):
+        with pytest.raises(ValueError, match=r"^n must lie in \[2, inf\]$"):
             BaselineGame(n=1, q=Fraction(1, 2), v=Fraction(100))
 
     def test_rejects_degenerate_failure_probability(self):
@@ -361,3 +361,20 @@ class TestOptimalBid:
     def test_zero_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma must be positive"):
             optimal_bid_details(DiscreteTimeGame(n=3, v=100.0, sigma=0.0))
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("v", [0, Fraction(-1, 2), -3.5])
+    def test_baseline_game_needs_a_positive_prize(self, v):
+        with pytest.raises(ValueError, match="^v must be positive$"):
+            BaselineGame(n=2, q=Fraction(1, 2), v=v)
+
+    def test_baseline_utility_refuses_a_negative_bid(self):
+        game = BaselineGame(n=2, q=Fraction(1, 2), v=Fraction(100))
+        with pytest.raises(ValueError, match="^b must be non-negative$"):
+            baseline_utility(game, Fraction(-1))
+
+    def test_deviation_utility_refuses_a_negative_epsilon(self):
+        game = BaselineGame(n=2, q=Fraction(1, 2), v=Fraction(100))
+        with pytest.raises(ValueError, match="^b and epsilon must be non-negative$"):
+            deviation_utility(game, Fraction(50), Fraction(-1, 10))

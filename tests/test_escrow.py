@@ -767,3 +767,20 @@ LedgerMachine.TestCase.settings = settings(
     derandomize=True, max_examples=60, stateful_step_count=30, deadline=None
 )
 TestLedgerMachine = LedgerMachine.TestCase
+
+
+def test_negative_deposit_is_refused():
+    ledger = EscrowLedger()
+    with pytest.raises(ValueError, match="^deposit amount must be non-negative$"):
+        ledger.deposit("s1", "a", Fraction(-1, 3))
+    assert ledger.balance("s1", "a") == 0
+
+
+def test_cancelling_an_unknown_handle_raises_key_error():
+    ledger = EscrowLedger()
+    ledger.deposit("s1", "a", Fraction(100))
+    handle = ledger.reserve("s1", "a", op(), GAMMA, PHI).handle
+    ledger.cancel_reservation(handle)
+    with pytest.raises(KeyError, match=f"^'no pending reservation with handle {handle}'$"):
+        ledger.cancel_reservation(handle)
+    assert ledger.available("s1", "a") == 100

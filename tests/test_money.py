@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ofasim.money import FRACTIONAL_DIGITS, ZERO, format_amount, parse_amount
+from ofasim.money import FRACTIONAL_DIGITS, ZERO, format_amount, parse_amount, require_int
 
 
 class TestParseAmount:
@@ -75,6 +75,25 @@ class TestParseAmount:
     )
     def test_magnitude_below_1e4300_is_accepted(self, text):
         assert parse_amount(text) == Fraction(Decimal(text))
+
+
+class TestRequireInt:
+    @pytest.mark.parametrize("value", [0, 5, 10**30])
+    def test_accepts_an_int_within_the_bounds(self, value):
+        require_int(value, "x", 0)
+        require_int(min(value, 5), "x", 0, 5)
+
+    @pytest.mark.parametrize("value", [True, 1.0, Fraction(1), Decimal(1), "1", None])
+    def test_type_message(self, value):
+        with pytest.raises(ValueError) as excinfo:
+            require_int(value, "gas", 0)
+        assert str(excinfo.value) == f"gas must be an int, got {type(value).__name__}"
+
+    @pytest.mark.parametrize("value, high, bounds", [(-1, None, "[0, inf]"), (6, 5, "[0, 5]")])
+    def test_range_message_names_the_bounds(self, value, high, bounds):
+        with pytest.raises(ValueError) as excinfo:
+            require_int(value, "gas", 0, high)
+        assert str(excinfo.value) == f"gas must lie in {bounds}"
 
 
 class TestFormatAmount:

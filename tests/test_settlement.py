@@ -313,3 +313,8 @@ def test_exhaustive_three_op_settlements_account_every_case():
                 assert outcome is OpOutcome.SKIPPED
         else:
             assert result.winner is None
+
+
+def test_failure_cost_refuses_a_negative_failing_bid():
+    with pytest.raises(ValueError, match="^failing_bid must be non-negative$"):
+        failure_cost(Fraction(-1), None, 100_000, 1_000_000)

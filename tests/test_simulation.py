@@ -28,6 +28,7 @@ from ofasim.equilibrium import (
 from ofasim.money import format_amount, parse_amount
 from ofasim.simulation import (
     CHAIN_ACCESS_KINDS,
+    MAX_RUNG_OPS,
     IidFailure,
     NormalValuation,
     SimConfig,
@@ -38,6 +39,7 @@ from ofasim.simulation import (
     TimelineEvent,
     TimelineEventKind,
     chain_quiet_between_order_and_guarantee,
+    median_failure_costs,
     run_iid_failure,
     run_normal_valuation,
     run_simulation,
@@ -59,7 +61,7 @@ class TestSimConfig:
             SimConfig(trials=0, seed=1, model=_iid())
 
     def test_rejects_trials_beyond_int64(self):
-        with pytest.raises(ValueError, match="below 2\\*\\*63"):
+        with pytest.raises(ValueError, match=re.escape(f"trials must lie in [1, {2**63 - 1}]")):
             SimConfig(trials=2**63, seed=1, model=_iid())
 
     def test_iid_run_at_two_to_the_62_trials_completes(self):
@@ -241,7 +243,7 @@ class TestThroughputSweep:
         assert within_three_se(row["mean_failure_cost"], float(expected))
 
     def test_budget_must_fit_template_op(self):
-        with pytest.raises(ValueError, match="fit at least one"):
+        with pytest.raises(ValueError, match=r"^gammas\[0\] must lie in \[100000, 100000099999\]$"):
             ThroughputSweep(gammas=(50_000,))
 
 
@@ -513,12 +515,12 @@ def _normal_model(**fields):
         (lambda: _iid_model(bids=(60.5, 60)), "bid must be an int or a Fraction, got float"),
         (lambda: _iid_model(bids=("60", 60)), "bid must be an int or a Fraction, got str"),
         (lambda: _iid_model(n=True, bids=(60,)), "n must be an int, got bool"),
-        (lambda: _iid_model(gas_per_op=True), "gas_per_op must be a positive integer"),
+        (lambda: _iid_model(gas_per_op=True), "gas_per_op must be an int, got bool"),
         (lambda: _iid_model(gas_price=0.5), "gas_price must be an int or a Fraction, got float"),
         (lambda: _normal_model(bids=(99.5, 99)), "bid must be an int or a Fraction, got float"),
         (lambda: _normal_model(bids=("99", 99)), "bid must be an int or a Fraction, got str"),
-        (lambda: ThroughputSweep(gammas=(1_000_000.7,)), "every gamma must be an integer"),
-        (lambda: ThroughputSweep(gammas=("2000000",)), "every gamma must be an integer"),
+        (lambda: ThroughputSweep(gammas=(1_000_000.7,)), "gammas[0] must be an int, got float"),
+        (lambda: ThroughputSweep(gammas=("2000000",)), "gammas[0] must be an int, got str"),
         (
             lambda: ThroughputSweep(gammas=(1_000_000,), bid_high=100.5),
             "bid_high must be an int or a Fraction, got float",
@@ -534,14 +536,14 @@ def _normal_model(**fields):
         (lambda: _spoof_model(attacker_gas=5e5), "attacker_gas must be an int, got float"),
         (
             lambda: TimelineConfig(user_latency_ms=True),
-            "user_latency_ms must be a non-negative integer",
+            "user_latency_ms must be an int, got bool",
         ),
         (
             lambda: Timeline(TimelineConfig(), escrow_snapshot={"a": 1.5}),
             "escrow snapshot amount must be an int or a Fraction, got float",
         ),
-        (lambda: SimConfig(trials=True, seed=1, model=_iid()), "trials must be a positive integer"),
-        (lambda: SimConfig(trials=1, seed=False, model=_iid()), "seed must be a 64-bit"),
+        (lambda: SimConfig(trials=True, seed=1, model=_iid()), "trials must be an int, got bool"),
+        (lambda: SimConfig(trials=1, seed=False, model=_iid()), "seed must be an int, got bool"),
     ],
     ids=[
         "iid_float_v", "iid_str_v", "iid_float_bid", "iid_str_bid", "iid_bool_n",
@@ -592,9 +594,17 @@ def test_float_parameters_take_any_real_number():
     assert ThroughputSweep(gammas=(1_000_000,), q=Fraction(1, 4)).q == 0.25
 
 
-@pytest.mark.parametrize("gas", [0, -5, True])
-def test_throughput_gas_per_op_must_be_positive(gas):
-    with pytest.raises(ValueError, match="gas_per_op must be a positive integer"):
+@pytest.mark.parametrize(
+    "gas, message",
+    [
+        (0, "gas_per_op must lie in [1, inf]"),
+        (-5, "gas_per_op must lie in [1, inf]"),
+        (True, "gas_per_op must be an int, got bool"),
+    ],
+    ids=["0", "-5", "True"],
+)
+def test_throughput_gas_per_op_must_be_positive(gas, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ThroughputSweep(gammas=(1_000_000,), gas_per_op=gas)
 
 
@@ -650,3 +660,75 @@ def test_normal_valuation_memory_is_flat_at_five_million_trials():
         tracemalloc.stop()
     assert report["total_payoff"]["trials"] == 5_000_000
     assert peak < 16 * 2**20
+
+
+class TestModelRefusals:
+    def test_normal_valuation_needs_a_positive_sigma(self):
+        with pytest.raises(ValueError, match="^sigma must be positive$"):
+            _normal_model(sigma=0)
+
+    def test_iid_failure_needs_a_solver(self):
+        with pytest.raises(ValueError, match=re.escape("n must lie in [1, inf]")):
+            _iid_model(n=0, bids=())
+
+    def test_throughput_sweep_needs_a_gamma(self):
+        with pytest.raises(ValueError, match="^gammas must be non-empty$"):
+            ThroughputSweep(gammas=())
+
+    @pytest.mark.parametrize("q", [0, 1, 1.5])
+    def test_throughput_q_lies_strictly_inside_the_unit_interval(self, q):
+        with pytest.raises(ValueError, match=re.escape("q must lie strictly in (0, 1)")):
+            ThroughputSweep(gammas=(1_000_000,), q=q)
+
+    def test_throughput_bids_must_be_ordered(self):
+        with pytest.raises(ValueError, match="^need 0 <= bid_low <= bid_high$"):
+            ThroughputSweep(gammas=(1_000_000,), bid_high=Fraction(50), bid_low=Fraction(51))
+
+    def test_median_failure_costs_needs_one_op_of_gas(self):
+        model = ThroughputSweep(gammas=(1_000_000,))
+        with pytest.raises(ValueError, match=r"^gamma must lie in \[100000, 100000099999\]$"):
+            median_failure_costs(model, model.gas_per_op - 1)
+        with pytest.raises(ValueError, match="^gamma must be an int, got float$"):
+            median_failure_costs(model, 1.5e6)
+
+    @pytest.mark.parametrize(
+        "runner, wanted",
+        [
+            (run_iid_failure, "IidFailure"),
+            (run_normal_valuation, "NormalValuation"),
+            (run_throughput_sweep, "ThroughputSweep"),
+            (run_spoof_attack, "SpoofAttack"),
+        ],
+    )
+    def test_each_runner_refuses_another_model(self, runner, wanted):
+        config = SimConfig(trials=10, seed=1, model=Timeline(TimelineConfig()))
+        message = f"^{runner.__name__} requires an? {wanted} model$"
+        with pytest.raises(TypeError, match=message):
+            runner(config)
+
+    def test_run_simulation_refuses_an_unknown_model(self):
+        config = SimConfig(trials=10, seed=1, model="iid_failure")
+        with pytest.raises(TypeError, match="^unknown model type: str$"):
+            run_simulation(config)
+
+
+class TestRungBound:
+    def test_a_rung_may_hold_max_rung_ops(self):
+        # built, not run: a rung this wide takes about 0.7 s and 130 MiB
+        widest = (MAX_RUNG_OPS + 1) * 7 - 1
+        assert ThroughputSweep(gammas=(7, widest), gas_per_op=7).gammas == (7, widest)
+        assert widest // 7 == MAX_RUNG_OPS
+
+    @pytest.mark.parametrize("gas", [1, 7, 100_000])
+    def test_one_more_op_is_refused_before_any_rung_is_built(self, gas):
+        gamma = (MAX_RUNG_OPS + 1) * gas
+        message = f"gammas[1] must lie in [{gas}, {gamma - 1}]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ThroughputSweep(gammas=(gas, gamma), gas_per_op=gas)
+
+    @pytest.mark.parametrize("gas", [1, 7, 100_000])
+    def test_median_failure_costs_refuses_one_more_op(self, gas):
+        gamma = (MAX_RUNG_OPS + 1) * gas
+        message = f"gamma must lie in [{gas}, {gamma - 1}]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            median_failure_costs(ThroughputSweep(gammas=(gas,), gas_per_op=gas), gamma)
