@@ -16,10 +16,11 @@ library as given: it checks values, the CLI only converts them and checks the
 JSON's shape. An optional field left out takes the library's default. Reports
 print as ``json.dumps(report, indent=2)`` would, currency as decimal strings.
 
-A plain command line (a subcommand, its positionals, then exact ``--flag
-value`` pairs whose values do not start with ``-``) is read without argparse,
-into the namespace it would build; argparse reads every other line, so help
-and usage errors are its own. Integer lists take ASCII digits only.
+A command line is a subcommand, its positional (FILE, or KIND straight after
+``sweep``), then exact ``--flag VALUE`` or ``--flag=VALUE`` pairs. A value or
+FILE is taken as given, even when it starts with ``-``; ``--`` does not end
+the flags. ``--rival`` repeats, the last of any other repeated flag wins.
+``-h``/``--help`` prints the help. Integer lists take ASCII digits only.
 
 Exit codes: 0 on success, 1 on scenario or validation errors (with a one-line
 diagnostic on stderr and nothing on stdout or in ``--out``), 2 on usage
@@ -32,7 +33,6 @@ numpy; ``settle`` and the other sweeps start without it.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import dataclasses
 import functools
@@ -43,8 +43,8 @@ import math
 import os
 import sys
 from fractions import Fraction
-from types import ModuleType
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from types import ModuleType, SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence
 
 from .auction import Behavior, GasSchedule, SolverOperation, admit_operations
 from .censorship import CensorshipScenario, resistance_sweep
@@ -465,7 +465,7 @@ def _dumps(report: Any) -> str:
 # settle
 
 
-def cmd_settle(args: argparse.Namespace) -> int:
+def cmd_settle(args: SimpleNamespace) -> int:
     fields = _read(args.file, _SETTLE, "scenario")
     try:
         tx = admit_operations(
@@ -521,7 +521,7 @@ def _flag_amount(text: str, flag: str) -> Fraction:
 MAX_GRID_POINTS = 10_000
 
 
-def _sweep_censorship(args: argparse.Namespace) -> list[list]:
+def _sweep_censorship(args: SimpleNamespace) -> list[list]:
     rivals = []
     for spec in args.rival or ["100:100000"]:
         bid_text, _, gas_text = spec.partition(":")
@@ -558,7 +558,7 @@ def _sweep_censorship(args: argparse.Namespace) -> list[list]:
     ]
 
 
-def _sweep_throughput(args: argparse.Namespace) -> list[list]:
+def _sweep_throughput(args: SimpleNamespace) -> list[list]:
     simulation = _simulation()
     model = simulation.ThroughputSweep(
         gammas=tuple(_comma_ints(args.gammas, "--gammas")),
@@ -581,7 +581,7 @@ def _sweep_throughput(args: argparse.Namespace) -> list[list]:
     ]
 
 
-def _sweep_equilibrium(args: argparse.Namespace) -> list[list]:
+def _sweep_equilibrium(args: SimpleNamespace) -> list[list]:
     if not args.sigma_step > 0:
         raise ScenarioError("--sigma-step must be positive")
     for name in ("v", "sigma_min", "sigma_max"):
@@ -629,7 +629,7 @@ _SWEEPS = {
 }
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: SimpleNamespace) -> int:
     buffer = io.StringIO()
     csv.writer(buffer).writerows(_SWEEPS[args.kind](args))
     if args.out is None:
@@ -647,7 +647,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # simulate
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: SimpleNamespace) -> int:
     config = _read(args.file, _SIMULATE, "config")
     try:
         report = _simulation().run_simulation(config)
@@ -658,95 +658,93 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command line
 
 
-#: The ``sweep`` options, each declared once as flag → (type, default, other
-#: ``add_argument`` keywords), for both ``build_parser`` and ``_plain_args``.
-_SWEEP_OPTIONS: dict[str, tuple[Callable[[str], Any], Any, dict[str, str]]] = {
-    "--out": (str, None, {"help": "write CSV here instead of stdout"}),
+#: The ``sweep`` options, flag → (type, default), from which the reader and
+#: the help text are both built.
+_SWEEP_OPTIONS: dict[str, tuple[Callable[[str], Any], Any]] = {
+    "--out": (str, None),
     # censorship
-    "--gamma-min": (int, 1_000_000, {}),
-    "--gamma-max": (int, 10_000_000, {}),
-    "--gamma-points": (int, 10, {}),
-    "--gas-prices": (str, "0.00000075", {}),
-    "--rival": (str, None, {"action": "append", "metavar": "BID:GAS", "help": "repeatable"}),
-    "--attacker-value": (str, "0", {}),
+    "--gamma-min": (int, 1_000_000),
+    "--gamma-max": (int, 10_000_000),
+    "--gamma-points": (int, 10),
+    "--gas-prices": (str, "0.00000075"),
+    "--rival": (str, None),  # the one flag that repeats
+    "--attacker-value": (str, "0"),
     # throughput
-    "--gammas": (str, "1000000,2000000,5000000,10000000", {}),
-    "--gas-per-op": (int, 100_000, {}),
-    "--bid-high": (str, "100", {}),
-    "--bid-low": (str, "50", {}),
-    "--q": (float, 0.5, {}),
-    "--trials": (int, 4000, {}),
-    "--seed": (int, 20_240_817, {}),
+    "--gammas": (str, "1000000,2000000,5000000,10000000"),
+    "--gas-per-op": (int, 100_000),
+    "--bid-high": (str, "100"),
+    "--bid-low": (str, "50"),
+    "--q": (float, 0.5),
+    "--trials": (int, 4000),
+    "--seed": (int, 20_240_817),
     # equilibrium
-    "--v": (float, 3500.0, {}),
-    "--sigma-min": (float, 0.5, {}),
-    "--sigma-max": (float, 12.0, {}),
-    "--sigma-step": (float, 0.5, {}),
-    "--n": (str, "2,5,10,25,50", {}),
+    "--v": (float, 3500.0),
+    "--sigma-min": (float, 0.5),
+    "--sigma-max": (float, 12.0),
+    "--sigma-step": (float, 0.5),
+    "--n": (str, "2,5,10,25,50"),
 }
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ofasim",
-        description=(
-            "Settlement accounting, censorship analysis and bidding "
-            "simulation for failure-cost order flow auctions."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_settle = sub.add_parser("settle", help="settle a scenario file")
-    p_settle.add_argument("file", help="JSON scenario (schema settle/1)")
-
-    p_sweep = sub.add_parser("sweep", help="emit a parameter-sweep CSV")
-    p_sweep.add_argument("kind", choices=list(_SWEEPS))
-    for flag, (convert, default, keywords) in _SWEEP_OPTIONS.items():
-        p_sweep.add_argument(flag, type=convert, default=default, **keywords)
-
-    p_sim = sub.add_parser("simulate", help="run a simulation config")
-    p_sim.add_argument("file", help="JSON config (schema simulate/1)")
-    return parser
-
-
-_PARSER = build_parser()
-
-#: Each ``sweep`` namespace attribute's default, in the parser's order.
+#: Each ``sweep`` namespace attribute's default, in the table's order.
 _SWEEP_DEFAULTS = {flag[2:].replace("-", "_"): spec[1] for flag, spec in _SWEEP_OPTIONS.items()}
 
+_USAGE = "usage: ofasim settle FILE | simulate FILE | sweep KIND [--flag VALUE ...]"
 
-def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
-    """``_PARSER.parse_args(argv)`` for a plain command line (see the module
-    docstring), each value converted with its flag's type; ``None`` for any
-    other line, which argparse then reads."""
-    if not argv:
-        return None
-    command, *rest = argv
-    if command in ("settle", "simulate"):
-        plain = len(rest) == 1 and not rest[0].startswith("-")
-        return argparse.Namespace(command=command, file=rest[0]) if plain else None
-    if command != "sweep" or len(rest) % 2 == 0 or rest[0] not in _SWEEPS:
-        return None
-    fields = {"command": command, "kind": rest[0], **_SWEEP_DEFAULTS}
-    for flag, text in zip(rest[1::2], rest[2::2]):
-        if flag not in _SWEEP_OPTIONS or text.startswith("-"):
-            return None
-        convert, _, keywords = _SWEEP_OPTIONS[flag]
-        name = flag[2:].replace("-", "_")
+
+def _help() -> NoReturn:
+    flags = [f"  {flag:<17}{default}" for flag, (_, default) in _SWEEP_OPTIONS.items()]
+    print(_USAGE, f"KIND: {', '.join(_SWEEPS)}. sweep flags, defaults (--rival BID:GAS repeats):",
+          *flags, sep="\n")
+    raise SystemExit(0)
+
+
+def _usage_error(problem: str) -> NoReturn:
+    print(_USAGE, f"ofasim: error: {problem}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace:
+    """The namespace of a command line, read as the module docstring says;
+    ``-h``/``--help`` exits 0 after the help, a usage error exits 2."""
+    command, *rest = argv or [""]
+    known = command in ("settle", "simulate", "sweep")
+    if command in ("-h", "--help") or known and rest[:1] in (["-h"], ["--help"]):
+        _help()
+    sweep = command == "sweep"
+    if not known or not rest or sweep and rest[0] not in _SWEEPS:
+        got = " ".join(argv[:2]) or "nothing"
+        _usage_error(f"expected settle FILE, simulate FILE or sweep {'|'.join(_SWEEPS)}, got {got}")
+    if sweep:
+        fields, options = {"command": command, "kind": rest[0], **_SWEEP_DEFAULTS}, _SWEEP_OPTIONS
+    else:
+        fields, options = {"command": command, "file": rest[0]}, {}
+    tokens, unknown = iter(rest[1:]), []
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help()
+        flag, equals, text = token.partition("=")
+        if flag not in options:
+            unknown.append(token)
+            continue
         try:
-            value = convert(text)
+            text = text if equals else next(tokens)
+            value = options[flag][0](text)
+        except StopIteration:
+            _usage_error(f"{flag} needs a value")
         except ValueError:
-            return None
-        # the one "action" in the table is "append"
-        fields[name] = (fields[name] or []) + [value] if "action" in keywords else value
-    return argparse.Namespace(**fields)
+            _usage_error(f"{flag}: invalid {options[flag][0].__name__} value: {text!r}")
+        name = flag[2:].replace("-", "_")
+        fields[name] = (fields[name] or []) + [value] if flag == "--rival" else value
+    if unknown:
+        _usage_error(f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(**fields)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _plain_args(sys.argv[1:] if argv is None else argv) or _PARSER.parse_args(argv)
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
     try:
         # looked up by name on each call, so a wrapper set on this module is used
         return globals()[f"cmd_{args.command}"](args)

@@ -337,6 +337,11 @@ class TestSnapshot:
         assert snapshot == expected
         assert dict(snapshot) == expected
 
+    def test_repr_shows_the_amounts(self):
+        ledger = EscrowLedger()
+        ledger.deposit("s1", "a", Fraction(7, 3))
+        assert repr(ledger.prefetch_snapshot("a")) == "_Snapshot({'s1': Fraction(7, 3)})"
+
     def test_snapshot_backs_a_timeline_like_a_dict(self):
         schedule = GasSchedule(tx_gas_limit=1_100_000, user_gas_consumed=100_000, gas_price=PHI)
         candidates = (

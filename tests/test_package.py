@@ -120,6 +120,7 @@ run("sweep", "censorship", "--gamma-points", "3")
 run("sweep", "equilibrium", "--n", "2,5", "--sigma-min", "0.5", "--sigma-max", "1")
 run("sweep", "equilibrium", "--v", "1", "--sigma-min", "1e-8", "--sigma-max", "1e-8", "--n", "3")
 assert not loaded(), loaded()
+assert "argparse" not in sys.modules  # the CLI reads its command line itself
 assert "ofasim.simulation" not in sys.modules
 run(*{"throughput": ["sweep", "throughput", "--trials", "100"], "simulate": ["simulate", config]}[sys.argv[2]])
 assert "numpy" in sys.modules
