@@ -30,19 +30,18 @@ _EXPORTS = {
     ),
     "escrow": ("EscrowLedger", "InsufficientEscrow", "PendingReservation", "required_escrow"),
     "money": ("FRACTIONAL_DIGITS", "format_amount", "parse_amount"),
+    "scenarios": (
+        "IidFailure", "NormalValuation", "SimConfig", "SpoofAttack", "ThroughputSweep", "Timeline",
+        "TimelineConfig", "TimelineEvent", "TimelineEventKind", "run_simulation",
+        "run_spoof_attack", "run_timeline", "chain_quiet_between_order_and_guarantee",
+    ),
     "settlement": (
         "OpOutcome", "SettlementResult", "failure_cost", "guaranteed_minimum", "settle",
         "settle_patterns", "solver_payoff",
     ),
     # The Monte-Carlo runners need numpy; they load on first use (PEP 562), so
-    # that settlement, escrow and the other exact modules import without it.
-    "simulation": (
-        "IidFailure", "NormalValuation", "SimConfig", "SpoofAttack", "ThroughputSweep",
-        "Timeline", "TimelineConfig", "TimelineEvent", "TimelineEventKind",
-        "chain_quiet_between_order_and_guarantee", "run_iid_failure",
-        "run_normal_valuation", "run_simulation", "run_spoof_attack",
-        "run_throughput_sweep", "run_timeline",
-    ),
+    # that the models, the exact runners and every other module import without it.
+    "simulation": ("run_iid_failure", "run_normal_valuation", "run_throughput_sweep"),
 }
 
 __version__ = "0.1.0"

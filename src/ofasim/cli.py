@@ -27,33 +27,32 @@ diagnostic on stderr and nothing on stdout or in ``--out``), 2 on usage
 errors. Output is built in memory and written only once the command has
 succeeded. As a program, a stdout closed by its reader ends in exit 1.
 
-Only ``simulate`` and ``sweep throughput`` import ``ofasim.simulation`` and so
-numpy; ``settle`` and the other sweeps start without it.
+Only ``simulate`` on a Monte-Carlo model and ``sweep throughput`` import
+``ofasim.simulation`` and so numpy; every other command starts without it.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
-import importlib
 import io
 import json
 import math
 import os
 import sys
 from fractions import Fraction
-from types import ModuleType, SimpleNamespace
-from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, NoReturn, Sequence
 
 from .auction import Behavior, GasSchedule, SolverOperation, admit_operations
 from .censorship import CensorshipScenario, resistance_sweep
 from .equilibrium import DiscreteTimeGame, optimal_bid_details
 from .money import ZERO, format_amount, parse_amount
+from .scenarios import (
+    IidFailure, NormalValuation, SimConfig, SpoofAttack, ThroughputSweep, Timeline,
+    TimelineConfig, run_simulation,
+)
 from .settlement import guaranteed_minimum, settle
-
-if TYPE_CHECKING:
-    from .simulation import SpoofAttack, Timeline
 
 
 class ScenarioError(Exception):
@@ -255,27 +254,19 @@ def _take(fields: dict[str, Any], cls: type) -> dict[str, Any]:
     return {f.name: fields.pop(f.name) for f in dataclasses.fields(cls) if f.name in fields}
 
 
-@functools.cache
-def _simulation() -> ModuleType:
-    """``ofasim.simulation``, imported on the first call: it loads numpy, which
-    only ``simulate`` and ``sweep throughput`` need."""
-    return importlib.import_module(".simulation", __package__)
-
-
 def _spoof_attack(rivals: tuple, gas_price: Fraction = ZERO, **fields: Any) -> SpoofAttack:
     # a spoof config may leave out the gas price; CensorshipScenario requires one
     scenario = CensorshipScenario(
         rival_ops=rivals, gas_price=gas_price, **_take(fields, CensorshipScenario)
     )
-    return _simulation().SpoofAttack(scenario=scenario, **fields)
+    return SpoofAttack(scenario=scenario, **fields)
 
 
 def _timeline(**fields: Any) -> Timeline:
-    simulation = _simulation()
-    config = simulation.TimelineConfig(**_take(fields, simulation.TimelineConfig))
+    config = TimelineConfig(**_take(fields, TimelineConfig))
     if "solver_ops" in fields:
         fields["candidates"] = fields.pop("solver_ops")
-    return simulation.Timeline(config=config, **fields)
+    return Timeline(config=config, **fields)
 
 
 #: Fields shared by the two bidding-game models.
@@ -292,54 +283,51 @@ _RIVAL = _object(
 )
 
 
-@functools.cache
-def _models() -> dict[str, Parser]:
-    """Model kind → parser of the model object without its ``kind`` field."""
-    simulation = _simulation()
-    return {
-        "iid_failure": _object(
-            simulation.IidFailure,
-            n=(_given, True),
-            q=(_expect_number, True),
-            v=(_currency, True),
-            **_GAME_OPS,
-        ),
-        "normal_valuation": _object(
-            simulation.NormalValuation,
-            n=(_given, True),
-            v=(_currency, True),
-            sigma=(_expect_number, True),
-            **_GAME_OPS,
-        ),
-        "throughput_sweep": _object(
-            simulation.ThroughputSweep,
-            gammas=(_array(_given), True),
-            gas_per_op=(_given, False),
-            bid_high=(_currency, False),
-            bid_low=(_currency, False),
-            q=(_expect_number, False),
-        ),
-        "spoof_attack": _object(
-            _spoof_attack,
-            rivals=(_array(_RIVAL), True),
-            gamma=(_given, True),
-            gas_price=(_currency, False),
-            attacker_value=(_currency, False),
-            bid_margin=(_currency, False),
-            # null, like leaving the field out, reserves the whole budget
-            attacker_gas=(_given, False),
-            attacker_behavior=(_behavior, False),
-        ),
-        "timeline": _object(
-            _timeline,
-            user_latency_ms=(_given, False),
-            auction_duration_ms=(_given, False),
-            execution_delay_ms=(_given, False),
-            schedule=(_SCHEDULE, False),
-            solver_ops=(_array(_SOLVER_OP), False),
-            escrow_snapshot=(_currency_map, False),
-        ),
-    }
+#: Model kind → parser of the model object without its ``kind`` field.
+_MODELS: dict[str, Parser] = {
+    "iid_failure": _object(
+        IidFailure,
+        n=(_given, True),
+        q=(_expect_number, True),
+        v=(_currency, True),
+        **_GAME_OPS,
+    ),
+    "normal_valuation": _object(
+        NormalValuation,
+        n=(_given, True),
+        v=(_currency, True),
+        sigma=(_expect_number, True),
+        **_GAME_OPS,
+    ),
+    "throughput_sweep": _object(
+        ThroughputSweep,
+        gammas=(_array(_given), True),
+        gas_per_op=(_given, False),
+        bid_high=(_currency, False),
+        bid_low=(_currency, False),
+        q=(_expect_number, False),
+    ),
+    "spoof_attack": _object(
+        _spoof_attack,
+        rivals=(_array(_RIVAL), True),
+        gamma=(_given, True),
+        gas_price=(_currency, False),
+        attacker_value=(_currency, False),
+        bid_margin=(_currency, False),
+        # null, like leaving the field out, reserves the whole budget
+        attacker_gas=(_given, False),
+        attacker_behavior=(_behavior, False),
+    ),
+    "timeline": _object(
+        _timeline,
+        user_latency_ms=(_given, False),
+        auction_duration_ms=(_given, False),
+        execution_delay_ms=(_given, False),
+        schedule=(_SCHEDULE, False),
+        solver_ops=(_array(_SOLVER_OP), False),
+        escrow_snapshot=(_currency_map, False),
+    ),
+}
 
 
 def _parse_model(data: Any) -> Any:
@@ -347,14 +335,13 @@ def _parse_model(data: Any) -> Any:
     kind = obj.get("kind", "")
     if not isinstance(kind, str):
         raise _Invalid("expected a string", ".kind")
-    models = _models()
-    if kind not in models:
-        *others, last = models
+    if kind not in _MODELS:
+        *others, last = _MODELS
         raise _Invalid(
             f"unknown model kind {kind!r} (expected {', '.join(others)} or {last})",
             ".kind",
         )
-    return models[kind]({name: value for name, value in obj.items() if name != "kind"})
+    return _MODELS[kind]({name: value for name, value in obj.items() if name != "kind"})
 
 
 _SETTLE = _object(
@@ -367,7 +354,7 @@ _SETTLE = _object(
 
 
 _SIMULATE = _object(
-    lambda schema, model, seed, trials=1: _simulation().SimConfig(trials, seed, model),
+    lambda schema, model, seed, trials=1: SimConfig(trials, seed, model),
     schema=(_schema("simulate/1"), True),
     model=(_parse_model, True),
     trials=(_given, False),
@@ -559,16 +546,15 @@ def _sweep_censorship(args: SimpleNamespace) -> list[list]:
 
 
 def _sweep_throughput(args: SimpleNamespace) -> list[list]:
-    simulation = _simulation()
-    model = simulation.ThroughputSweep(
+    model = ThroughputSweep(
         gammas=tuple(_comma_ints(args.gammas, "--gammas")),
         gas_per_op=args.gas_per_op,
         bid_high=_flag_amount(args.bid_high, "--bid-high"),
         bid_low=_flag_amount(args.bid_low, "--bid-low"),
         q=args.q,
     )
-    config = simulation.SimConfig(trials=args.trials, seed=args.seed, model=model)
-    report = simulation.run_simulation(config)
+    config = SimConfig(trials=args.trials, seed=args.seed, model=model)
+    report = run_simulation(config)
     return [["gamma", "ops", "mean_failure_cost", "std_error", "success_probability"]] + [
         [
             row["gamma"],
@@ -650,7 +636,7 @@ def cmd_sweep(args: SimpleNamespace) -> int:
 def cmd_simulate(args: SimpleNamespace) -> int:
     config = _read(args.file, _SIMULATE, "config")
     try:
-        report = _simulation().run_simulation(config)
+        report = run_simulation(config)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     print(_dumps(report))

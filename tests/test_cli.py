@@ -1096,7 +1096,13 @@ MALFORMED_FILES = [
     (
         "spoof_without_rivals",
         model_config("spoof_attack", gamma=1_000_000, rivals=[]),
-        "spoof attack needs at least one rival",
+        "config.model: spoof attack needs at least one rival",
+    ),
+    (
+        # each payoff fits a float, but a squared deviation of the Monte-Carlo does not
+        "statistic_beyond_float_range",
+        iid_config(n=3, v="1e160", bids=["1e160", "5e159", "3e159"]),
+        "a Monte-Carlo statistic does not fit a float",
     ),
     (
         "seed_range",

@@ -1,5 +1,5 @@
-"""The package imports its exact modules without numpy and loads the
-Monte-Carlo names on first use."""
+"""The package imports its exact modules, the simulation models and the exact
+runners without numpy, and loads the Monte-Carlo runners on first use."""
 
 from __future__ import annotations
 
@@ -28,9 +28,13 @@ leaked = {"_module", "_names", "_source", "module", "names", "name"} & set(dir(o
 assert not leaked, leaked
 from ofasim import EscrowLedger, guaranteed_minimum, settle
 assert "numpy" not in sys.modules
-from ofasim import run_simulation
+from ofasim import run_simulation, SimConfig, run_timeline
+assert "numpy" not in sys.modules
+assert "ofasim.simulation" not in sys.modules
+from ofasim import run_iid_failure
 assert "numpy" in sys.modules
 assert run_simulation is ofasim.simulation.run_simulation
+assert run_iid_failure is ofasim.simulation.run_iid_failure
 missing = [name for name in ofasim.__all__ if getattr(ofasim, name, None) is None]
 assert not missing, missing
 try:
@@ -110,12 +114,21 @@ with open(settle, "w") as handle:
     json.dump({"schema": "settle/1",
                "schedule": {"tx_gas_limit": 1100000, "user_gas_consumed": 100000},
                "solver_ops": [{"solver_id": "a", "bid": "100", "gas_reserved": 100000}]}, handle)
+models = {
+    "iid": {"kind": "iid_failure", "n": 2, "q": 0.5, "v": "100", "bids": ["60", "50"]},
+    "spoof": {"kind": "spoof_attack", "gamma": 1000000,
+              "rivals": [{"bid": "100", "gas_reserved": 100000}]},
+    "timeline": {"kind": "timeline", "schedule": {"tx_gas_limit": 1100000, "user_gas_consumed": 0},
+                 "solver_ops": [{"solver_id": "a", "bid": "100", "gas_reserved": 100000}]},
+}
+for name, model in models.items():
+    with open(f"{sys.argv[1]}/{name}.json", "w") as handle:
+        json.dump({"schema": "simulate/1", "seed": 1, "trials": 100, "model": model}, handle)
 config = f"{sys.argv[1]}/iid.json"
-with open(config, "w") as handle:
-    json.dump({"schema": "simulate/1", "seed": 1, "trials": 100, "model": {
-        "kind": "iid_failure", "n": 2, "q": 0.5, "v": "100", "bids": ["60", "50"]}}, handle)
 assert not loaded(), loaded()
 run("settle", settle)
+run("simulate", f"{sys.argv[1]}/spoof.json")
+run("simulate", f"{sys.argv[1]}/timeline.json")
 run("sweep", "censorship", "--gamma-points", "3")
 run("sweep", "equilibrium", "--n", "2,5", "--sigma-min", "0.5", "--sigma-max", "1")
 run("sweep", "equilibrium", "--v", "1", "--sigma-min", "1e-8", "--sigma-max", "1e-8", "--n", "3")

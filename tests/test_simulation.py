@@ -330,6 +330,10 @@ class TestSpoofAttack:
         )
         assert report["attacker_bid"] == "121"
 
+    def test_a_scenario_without_rivals_is_refused_at_construction(self):
+        with pytest.raises(ValueError, match="^spoof attack needs at least one rival$"):
+            SpoofAttack(scenario=spoof_scenario(rival_ops=()))
+
     def test_attacker_gas_validated_against_budget(self):
         with pytest.raises(ValueError, match="attacker_gas"):
             SpoofAttack(scenario=spoof_scenario(), attacker_gas=1_000_001)
@@ -705,6 +709,16 @@ class TestModelRefusals:
         message = f"^{runner.__name__} requires an? {wanted} model$"
         with pytest.raises(TypeError, match=message):
             runner(config)
+
+    def test_a_statistic_beyond_the_float_range_is_refused(self):
+        def config(big):
+            model = _iid_model(n=3, v=big, bids=(big, Fraction(big, 2), Fraction(big, 3)))
+            return SimConfig(trials=1000, seed=1, model=model)
+
+        # every payoff fits a float; at 1e160 their squared deviations do not
+        assert math.isfinite(run_iid_failure(config(10**150))["total_payoff"]["std_error"])
+        with pytest.raises(ValueError, match="^a Monte-Carlo statistic does not fit a float$"):
+            run_iid_failure(config(10**160))
 
     def test_run_simulation_refuses_an_unknown_model(self):
         config = SimConfig(trials=10, seed=1, model="iid_failure")
