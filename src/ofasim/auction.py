@@ -34,7 +34,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .money import ZERO, require_exact, require_int
+from .money import ZERO, require_amount, require_id, require_int
 
 
 class Behavior(Enum):
@@ -67,9 +67,7 @@ class GasSchedule:
         require_int(self.user_gas_consumed, "user_gas_consumed", 0)
         if self.user_gas_consumed >= self.tx_gas_limit:
             raise ValueError("solver gas budget tx_gas_limit - user_gas_consumed must be positive")
-        require_exact(self.gas_price, "gas_price")
-        if self.gas_price.numerator < 0:
-            raise ValueError("gas_price must be non-negative")
+        require_amount(self.gas_price, "gas_price")
 
     @property
     def gamma(self) -> int:
@@ -102,11 +100,8 @@ class SolverOperation:
     def __post_init__(self) -> None:
         if self.gas_used is None:
             object.__setattr__(self, "gas_used", self.gas_reserved)
-        if not (isinstance(self.solver_id, str) and self.solver_id):  # as escrow's ids
-            raise ValueError(f"solver_id must be a non-empty str, got {self.solver_id!r}")
-        require_exact(self.bid, "bid")
-        if self.bid.numerator < 0:
-            raise ValueError("bid must be non-negative")
+        require_id(self.solver_id, "solver_id")
+        require_amount(self.bid, "bid")
         require_int(self.gas_reserved, "gas_reserved", 1)
         require_int(self.gas_used, "gas_used", 0, self.gas_reserved)
 
@@ -174,22 +169,7 @@ class AuctionTransaction:
         for name, value in zip(names, values):
             object.__setattr__(self, name, value)
         for value in self.private_values.values():
-            require_exact(value, "private value")
-            if value.numerator < 0:  # an int compare; ``Fraction < 0`` is ~10x slower
-                raise ValueError("private values must be non-negative")
-
-
-def require_gas_share(gas_reserved: int, gamma: int) -> None:
-    """Refuse a gas budget that is not a positive ``int``, or reserved gas that
-    is not an ``int`` in (0, gamma]; a bool, float or numpy integer is refused."""
-    if type(gamma) is not int:
-        raise ValueError(f"gamma must be an int, got {type(gamma).__name__}")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if type(gas_reserved) is not int:
-        raise ValueError(f"gas_reserved must be an int, got {type(gas_reserved).__name__}")
-    if not 0 < gas_reserved <= gamma:
-        raise ValueError("gas_reserved must lie in (0, gamma]")
+            require_amount(value, "private value")
 
 
 def admit_operations(

@@ -21,7 +21,8 @@ B·min_gas/gamma² > 0 whenever gas is priced or rivals bid), which is the
 qualitative story the sweep output shows.
 
 All arithmetic is exact, and so must the inputs be: a gas price, rival bid
-or attacker value that is not an ``int`` or ``Fraction`` is refused. One
+or attacker value that is not an ``int`` or ``Fraction`` is refused, and so
+is a negative gas price or rival bid. A scenario needs at least one rival. One
 private routine evaluates the formula on integer numerators and builds one
 ``Fraction``. ``resistance_sweep`` makes the scenario checks once for the
 whole grid, takes B and the minimum rival gas once, and calls that routine
@@ -34,15 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .money import ZERO, require_exact, require_int
-
-_NO_RIVALS = "refined resistance needs at least one rival"
-
-
-def _check_price(gas_price: object) -> None:
-    require_exact(gas_price, "gas_price")
-    if gas_price < 0:
-        raise ValueError("gas_price must be non-negative")
+from .money import ZERO, require_amount, require_exact, require_int
 
 
 @dataclass(frozen=True)
@@ -53,7 +46,7 @@ class CensorshipScenario:
         gamma: Solver gas budget of the targeted auction.
         gas_price: Currency per gas unit.
         rival_ops: (bid, gas_reserved) pairs of the rivals the attacker wants
-            to block; must be non-empty for the refined metric.
+            to block; at least one, refused when the scenario is built.
         attacker_value: The attacker's private value for a censored auction.
     """
 
@@ -64,12 +57,12 @@ class CensorshipScenario:
 
     def __post_init__(self) -> None:
         require_int(self.gamma, "gamma", 1)
-        _check_price(self.gas_price)
+        require_amount(self.gas_price, "gas_price")
         object.__setattr__(self, "rival_ops", tuple(tuple(r) for r in self.rival_ops))
+        if not self.rival_ops:
+            raise ValueError("censorship scenario needs at least one rival")
         for bid, gas in self.rival_ops:
-            require_exact(bid, "rival bid")
-            if bid < 0:
-                raise ValueError("rival bids must be non-negative")
+            require_amount(bid, "rival bid")
             require_int(gas, "rival gas", 1, self.gamma)
         require_exact(self.attacker_value, "attacker_value")
 
@@ -86,7 +79,7 @@ def naive_censorship_cost(gamma: int, gas_price: Fraction) -> Fraction:
         value exceeds this.
     """
     require_int(gamma, "gamma", 1)
-    _check_price(gas_price)
+    require_amount(gas_price, "gas_price")
     return gas_price * gamma
 
 
@@ -113,13 +106,8 @@ def censorship_resistance(scenario: CensorshipScenario) -> Fraction:
         ``gamma' · (gas_price + B/gamma) − attacker_value`` with
         ``gamma' = gamma − min rival gas`` and ``B = max rival bid``.
         Positive values mean censorship loses money.
-
-    Raises:
-        ValueError: If the rival set is empty.
     """
     rivals = scenario.rival_ops
-    if not rivals:
-        raise ValueError(_NO_RIVALS)
     return _resistance(
         scenario.gamma,
         scenario.gas_price,
@@ -157,17 +145,15 @@ def resistance_sweep(
         raise ValueError("sweep ranges must be non-empty")
     rivals = template.rival_ops
     # The template's rivals are valid, so a point fails on its gamma, its price,
-    # the widest rival's gas (as any too-wide rival), then an empty rival set.
-    # Past the first point, the rest of the first gamma's row meets each price,
-    # and each later gamma is met with prices already checked.
-    max_gas = max((gas for _, gas in rivals), default=1)
+    # then the widest rival's gas (as any too-wide rival). Past the first point,
+    # the rest of the first gamma's row meets each price, and each later gamma
+    # is met with prices already checked.
+    max_gas = max(gas for _, gas in rivals)
     require_int(gammas[0], "gamma", 1)
-    _check_price(prices[0])
+    require_amount(prices[0], "gas_price")
     require_int(max_gas, "rival gas", 1, gammas[0])
-    if not rivals:
-        raise ValueError(_NO_RIVALS)
     for price in prices[1:]:
-        _check_price(price)
+        require_amount(price, "gas_price")
     for gamma in gammas[1:]:
         require_int(gamma, "gamma", 1)
         require_int(max_gas, "rival gas", 1, gamma)

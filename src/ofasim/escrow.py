@@ -23,11 +23,14 @@ and stores ``(a·d − n·b, b·d)`` divided by its gcd; settling, cancelling an
 depositing add a pair the same way. Pairs are kept per entry, not over one
 common denominator per auctioneer: each required escrow's denominator carries
 its auction's gamma, so such a denominator would grow with every order. A
-``Fraction`` is built only for a value returned. Amounts must be ``int`` or
-``Fraction`` and gamma an ``int``, and ledger ids non-empty strings; anything
-else is refused with ``ValueError``. A reservation is a ``PendingReservation``
-named tuple: hashable and immutable, it iterates and equals a plain tuple of
-its values, and ``dataclasses.fields`` does not apply to it.
+``Fraction`` is built only for a value returned. Every amount (deposit, bid,
+gas price, charge) must be a non-negative ``int`` or ``Fraction``
+(``money.require_amount``), gamma and reserved gas ``int``s in range
+(``money.require_int``), and ledger ids non-empty strings
+(``money.require_id``); anything else is refused with ``ValueError``. A
+reservation is a ``PendingReservation`` named tuple: hashable and immutable,
+it iterates and equals a plain tuple of its values, and ``dataclasses.fields``
+does not apply to it.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Mapping, NamedTuple
 
-from .auction import SolverOperation, require_gas_share
-from .money import format_amount, parse_amount, require_exact
+from .auction import SolverOperation
+from .money import format_amount, parse_amount, require_amount, require_id, require_int
 
 _ZERO = (0, 1)  # the pair of an absent entry
 
@@ -70,12 +73,11 @@ def _required_escrow(
     bid: Fraction, gas_reserved: int, gamma: int, gas_price: Fraction
 ) -> tuple[int, int]:
     """:func:`required_escrow` as a reduced pair; ``bid`` is an op's, already checked."""
-    require_gas_share(gas_reserved, gamma)
-    require_exact(gas_price, "gas_price")
+    require_int(gamma, "gamma", 1)
+    require_int(gas_reserved, "gas_reserved", 1, gamma)
+    require_amount(gas_price, "gas_price")
     bn, bd = bid.numerator, bid.denominator
     pn, pd = gas_price.numerator, gas_price.denominator
-    if bn < 0 or pn < 0:
-        raise ValueError("bid and gas_price must be non-negative")
     n, d = gas_reserved * (bn * pd + pn * bd * gamma), bd * pd * gamma
     g = gcd(n, d)
     return n // g, d // g
@@ -96,11 +98,11 @@ def required_escrow(
         ``bid · gas_reserved / gamma + gas_price · gas_reserved``.
 
     Raises:
-        ValueError: If gamma is not a positive int, gas_reserved is not an
-            int in (0, gamma], or bid or gas_price is not an ``int`` or
-            ``Fraction`` or is < 0.
+        ValueError: If bid or gas_price is not an ``int`` or ``Fraction`` or
+            is negative, gamma is not an ``int`` in [1, inf], or gas_reserved
+            is not an ``int`` in [1, gamma].
     """
-    require_exact(bid, "bid")
+    require_amount(bid, "bid")
     return Fraction(*_required_escrow(bid, gas_reserved, gamma, gas_price))
 
 
@@ -109,15 +111,6 @@ def _plus(x: tuple[int, int], n: int, d: int) -> tuple[int, int]:
     num, den = x[0] * d + n * x[1], x[1] * d
     g = gcd(num, den)
     return num // g, den // g
-
-
-def _require_ids(solver_id: str, auctioneer_id: str) -> None:
-    """Refuse a ledger id that is not a non-empty ``str``: ids are sorted and
-    exported as JSON object keys."""
-    if not (isinstance(solver_id, str) and solver_id):
-        raise ValueError(f"solver_id must be a non-empty str, got {solver_id!r}")
-    if not (isinstance(auctioneer_id, str) and auctioneer_id):
-        raise ValueError(f"auctioneer_id must be a non-empty str, got {auctioneer_id!r}")
 
 
 class PendingReservation(NamedTuple):
@@ -189,11 +182,10 @@ class EscrowLedger:
 
     def deposit(self, solver_id: str, auctioneer_id: str, amount: Fraction) -> None:
         """Credit a solver's escrow balance with an auctioneer."""
-        _require_ids(solver_id, auctioneer_id)
-        require_exact(amount, "deposit amount")
+        require_id(solver_id, "solver_id")
+        require_id(auctioneer_id, "auctioneer_id")
+        require_amount(amount, "deposit amount")
         exact = (amount.numerator, amount.denominator)
-        if exact[0] < 0:
-            raise ValueError("deposit amount must be non-negative")
         with self._lock:
             self._post((solver_id, auctioneer_id), exact, exact)
 
@@ -240,7 +232,8 @@ class EscrowLedger:
             InsufficientEscrow: If available balance is below the required
                 escrow; the ledger is left unchanged.
         """
-        _require_ids(solver_id, auctioneer_id)
+        require_id(solver_id, "solver_id")
+        require_id(auctioneer_id, "auctioneer_id")
         needed = _required_escrow(op.bid, op.gas_reserved, gamma, gas_price)
         n, d = needed
         with self._lock:
@@ -272,10 +265,8 @@ class EscrowLedger:
             ValueError: If the charge is negative or exceeds the reserved
                 amount (a settlement-engine bug).
         """
-        require_exact(charged, "charge")
+        require_amount(charged, "charge")
         cn, cd = charged.numerator, charged.denominator
-        if cn < 0:
-            raise ValueError("charge must be non-negative")
         with self._lock:
             reservation = self._pending.get(handle)
             if reservation is None:

@@ -50,6 +50,24 @@ def require_exact(value: object, name: str) -> None:
         raise ValueError(f"{name} must be an int or a Fraction, got {type(value).__name__}")
 
 
+def require_amount(value: object, name: str) -> None:
+    """Refuse a currency amount that :func:`require_exact` refuses or that is
+    negative: ``<name> must be non-negative``. Every amount is non-negative but
+    the signed ``SpoofAttack.bid_margin``, ``CensorshipScenario.attacker_value``
+    and ``format_amount``'s, which call ``require_exact`` alone."""
+    # an int compare; ``Fraction < 0`` is ~10x slower
+    if type(value) not in (int, Fraction) or value.numerator < 0:
+        require_exact(value, name)
+        raise ValueError(f"{name} must be non-negative")
+
+
+def require_id(value: object, name: str) -> None:
+    """Refuse a solver or ledger id that is not a non-empty ``str``: ids are
+    sorted and exported as JSON object keys."""
+    if not (isinstance(value, str) and value):
+        raise ValueError(f"{name} must be a non-empty str, got {value!r}")
+
+
 def require_real(value: object, name: str) -> None:
     """Refuse a float-valued model parameter that is a bool or not a
     ``numbers.Real``; each model then checks its finite range itself."""

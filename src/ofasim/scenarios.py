@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 from .auction import Behavior, GasSchedule, SolverOperation, admit_operations
 from .censorship import CensorshipScenario, censorship_resistance
 from .escrow import required_escrow
-from .money import ZERO, format_amount, require_exact, require_int, require_real
+from .money import ZERO, format_amount, require_amount, require_exact, require_int, require_real
 from .settlement import guaranteed_minimum, settle
 
 #: Most operations one throughput rung may hold (each is a bid and a cost row).
@@ -50,11 +50,11 @@ def _check_game(model: Union[IidFailure, NormalValuation]) -> None:
     require_int(model.n, "n", 1)
     object.__setattr__(model, "bids", tuple(model.bids))
     for bid in model.bids:
-        require_exact(bid, "bid")
+        require_amount(bid, "bid")
     if len(model.bids) != model.n:
         raise ValueError("bids must have exactly n entries")
     require_int(model.gas_per_op, "gas_per_op", 1)
-    require_exact(model.gas_price, "gas_price")
+    require_amount(model.gas_price, "gas_price")
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class IidFailure:
         require_real(self.q, "q")
         if not 0 <= self.q <= 1:
             raise ValueError("q must lie in [0, 1]")
-        require_exact(self.v, "v")
+        require_amount(self.v, "v")
         _check_game(self)
 
 
@@ -153,9 +153,9 @@ class ThroughputSweep:
         require_real(self.q, "q")
         if not 0 < self.q < 1:
             raise ValueError("q must lie strictly in (0, 1)")
-        require_exact(self.bid_high, "bid_high")
-        require_exact(self.bid_low, "bid_low")
-        if self.bid_low > self.bid_high or self.bid_low < 0:
+        require_amount(self.bid_high, "bid_high")
+        require_amount(self.bid_low, "bid_low")
+        if self.bid_low > self.bid_high:
             raise ValueError("need 0 <= bid_low <= bid_high")
 
 
@@ -221,8 +221,6 @@ class SpoofAttack:
     attacker_behavior: Behavior = Behavior.REVERT
 
     def __post_init__(self) -> None:
-        if not self.scenario.rival_ops:
-            raise ValueError("spoof attack needs at least one rival")
         require_exact(self.bid_margin, "bid_margin")
         if self.attacker_gas is not None:
             require_int(self.attacker_gas, "attacker_gas", 1, self.scenario.gamma)
@@ -257,7 +255,7 @@ class Timeline:
     def __post_init__(self) -> None:
         object.__setattr__(self, "candidates", tuple(self.candidates))
         for amount in (self.escrow_snapshot or {}).values():
-            require_exact(amount, "escrow snapshot amount")
+            require_amount(amount, "escrow snapshot amount")
         if self.schedule is None and (self.candidates or self.escrow_snapshot):
             raise ValueError("solver ops and an escrow snapshot need a schedule")
 

@@ -48,8 +48,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .auction import AuctionTransaction, Behavior, require_gas_share
-from .money import ZERO, require_exact
+from .auction import AuctionTransaction, Behavior
+from .money import ZERO, require_amount, require_int
 
 
 class OpOutcome(Enum):
@@ -120,17 +120,16 @@ def failure_cost(
         success followed, else ``failing_bid · gas_reserved / gamma``.
 
     Raises:
-        ValueError: If a bid is not an ``int`` or ``Fraction`` or gas not
-            an ``int``, or on a sequencing violation — non-positive gamma,
-            reserved gas above gamma, or a successful bid above the failing
-            bid (execution order forbids it).
+        ValueError: If gamma is not an ``int`` in [1, inf], gas_reserved not
+            an ``int`` in [1, gamma], or a bid not a non-negative ``int`` or
+            ``Fraction``, or on a sequencing violation: a successful bid above
+            the failing bid (execution order forbids it).
     """
-    require_gas_share(gas_reserved, gamma)
-    require_exact(failing_bid, "failing_bid")
+    require_int(gamma, "gamma", 1)
+    require_int(gas_reserved, "gas_reserved", 1, gamma)
+    require_amount(failing_bid, "failing_bid")
     if successful_bid is not None:
-        require_exact(successful_bid, "successful_bid")
-    if failing_bid < 0:
-        raise ValueError("failing_bid must be non-negative")
+        require_amount(successful_bid, "successful_bid")
     share = Fraction(gas_reserved, gamma)
     if successful_bid is None:
         return failing_bid * share
@@ -268,9 +267,10 @@ def solver_payoff(
 
     Raises:
         KeyError: If the solver did not participate in the settlement.
-        ValueError: If ``private_value`` is not an ``int`` or ``Fraction``.
+        ValueError: If ``private_value`` is not a non-negative ``int`` or
+            ``Fraction``.
     """
-    require_exact(private_value, "private_value")
+    require_amount(private_value, "private_value")
     if solver_id not in dict(result.executed):
         raise KeyError(f"unknown solver_id: {solver_id!r}")
     won = private_value - result.winner_bid if solver_id == result.winner else ZERO

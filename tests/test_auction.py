@@ -183,7 +183,7 @@ class TestAuctionTransaction:
 
     def test_rejects_negative_private_value(self):
         schedule = GasSchedule(tx_gas_limit=1_000_000, user_gas_consumed=0)
-        with pytest.raises(ValueError, match="private values"):
+        with pytest.raises(ValueError, match="^private value must be non-negative$"):
             AuctionTransaction(
                 schedule=schedule,
                 solver_ops=(op("a", 1),),

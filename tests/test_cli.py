@@ -1000,7 +1000,7 @@ MALFORMED_FILES = [
     (
         "admission",
         settle_scenario(private_values={"a": "-1"}),
-        "private values must be non-negative",
+        "private value must be non-negative",
     ),
     (
         "rival_gas_type",
@@ -1096,7 +1096,7 @@ MALFORMED_FILES = [
     (
         "spoof_without_rivals",
         model_config("spoof_attack", gamma=1_000_000, rivals=[]),
-        "config.model: spoof attack needs at least one rival",
+        "config.model: censorship scenario needs at least one rival",
     ),
     (
         # each payoff fits a float, but a squared deviation of the Monte-Carlo does not

@@ -198,17 +198,17 @@ def test_deposit_and_charge_must_be_exact(value):
         (GAMMA, "0.5", "gas_price must be an int or a Fraction, got str"),
         (GAMMA, Decimal("0.5"), "gas_price must be an int or a Fraction, got Decimal"),
         (GAMMA, True, "gas_price must be an int or a Fraction, got bool"),
-        (GAMMA, -PHI, "bid and gas_price must be non-negative"),
-        (GAMMA, -1, "bid and gas_price must be non-negative"),
+        (GAMMA, -PHI, "gas_price must be non-negative"),
+        (GAMMA, -1, "gas_price must be non-negative"),
         (1e6, PHI, "gamma must be an int, got float"),
         (True, PHI, "gamma must be an int, got bool"),
         (np.int64(GAMMA), PHI, "gamma must be an int, got int64"),
-        (0, PHI, "gamma must be positive"),
-        (-5, PHI, "gamma must be positive"),
-        (99_999, PHI, "gas_reserved must lie in (0, gamma]"),  # the op reserves 100,000
-        # precedence: gamma, then gas, then the price's type, then signs
+        (0, PHI, "gamma must lie in [1, inf]"),
+        (-5, PHI, "gamma must lie in [1, inf]"),
+        (99_999, PHI, "gas_reserved must lie in [1, 99999]"),  # the op reserves 100,000
+        # precedence: gamma, then gas, then the price's type, then its sign
         (True, 0.5, "gamma must be an int, got bool"),
-        (99_999, "x", "gas_reserved must lie in (0, gamma]"),
+        (99_999, "x", "gas_reserved must lie in [1, 99999]"),
         (GAMMA, -0.5, "gas_price must be an int or a Fraction, got float"),
     ],
     ids=[

@@ -331,7 +331,7 @@ class TestSpoofAttack:
         assert report["attacker_bid"] == "121"
 
     def test_a_scenario_without_rivals_is_refused_at_construction(self):
-        with pytest.raises(ValueError, match="^spoof attack needs at least one rival$"):
+        with pytest.raises(ValueError, match="^censorship scenario needs at least one rival$"):
             SpoofAttack(scenario=spoof_scenario(rival_ops=()))
 
     def test_attacker_gas_validated_against_budget(self):
@@ -683,6 +683,30 @@ class TestModelRefusals:
     def test_throughput_q_lies_strictly_inside_the_unit_interval(self, q):
         with pytest.raises(ValueError, match=re.escape("q must lie strictly in (0, 1)")):
             ThroughputSweep(gammas=(1_000_000,), q=q)
+
+    # each was accepted and failed only later, in a runner, or never
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: IidFailure(n=1, q=0.5, v=1, bids=(-1,)), "bid must be non-negative"),
+            (lambda: _iid_model(gas_price=Fraction(-1)), "gas_price must be non-negative"),
+            (lambda: _normal_model(gas_price=Fraction(-1)), "gas_price must be non-negative"),
+            (lambda: _iid_model(v=-5), "v must be non-negative"),
+            (
+                lambda: Timeline(
+                    config=TimelineConfig(),
+                    schedule=GasSchedule(tx_gas_limit=1000, user_gas_consumed=0),
+                    escrow_snapshot={"a": Fraction(-3)},
+                ),
+                "escrow snapshot amount must be non-negative",
+            ),
+        ],
+        ids=["iid_bid", "iid_gas_price", "normal_gas_price", "iid_v", "escrow_snapshot"],
+    )
+    def test_a_negative_amount_is_refused_when_built(self, build, message):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
 
     def test_throughput_bids_must_be_ordered(self):
         with pytest.raises(ValueError, match="^need 0 <= bid_low <= bid_high$"):

@@ -27,7 +27,13 @@ error paths, which ``auction_stream`` never reaches.
 Equal lines for two checkouts mean a change kept all three outputs
 identical. ``--against DIR`` makes that one command: it runs the digests for
 ``--src`` and for ``DIR/src``, each in its own interpreter, prints both sets,
-and exits 1 if any digest line differs.
+and exits 1 if any digest line differs. Each digest is the sha256 of a list
+of records' outcomes, one a line (a ``cli_batch`` command, an
+``auction_stream`` order, snapshot, settlement or the final balances, an
+``escrow`` step); when a digest differs, ``--against``
+prints its first ``SHOWN`` differing records, each with what it ran and both
+outcomes. The two interpreters hand their records back through a JSON file
+named by the ``DIFFERENTIAL_RECORDS`` environment variable.
 
 Each run also prints the package's net line count, as
 ``cat SRC/ofasim/*.py | wc -l`` gives it, on a ``#`` line; ``--against``
@@ -42,6 +48,7 @@ import enum
 import glob
 import hashlib
 import importlib
+import json
 import os
 import random
 import subprocess
@@ -54,6 +61,8 @@ from fractions import Fraction
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MASK = "<inputs>"
 ESCROW_STEPS = 2000
+SHOWN = 5  # differing records printed per differing digest
+RECORDS_ENV = "DIFFERENTIAL_RECORDS"
 SOLVERS, AUCTIONEERS = ("s0", "s1", "s2", "ghost"), ("a", "b")  # "ghost" never deposits
 # (solver, auctioneer, gamma, gas_price) that reserve refuses with ValueError
 BAD_RESERVES = [
@@ -85,39 +94,52 @@ def canonical(value) -> str:
     return repr(value)
 
 
-def cli_batch_digest(bench, ofasim, seed: int) -> tuple[int, str]:
+# Each ``*_records`` function returns ``(ops, records)``: records are ``(what
+# ran, its outcome)`` pairs of text, and the digest covers the outcomes.
+Records = list[tuple[str, str]]
+
+
+def cli_batch_records(bench, ofasim, seed: int) -> tuple[int, Records]:
     with tempfile.TemporaryDirectory() as workdir:
         workload = bench["cli_batch"].Workload(seed, ofasim, workdir)
         workload.run_round(lambda: None)
-        digest = hashlib.sha256()
+        records = []
         for command in workload.commands:
             code, out, err = command.outcome
             record = canonical([command.kind, command.argv, code, out, err])
-            digest.update(record.replace(workdir, MASK).encode() + b"\n")
-    return len(workload.commands), digest.hexdigest()
+            argv = canonical(command.argv)
+            records.append((f"{command.kind} {argv}", record))
+    masked = [(what.replace(workdir, MASK), text.replace(workdir, MASK)) for what, text in records]
+    return len(workload.commands), masked
 
 
-def auction_stream_digest(bench, ofasim, seed: int) -> tuple[int, str]:
+def auction_stream_records(bench, ofasim, seed: int) -> tuple[int, Records]:
     workload = bench["auction_stream"].Workload(seed, ofasim)
     workload.run_round(lambda: None)
     round_one = workload.round_one
-    record = canonical(
-        [workload.rounds[0], round_one["snapshots"], round_one["settled"], round_one["balances"]]
-    )
-    return len(workload.orders), hashlib.sha256(record.encode()).hexdigest()
+    snapshots = round_one["snapshots"]
+    records = [(f"order {index}", canonical(item)) for index, item in enumerate(workload.rounds[0])]
+    records += [(f"snapshot after order {key}", canonical(snapshots[key])) for key in snapshots]
+    records += [
+        (f"settlement {index}", canonical(item)) for index, item in enumerate(round_one["settled"])
+    ]
+    records.append(("final balances", canonical(round_one["balances"])))
+    return len(workload.orders), records
 
 
-def escrow_digest(bench, ofasim, seed: int) -> tuple[int, str]:
+def escrow_records(bench, ofasim, seed: int) -> tuple[int, Records]:
     rng = random.Random(seed)
     ledger = ofasim.escrow.EscrowLedger()
     live: list[tuple[int, Fraction]] = []  # (handle, amount) of pending reservations
-    outcomes = []
-    for _ in range(ESCROW_STEPS):
+    calls, outcomes = [], []
+    for step in range(ESCROW_STEPS):
         roll = rng.random()
         solver, auctioneer = rng.choice(SOLVERS), rng.choice(AUCTIONEERS)
+        call = f"prefetch_snapshot({auctioneer!r}), pending({solver!r}, {auctioneer!r})"
         try:
             if roll < 0.15 and solver != "ghost":
                 amount = Fraction(rng.randint(0, 400), rng.randint(1, 12))
+                call = f"deposit({solver!r}, {auctioneer!r}, {amount})"
                 outcome = ledger.deposit(solver, auctioneer, amount)
             elif roll < 0.6:
                 gamma = rng.randint(10**6, 3 * 10**6)
@@ -126,6 +148,10 @@ def escrow_digest(bench, ofasim, seed: int) -> tuple[int, str]:
                 op = ofasim.auction.SolverOperation(solver, bid, rng.randint(1, gamma))
                 if rng.random() < 0.1:
                     solver, auctioneer, gamma, price = rng.choice(BAD_RESERVES)
+                call = (
+                    f"reserve({solver!r}, {auctioneer!r}, <bid {bid}, gas_reserved "
+                    f"{op.gas_reserved}>, {gamma!r}, {price!r})"
+                )
                 r = ledger.reserve(solver, auctioneer, op, gamma, price)
                 live.append((r.handle, r.amount))
                 outcome = (r.handle, r.solver_id, r.auctioneer_id, r.op_ref, r.amount)
@@ -135,8 +161,10 @@ def escrow_digest(bench, ofasim, seed: int) -> tuple[int, str]:
                     handle += 10**6  # no such reservation
                 if roll < 0.8:
                     charge = amount * Fraction(rng.randint(0, 110), 100)
+                    call = f"settle_reservation({handle}, {charge})"
                     outcome = ledger.settle_reservation(handle, charge)
                 else:
+                    call = f"cancel_reservation({handle})"
                     outcome = ledger.cancel_reservation(handle)
             else:
                 outcome = (
@@ -145,9 +173,11 @@ def escrow_digest(bench, ofasim, seed: int) -> tuple[int, str]:
                 )
         except (ofasim.escrow.InsufficientEscrow, ValueError, KeyError) as exc:
             outcome = exc
+        calls.append(f"step {step}: {call}")
         outcomes.append(outcome)
+    calls.append("final balances")
     outcomes.append([ledger.to_json(), list(ledger)])
-    return ESCROW_STEPS, hashlib.sha256(canonical(outcomes).encode()).hexdigest()
+    return ESCROW_STEPS, list(zip(calls, map(canonical, outcomes)))
 
 
 def src_lines(src: str) -> int:
@@ -159,18 +189,43 @@ def src_lines(src: str) -> int:
     return total
 
 
+def show_differences(key: str, here: list, against: list) -> None:
+    """Print the first ``SHOWN`` records of digest ``key`` whose outcomes differ."""
+    differing = [
+        (what, mine, theirs)
+        for (what, mine), (_, theirs) in zip(here, against)
+        if mine != theirs
+    ]
+    print(f"{key}: {len(differing)} of {min(len(here), len(against))} records differ", end="")
+    if len(here) != len(against):
+        print(f" ({len(here)} records here, {len(against)} against)", end="")
+    print(f"; the first {min(SHOWN, len(differing))}:")
+    for what, mine, theirs in differing[:SHOWN]:
+        print(f"  {what}\n    here:    {mine}\n    against: {theirs}")
+
+
 def compare(sources: list[str], seeds: list[int]) -> int:
-    """Print the digests of each ``src`` directory; 1 if any digest differs."""
-    digests = []
-    for src in sources:
-        argv = [sys.executable, os.path.abspath(__file__), "--src", src, *map(str, seeds)]
-        done = subprocess.run(argv, stdout=subprocess.PIPE, text=True, check=True)
-        print(f"# {src}\n{done.stdout}", end="", flush=True)
-        digests.append([line for line in done.stdout.splitlines() if not line.startswith("#")])
+    """Print the digests of each ``src`` directory, and the first differing
+    records of each digest that differs; 1 if any digest differs."""
+    digests, records = [], []
+    with tempfile.TemporaryDirectory() as scratch:
+        for index, src in enumerate(sources):
+            argv = [sys.executable, os.path.abspath(__file__), "--src", src, *map(str, seeds)]
+            path = os.path.join(scratch, f"{index}.json")
+            env = {**os.environ, RECORDS_ENV: path}
+            done = subprocess.run(argv, stdout=subprocess.PIPE, text=True, check=True, env=env)
+            print(f"# {src}\n{done.stdout}", end="", flush=True)
+            lines = [line for line in done.stdout.splitlines() if not line.startswith("#")]
+            digests.append({line.split(" ops=")[0]: line for line in lines})
+            with open(path, encoding="utf-8") as handle:
+                records.append(json.load(handle))
     lines = [src_lines(src) for src in sources]
     print(f"# src lines: {lines[0]} here, {lines[1]} against ({lines[0] - lines[1]:+d})")
     same = digests[0] == digests[1]
     print("identical" if same else "DIFFERENT")
+    for key, line in digests[0].items():
+        if digests[1].get(key) != line:
+            show_differences(key, records[0][key], records[1].get(key, []))
     return 0 if same else 1
 
 
@@ -187,14 +242,23 @@ def main() -> int:
     importlib.import_module("ofasim.cli")  # the package does not import its CLI
     bench = {name: importlib.import_module(name) for name in ("cli_batch", "auction_stream")}
     print(f"# src lines: {src_lines(args.src)}", flush=True)
+    kept = {}
     for seed in args.seeds:
-        for name, digest_of in (
-            ("cli_batch", cli_batch_digest),
-            ("auction_stream", auction_stream_digest),
-            ("escrow", escrow_digest),
+        for name, records_of in (
+            ("cli_batch", cli_batch_records),
+            ("auction_stream", auction_stream_records),
+            ("escrow", escrow_records),
         ):
-            ops, digest = digest_of(bench, ofasim, seed)
-            print(f"{name} seed={seed} ops={ops} sha256={digest}", flush=True)
+            ops, records = records_of(bench, ofasim, seed)
+            digest = hashlib.sha256()
+            for _, outcome in records:
+                digest.update(outcome.encode() + b"\n")
+            key = f"{name} seed={seed}"
+            print(f"{key} ops={ops} sha256={digest.hexdigest()}", flush=True)
+            kept[key] = records
+    if RECORDS_ENV in os.environ:
+        with open(os.environ[RECORDS_ENV], "w", encoding="utf-8") as handle:
+            json.dump(kept, handle)
     return 0
 
 
