@@ -11,10 +11,11 @@ Scenario files are JSON with a versioned top-level ``"schema"`` field
 field-spec table (field name → parser, required or optional): unknown fields
 are rejected at every nesting level, currency must be decimal strings (floats
 are refused — binary floats would silently break exact accounting), and
-``NaN``/``Infinity`` are refused everywhere. Integers and solver ids reach the
-library as given: it checks values, the CLI only converts them and checks the
-JSON's shape. An optional field left out takes the library's default. Reports
-print as ``json.dumps(report, indent=2)`` would, currency as decimal strings.
+``NaN``/``Infinity`` are refused everywhere. Integers, real numbers and solver
+ids reach the library as given: it checks values, the CLI only converts them
+and checks the JSON's shape. An optional field left out takes the library's
+default. Reports print as ``json.dumps(report, indent=2)`` would, currency as
+decimal strings.
 
 A command line is a subcommand, its positional (FILE, or KIND straight after
 ``sweep``), then exact ``--flag VALUE`` or ``--flag=VALUE`` pairs. A value or
@@ -124,7 +125,7 @@ def _object(builder: Callable[..., Any], **spec: tuple[Parser, bool]) -> Parser:
 
 
 def _given(value: Any) -> Any:
-    """A value the library checks itself (gas, counts, seeds, solver ids)."""
+    """A value the library checks itself (gas, counts, seeds, q, sigma, solver ids)."""
     return value
 
 
@@ -132,15 +133,6 @@ def _gas_used(value: Any) -> Any:
     if value is None:  # the library would read null as a left-out gas_used
         raise _Invalid("expected an integer, got null")
     return value
-
-
-def _expect_number(value: Any) -> float:
-    if type(value) not in (int, float):
-        raise _Invalid("expected a number")
-    # false for NaN, an infinity and an integer too large for a float
-    if not abs(value) <= sys.float_info.max:
-        raise _Invalid("expected a finite number")
-    return float(value)
 
 
 def _currency(value: Any) -> Fraction:
@@ -288,7 +280,7 @@ _MODELS: dict[str, Parser] = {
     "iid_failure": _object(
         IidFailure,
         n=(_given, True),
-        q=(_expect_number, True),
+        q=(_given, True),
         v=(_currency, True),
         **_GAME_OPS,
     ),
@@ -296,7 +288,7 @@ _MODELS: dict[str, Parser] = {
         NormalValuation,
         n=(_given, True),
         v=(_currency, True),
-        sigma=(_expect_number, True),
+        sigma=(_given, True),
         **_GAME_OPS,
     ),
     "throughput_sweep": _object(
@@ -305,7 +297,7 @@ _MODELS: dict[str, Parser] = {
         gas_per_op=(_given, False),
         bid_high=(_currency, False),
         bid_low=(_currency, False),
-        q=(_expect_number, False),
+        q=(_given, False),
     ),
     "spoof_attack": _object(
         _spoof_attack,
@@ -383,7 +375,7 @@ class _Unsupported(Exception):
     """A value ``_emit`` leaves to ``json.dumps``."""
 
 
-def _float(value: float) -> str:
+def _write_float(value: float) -> str:
     if math.isfinite(value):
         return float.__repr__(value)
     if value != value:
@@ -397,7 +389,7 @@ def _float(value: float) -> str:
 _WRITERS: dict[type, Callable[[Any], str]] = {
     str: _ESCAPE,
     int: int.__repr__,
-    float: _float,
+    float: _write_float,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
@@ -454,14 +446,9 @@ def _dumps(report: Any) -> str:
 
 def cmd_settle(args: SimpleNamespace) -> int:
     fields = _read(args.file, _SETTLE, "scenario")
-    try:
-        tx = admit_operations(
-            fields["solver_ops"], fields["schedule"], fields.get("private_values")
-        )
-        result = settle(tx)
-        floor = guaranteed_minimum(tx)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    tx = admit_operations(fields["solver_ops"], fields["schedule"], fields.get("private_values"))
+    result = settle(tx)
+    floor = guaranteed_minimum(tx)
 
     report = {
         "admitted": [op.solver_id for op in tx.solver_ops],
@@ -635,11 +622,7 @@ def cmd_sweep(args: SimpleNamespace) -> int:
 
 def cmd_simulate(args: SimpleNamespace) -> int:
     config = _read(args.file, _SIMULATE, "config")
-    try:
-        report = run_simulation(config)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    print(_dumps(report))
+    print(_dumps(run_simulation(config)))
     return 0
 
 

@@ -41,10 +41,9 @@ identity tolerances elsewhere are kept an order of magnitude looser.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
-from .money import require_int, require_real
+from .money import require_float, require_int, require_real
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -76,11 +75,11 @@ class BaselineGame:
 
     Attributes:
         n: Number of bidders (≥ 2).
-        q: Per-execution failure probability, strictly inside (0, 1).
-        v: Common value of winning (finite and > 0).
+        q: Per-execution failure probability, in (0, 1).
+        v: Common value of winning, in (0, inf).
 
-    Fields accept exact rational values; the closed forms below then evaluate
-    exactly.
+    Fields are checked by ``money.require_real`` and kept as given, so with
+    exact rational values the closed forms below evaluate exactly.
     """
 
     n: int
@@ -89,15 +88,8 @@ class BaselineGame:
 
     def __post_init__(self) -> None:
         require_int(self.n, "n", 2)
-        require_real(self.q, "q")
-        require_real(self.v, "v")
-        if not 0 < self.q < 1:
-            raise ValueError("q must lie strictly in (0, 1)")
-        # exact for int and Fraction, so an exact 10**400 stays accepted
-        if not abs(self.v) < math.inf:
-            raise ValueError("v must be finite")
-        if not self.v > 0:
-            raise ValueError("v must be positive")
+        require_real(self.q, "q", 0, 1, strict=True)
+        require_real(self.v, "v", 0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -106,8 +98,10 @@ class DiscreteTimeGame:
 
     Attributes:
         n: Number of bidders (≥ 2).
-        v: Mean of the valuation X at execution time (finite).
-        sigma: Standard deviation of X (finite and > 0).
+        v: Mean of the valuation X at execution time, in (-inf, inf).
+        sigma: Standard deviation of X, in (0, inf).
+
+    Both are checked by ``money.require_float`` and stored as floats.
     """
 
     n: int
@@ -116,23 +110,17 @@ class DiscreteTimeGame:
 
     def __post_init__(self) -> None:
         require_int(self.n, "n", 2)
-        require_real(self.v, "v")
-        require_real(self.sigma, "sigma")
-        # exact for int and Fraction (no float conversion), and false for NaN
-        limit = sys.float_info.max
-        if not (abs(self.v) <= limit and abs(self.sigma) <= limit):
-            raise ValueError("v and sigma must be finite")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        object.__setattr__(self, "v", require_float(self.v, "v"))
+        object.__setattr__(self, "sigma", require_float(self.sigma, "sigma", 0, strict=True))
 
 
 def baseline_utility(game: BaselineGame, b):
     """Expected total payoff across all n solvers at a common bid b.
 
-    Returns ``v(1 − qⁿ) − b``; exact for rational inputs.
+    Returns ``v(1 − qⁿ) − b``; exact for rational inputs. b must lie in
+    [0, inf).
     """
-    if b < 0:
-        raise ValueError("b must be non-negative")
+    require_real(b, "b", 0)
     return game.v * (1 - game.q**game.n) - b
 
 
@@ -145,10 +133,10 @@ def deviation_utility(game: BaselineGame, b, epsilon):
 
         (1−q)[v−(b+ε)] + q(−ε/n) + qⁿ(−b/n).
 
-    Exact for rational inputs.
+    Exact for rational inputs. b and epsilon must lie in [0, inf).
     """
-    if b < 0 or epsilon < 0:
-        raise ValueError("b and epsilon must be non-negative")
+    require_real(b, "b", 0)
+    require_real(epsilon, "epsilon", 0)
     n, q, v = game.n, game.q, game.v
     return (1 - q) * (v - (b + epsilon)) + q * (-epsilon / n) + q**n * (-b / n)
 
@@ -169,7 +157,7 @@ def conditional_success_value(v: float, sigma: float, b: float) -> float:
 
     Args:
         v: Mean of X.
-        sigma: Standard deviation of X (> 0).
+        sigma: Standard deviation of X, in (0, inf).
         b: The bid (truncation point).
 
     Returns:
@@ -177,11 +165,10 @@ def conditional_success_value(v: float, sigma: float, b: float) -> float:
         mean.
 
     Raises:
-        ValueError: If sigma is not positive, or the survival probability
+        ValueError: If sigma lies outside (0, inf), or the survival probability
             underflows to zero (bid far above the support).
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    require_real(sigma, "sigma", 0, strict=True)
     z = (b - v) / sigma
     survival = normal_sf(z)
     if survival <= 0.0:

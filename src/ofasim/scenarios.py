@@ -8,18 +8,16 @@ runners in ``ofasim.simulation``, which loads numpy on their first run.
 from __future__ import annotations
 
 import importlib
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .auction import Behavior, GasSchedule, SolverOperation, admit_operations
 from .censorship import CensorshipScenario, censorship_resistance
 from .escrow import required_escrow
-from .money import ZERO, format_amount, require_amount, require_exact, require_int, require_real
+from .money import ZERO, format_amount, require_amount, require_exact, require_float, require_int
 from .settlement import guaranteed_minimum, settle
 
 #: Most operations one throughput rung may hold (each is a bid and a cost row).
@@ -28,21 +26,6 @@ MAX_RUNG_OPS = 1_000_000
 
 # ---------------------------------------------------------------------------
 # models and configuration
-
-
-@contextmanager
-def _float_range(what: str) -> Iterator[None]:
-    """Turn an ``OverflowError`` of a float conversion into a ``ValueError``."""
-    try:
-        yield
-    except OverflowError as exc:
-        raise ValueError(f"{what} is too large for a float") from exc
-
-
-def _float(amount: Union[Fraction, float], what: str) -> float:
-    """``amount`` as a float; ``ValueError`` if it lies beyond the float range."""
-    with _float_range(what):
-        return float(amount)
 
 
 def _check_game(model: Union[IidFailure, NormalValuation]) -> None:
@@ -63,7 +46,8 @@ class IidFailure:
 
     Attributes:
         n: Number of solvers.
-        q: Failure probability of each executed operation.
+        q: Failure probability of each executed operation, in [0, 1]; stored
+            as a float.
         v: Common value of winning (private value of every solver).
         bids: Per-solver bids; must have exactly n entries.
         gas_per_op: Uniform reserved gas per operation.
@@ -78,9 +62,7 @@ class IidFailure:
     gas_price: Fraction = ZERO
 
     def __post_init__(self) -> None:
-        require_real(self.q, "q")
-        if not 0 <= self.q <= 1:
-            raise ValueError("q must lie in [0, 1]")
+        object.__setattr__(self, "q", require_float(self.q, "q", 0, 1))
         require_amount(self.v, "v")
         _check_game(self)
 
@@ -91,9 +73,10 @@ class NormalValuation:
 
     Attributes:
         n: Number of solvers.
-        v: Mean valuation at execution time (finite; converted to a float).
-        sigma: Standard deviation of the valuation (finite, and at least
-            2**-40 · max(|v|, bids), so floats resolve the valuation near a bid).
+        v: Mean valuation at execution time, in (-inf, inf); stored as a float.
+        sigma: Standard deviation of the valuation, in (0, inf) and at least
+            2**-40 · max(|v|, bids), so floats resolve the valuation near a
+            bid; stored as a float.
         bids: Per-solver bids.
         gas_per_op: Uniform reserved gas per operation.
         gas_price: Currency per gas unit.
@@ -107,15 +90,8 @@ class NormalValuation:
     gas_price: Fraction = ZERO
 
     def __post_init__(self) -> None:
-        require_real(self.v, "v")
-        require_real(self.sigma, "sigma")
-        object.__setattr__(self, "v", _float(self.v, "v"))
-        # exact for an int or Fraction sigma (no float conversion), and false for NaN
-        limit = sys.float_info.max
-        if not (abs(self.v) <= limit and abs(self.sigma) <= limit):
-            raise ValueError("v and sigma must be finite")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        object.__setattr__(self, "v", require_float(self.v, "v"))
+        object.__setattr__(self, "sigma", require_float(self.sigma, "sigma", 0, strict=True))
         _check_game(self)
         # below this no float X can land strictly between a bid and its
         # neighbours as the normal law says it should
@@ -133,7 +109,8 @@ class ThroughputSweep:
     reverts, every higher-bidding op reverts too, and the lower-bidding ops
     fail independently with probability q — so the measured expectation
     isolates how the penalty itself scales with the budget. Each gamma must
-    hold from one to ``MAX_RUNG_OPS`` operations of ``gas_per_op``.
+    hold from one to ``MAX_RUNG_OPS`` operations of ``gas_per_op``; q lies
+    in (0, 1) and is stored as a float.
     """
 
     gammas: tuple[int, ...]
@@ -150,9 +127,7 @@ class ThroughputSweep:
         widest = (MAX_RUNG_OPS + 1) * self.gas_per_op - 1
         for index, gamma in enumerate(self.gammas):
             require_int(gamma, f"gammas[{index}]", self.gas_per_op, widest)
-        require_real(self.q, "q")
-        if not 0 < self.q < 1:
-            raise ValueError("q must lie strictly in (0, 1)")
+        object.__setattr__(self, "q", require_float(self.q, "q", 0, 1, strict=True))
         require_amount(self.bid_high, "bid_high")
         require_amount(self.bid_low, "bid_low")
         if self.bid_low > self.bid_high:
@@ -208,7 +183,8 @@ class SpoofAttack:
         scenario: Rivals (at least one), budget, gas price and attacker value.
         bid_margin: How far above the best rival bid the attacker bids. A
             zero or negative margin models a failed outbid attempt (the
-            attacker then sorts behind the best rival).
+            attacker then sorts behind the best rival); the attacker's bid,
+            best rival bid + bid_margin, must be non-negative.
         attacker_gas: Gas the attacker reserves; defaults to the full
             budget gamma. Anything below ``gamma − min rival gas + 1``
             leaves room for at least one rival.
@@ -222,6 +198,8 @@ class SpoofAttack:
 
     def __post_init__(self) -> None:
         require_exact(self.bid_margin, "bid_margin")
+        if max(bid for bid, _ in self.scenario.rival_ops) + self.bid_margin < 0:
+            raise ValueError("best rival bid + bid_margin must be non-negative")
         if self.attacker_gas is not None:
             require_int(self.attacker_gas, "attacker_gas", 1, self.scenario.gamma)
 

@@ -21,6 +21,7 @@ closed forms should use 3-standard-error bands.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -31,14 +32,23 @@ from .equilibrium import normal_cdf, normal_sf
 from .money import format_amount
 from .scenarios import (  # noqa: F401  (the models and exact runners, re-exported)
     CHAIN_ACCESS_KINDS, MAX_RUNG_OPS, IidFailure, Model, NormalValuation, SimConfig, SpoofAttack,
-    ThroughputSweep, Timeline, TimelineConfig, TimelineEvent, TimelineEventKind, _float,
-    _float_range, _rung, chain_quiet_between_order_and_guarantee, median_failure_costs,
-    run_simulation, run_spoof_attack, run_timeline,
+    ThroughputSweep, Timeline, TimelineConfig, TimelineEvent, TimelineEventKind, _rung,
+    chain_quiet_between_order_and_guarantee, median_failure_costs, run_simulation,
+    run_spoof_attack, run_timeline,
 )
 from .settlement import _pattern_terms
 
 #: Most proposals the valuation sampler draws at once, so memory stays flat.
 _BATCH = 16384
+
+
+@contextmanager
+def _float_range(what: str) -> Iterator[None]:
+    """Turn an ``OverflowError`` of a float conversion into a ``ValueError``."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise ValueError(f"{what} is too large for a float") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +299,8 @@ def run_normal_valuation(config: SimConfig) -> dict:
         raise TypeError("run_normal_valuation requires a NormalValuation model")
     tx = _game_transaction(model, None)
     ops, n = tx.solver_ops, model.n
-    bid_row = np.array([_float(op.bid, "bid") for op in ops])
+    with _float_range("bid"):
+        bid_row = np.array([float(op.bid) for op in ops])
     executed = np.minimum(np.arange(1, n + 2), n)
     columns = np.column_stack([_pattern_columns(tx), executed])
     # the winner's realized X adds to its own column and to the total

@@ -355,16 +355,16 @@ SWEEP_REJECTIONS = {
     # fails on the first grid point, after the CSV header used to be written
     "sigma_min_zero": (
         ["equilibrium", "--sigma-min", "0", "--n", "2"],
-        "sigma must be positive",
+        "sigma must lie in (0, inf)",
     ),
     "sigma_min_negative": (
         ["equilibrium", "--sigma-min", "-1", "--n", "2"],
-        "sigma must be positive",
+        "sigma must lie in (0, inf)",
     ),
     # a value that starts with "-" is read as the value, and so reaches validation
     "sigma_min_negative_exponent": (
         ["equilibrium", "--sigma-min", "-1e0", "--n", "2"],
-        "sigma must be positive",
+        "sigma must lie in (0, inf)",
     ),
     "v_negative_exponent": (
         ["equilibrium", "--n", "2", "--v", "-1e3", "--sigma-min", "1", "--sigma-max", "1"],
@@ -557,7 +557,7 @@ class TestSimulate:
         assert cli.main(["simulate", path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "config.model.sigma: expected a number" in captured.err
+        assert captured.err == "error: config.model: sigma must be a real number, got str\n"
 
     def test_spoof_requires_rivals(self, tmp_path, capsys):
         config = {
@@ -719,6 +719,11 @@ class TestModelFields:
                 {"schedule": {"user_gas_consumed": 0}},
                 "config.model.schedule: missing field(s) ['tx_gas_limit']",
             ),
+            (
+                "spoof_attack",
+                {"rivals": [{"bid": "3", "gas_reserved": 1}], "gamma": 10, "bid_margin": "-5"},
+                "config.model: best rival bid + bid_margin must be non-negative",
+            ),
         ],
     )
     def test_nested_objects_are_validated(self, tmp_path, capsys, kind, fields, message):
@@ -734,12 +739,18 @@ class TestModelFields:
             f"error: {path} is not valid JSON: {literal} is not a finite number\n"
         )
 
-    @pytest.mark.parametrize("number", ["1e400", str(10**400)], ids=["float", "int"])
-    def test_overflowing_number_is_rejected(self, tmp_path, capsys, number):
+    @pytest.mark.parametrize(
+        "number, message",
+        [
+            ("1e400", "sigma must lie in (0, inf)"),
+            (str(10**400), "sigma is too large for a float"),
+        ],
+        ids=["float", "int"],
+    )
+    def test_overflowing_number_is_rejected(self, tmp_path, capsys, number, message):
+        # json reads 1e400 as inf
         path = normal_config_with_sigma(tmp_path, number)
-        assert run_rejected(capsys, path) == (
-            "error: config.model.sigma: expected a finite number\n"
-        )
+        assert run_rejected(capsys, path) == f"error: config.model: {message}\n"
 
 
 class TestUsage:

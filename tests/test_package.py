@@ -153,3 +153,21 @@ def test_cli_loads_numpy_only_to_simulate(tmp_path, command):
         timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+
+
+# The probes above run the PEP 562 hooks in a subprocess; these run them here.
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'ofasim' has no attribute 'no_such_name'$"):
+        ofasim.no_such_name  # noqa: B018
+
+
+def test_a_lazy_name_resolves_to_the_simulation_module():
+    import ofasim.simulation
+
+    assert ofasim.run_iid_failure is ofasim.simulation.run_iid_failure
+
+
+def test_dir_lists_the_lazy_names_in_order():
+    names = dir(ofasim)
+    assert names == sorted(set(names))
+    assert {"simulation", *ofasim.__all__} <= set(names)

@@ -161,18 +161,20 @@ class TestNormalValuation:
         assert within_three_se(report["scaled_per_execution_payoff"], expected)
 
     @pytest.mark.parametrize(
-        "v, sigma",
+        "v, sigma, message",
         [
-            (100.0, float("nan")),
-            (100.0, float("inf")),
-            (float("nan"), 5.0),
+            pytest.param(100.0, float("nan"), "sigma must lie in (0, inf)", id="100.0-nan"),
+            pytest.param(100.0, float("inf"), "sigma must lie in (0, inf)", id="100.0-inf"),
+            pytest.param(float("nan"), 5.0, "v must lie in (-inf, inf)", id="nan-5.0"),
             # math.isfinite used to raise OverflowError here
-            pytest.param(1.0, 10**400, id="int-sigma-beyond-float"),
+            pytest.param(
+                1.0, 10**400, "sigma is too large for a float", id="int-sigma-beyond-float"
+            ),
         ],
     )
-    def test_non_finite_parameters_rejected(self, v, sigma):
+    def test_non_finite_parameters_rejected(self, v, sigma, message):
         # a NaN sigma used to pass and yield an all-revert report
-        with pytest.raises(ValueError, match="v and sigma must be finite"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             NormalValuation(n=2, v=v, sigma=sigma, bids=(Fraction(99),) * 2)
 
     @pytest.mark.parametrize(
@@ -307,6 +309,16 @@ class TestSpoofAttack:
         # margin 0 ties the best rival's bid; the rival reserves less gas and
         # therefore executes first
         report = run_spoof(bid_margin=Fraction(0))
+        assert report["attack_winner"] == "r000"
+
+    def test_a_margin_below_minus_the_best_rival_bid_is_refused_when_built(self):
+        # it used to be built and fail in the runner with "bid must be non-negative"
+        scenario = spoof_scenario(rival_ops=((Fraction(3), 1), (Fraction(1), 1)))
+        message = "best rival bid + bid_margin must be non-negative"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SpoofAttack(scenario=scenario, bid_margin=Fraction(-5))
+        # a margin down to minus the best rival bid still runs, at a bid of 0
+        report = run_spoof(scenario=scenario, bid_margin=Fraction(-3))
         assert report["attack_winner"] == "r000"
 
     def test_successful_censor_pays_its_bid_to_the_beneficiary(self):
@@ -668,7 +680,7 @@ def test_normal_valuation_memory_is_flat_at_five_million_trials():
 
 class TestModelRefusals:
     def test_normal_valuation_needs_a_positive_sigma(self):
-        with pytest.raises(ValueError, match="^sigma must be positive$"):
+        with pytest.raises(ValueError, match=r"^sigma must lie in \(0, inf\)$"):
             _normal_model(sigma=0)
 
     def test_iid_failure_needs_a_solver(self):
@@ -681,7 +693,7 @@ class TestModelRefusals:
 
     @pytest.mark.parametrize("q", [0, 1, 1.5])
     def test_throughput_q_lies_strictly_inside_the_unit_interval(self, q):
-        with pytest.raises(ValueError, match=re.escape("q must lie strictly in (0, 1)")):
+        with pytest.raises(ValueError, match=re.escape("q must lie in (0, 1)")):
             ThroughputSweep(gammas=(1_000_000,), q=q)
 
     # each was accepted and failed only later, in a runner, or never
