@@ -20,13 +20,7 @@ Resistance is strictly increasing in gamma (d/dgamma = gas_price +
 B·min_gas/gamma² > 0 whenever gas is priced or rivals bid), which is the
 qualitative story the sweep output shows.
 
-All arithmetic is exact, and so must the inputs be: a gas price, rival bid
-or attacker value that is not an ``int`` or ``Fraction`` is refused, and so
-is a negative gas price or rival bid. A scenario needs at least one rival. One
-private routine evaluates the formula on integer numerators and builds one
-``Fraction``. ``resistance_sweep`` makes the scenario checks once for the
-whole grid, takes B and the minimum rival gas once, and calls that routine
-per grid point without building a scenario.
+All arithmetic is exact, and so must the inputs be (``int`` or ``Fraction``).
 """
 
 from __future__ import annotations

@@ -7,15 +7,16 @@ Subcommands:
   - ``simulate <file>``: run a Monte-Carlo / timeline config, print the report as JSON.
 
 Scenario files are JSON with a versioned top-level ``"schema"`` field
-(``settle/1``, ``simulate/1``). Every JSON object is checked against a
-field-spec table (field name → parser, required or optional): unknown fields
-are rejected at every nesting level, currency must be decimal strings (floats
-are refused — binary floats would silently break exact accounting), and
-``NaN``/``Infinity`` are refused everywhere. Integers, real numbers and solver
-ids reach the library as given: it checks values, the CLI only converts them
-and checks the JSON's shape. An optional field left out takes the library's
-default. Reports print as ``json.dumps(report, indent=2)`` would, currency as
-decimal strings.
+(``settle/1``, ``simulate/1``). A JSON object that holds a library object has
+its dataclass's fields, required where the dataclass has no default; only the
+two file roots, the spoof model and its rivals have shapes of their own.
+Unknown fields are refused at every nesting level, currency is read by
+``money.parse_amount`` (decimal strings, never floats), and
+``NaN``/``Infinity`` are refused everywhere. Other values reach the library
+as given: it checks values, the CLI only the JSON's shape. An optional field
+left out takes the library's default; so does a ``sweep`` flag for a model
+field that has one. Reports print as ``json.dumps(report, indent=2)`` would,
+currency as decimal strings.
 
 A command line is a subcommand, its positional (FILE, or KIND straight after
 ``sweep``), then exact ``--flag VALUE`` or ``--flag=VALUE`` pairs. A value or
@@ -129,6 +130,24 @@ def _given(value: Any) -> Any:
     return value
 
 
+def _fields(cls: type, **parsers: Parser) -> dict[str, tuple[Parser, bool]]:
+    """The ``_object`` spec of the dataclass ``cls``: its init fields in order,
+    each read by its entry in ``parsers`` or else passed through as given, and
+    required when it has neither a default nor a default factory."""
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    unknown = parsers.keys() - {f.name for f in fields}
+    if unknown:
+        raise TypeError(f"{cls.__name__} has no field(s) {sorted(unknown)}")
+    missing = dataclasses.MISSING
+    return {
+        f.name: (
+            parsers.get(f.name, _given),
+            f.default is missing and f.default_factory is missing,
+        )
+        for f in fields
+    }
+
+
 def _gas_used(value: Any) -> Any:
     if value is None:  # the library would read null as a left-out gas_used
         raise _Invalid("expected an integer, got null")
@@ -136,17 +155,10 @@ def _gas_used(value: Any) -> Any:
 
 
 def _currency(value: Any) -> Fraction:
-    if type(value) in (str, int):
-        try:
-            return parse_amount(value)
-        except ValueError as exc:
-            raise _Invalid(str(exc)) from exc
-    if isinstance(value, float):
-        raise _Invalid(
-            "currency must be a decimal string, not a float "
-            "(binary floats would break exact accounting)"
-        )
-    raise _Invalid("currency must be a decimal string")
+    try:
+        return parse_amount(value)
+    except ValueError as exc:
+        raise _Invalid(str(exc)) from exc
 
 
 def _currency_map(value: Any) -> dict[str, Fraction]:
@@ -224,20 +236,11 @@ def _load_json(path: str) -> Any:
         raise ScenarioError(f"{path} is not valid JSON: {exc} is not a finite number") from None
 
 
-_SCHEDULE = _object(
-    GasSchedule,
-    tx_gas_limit=(_given, True),
-    user_gas_consumed=(_given, True),
-    gas_price=(_currency, False),
-)
+_SCHEDULE = _object(GasSchedule, **_fields(GasSchedule, gas_price=_currency))
 
 _SOLVER_OP = _object(
     SolverOperation,
-    gas_reserved=(_given, True),
-    solver_id=(_given, True),
-    bid=(_currency, True),
-    gas_used=(_gas_used, False),
-    behavior=(_behavior, False),
+    **_fields(SolverOperation, bid=_currency, gas_used=_gas_used, behavior=_behavior),
 )
 
 
@@ -261,12 +264,8 @@ def _timeline(**fields: Any) -> Timeline:
     return Timeline(config=config, **fields)
 
 
-#: Fields shared by the two bidding-game models.
-_GAME_OPS: dict[str, tuple[Parser, bool]] = {
-    "bids": (_array(_currency), True),
-    "gas_per_op": (_given, False),
-    "gas_price": (_currency, False),
-}
+#: The currency fields of the two bidding-game models (a JSON v is a decimal string).
+_GAME = {"v": _currency, "bids": _array(_currency), "gas_price": _currency}
 
 _RIVAL = _object(
     lambda bid, gas_reserved: (bid, gas_reserved),
@@ -277,27 +276,11 @@ _RIVAL = _object(
 
 #: Model kind → parser of the model object without its ``kind`` field.
 _MODELS: dict[str, Parser] = {
-    "iid_failure": _object(
-        IidFailure,
-        n=(_given, True),
-        q=(_given, True),
-        v=(_currency, True),
-        **_GAME_OPS,
-    ),
-    "normal_valuation": _object(
-        NormalValuation,
-        n=(_given, True),
-        v=(_currency, True),
-        sigma=(_given, True),
-        **_GAME_OPS,
-    ),
+    "iid_failure": _object(IidFailure, **_fields(IidFailure, **_GAME)),
+    "normal_valuation": _object(NormalValuation, **_fields(NormalValuation, **_GAME)),
     "throughput_sweep": _object(
         ThroughputSweep,
-        gammas=(_array(_given), True),
-        gas_per_op=(_given, False),
-        bid_high=(_currency, False),
-        bid_low=(_currency, False),
-        q=(_given, False),
+        **_fields(ThroughputSweep, gammas=_array(_given), bid_high=_currency, bid_low=_currency),
     ),
     "spoof_attack": _object(
         _spoof_attack,
@@ -312,9 +295,7 @@ _MODELS: dict[str, Parser] = {
     ),
     "timeline": _object(
         _timeline,
-        user_latency_ms=(_given, False),
-        auction_duration_ms=(_given, False),
-        execution_delay_ms=(_given, False),
+        **_fields(TimelineConfig),
         schedule=(_SCHEDULE, False),
         solver_ops=(_array(_SOLVER_OP), False),
         escrow_snapshot=(_currency_map, False),
@@ -631,7 +612,7 @@ def cmd_simulate(args: SimpleNamespace) -> int:
 
 
 #: The ``sweep`` options, flag → (type, default), from which the reader and
-#: the help text are both built.
+#: the help text are both built; a model field's default is the model's.
 _SWEEP_OPTIONS: dict[str, tuple[Callable[[str], Any], Any]] = {
     "--out": (str, None),
     # censorship
@@ -640,13 +621,13 @@ _SWEEP_OPTIONS: dict[str, tuple[Callable[[str], Any], Any]] = {
     "--gamma-points": (int, 10),
     "--gas-prices": (str, "0.00000075"),
     "--rival": (str, None),  # the one flag that repeats
-    "--attacker-value": (str, "0"),
+    "--attacker-value": (str, format_amount(CensorshipScenario.attacker_value)),
     # throughput
     "--gammas": (str, "1000000,2000000,5000000,10000000"),
-    "--gas-per-op": (int, 100_000),
-    "--bid-high": (str, "100"),
-    "--bid-low": (str, "50"),
-    "--q": (float, 0.5),
+    "--gas-per-op": (int, ThroughputSweep.gas_per_op),
+    "--bid-high": (str, format_amount(ThroughputSweep.bid_high)),
+    "--bid-low": (str, format_amount(ThroughputSweep.bid_low)),
+    "--q": (float, ThroughputSweep.q),
     "--trials": (int, 4000),
     "--seed": (int, 20_240_817),
     # equilibrium

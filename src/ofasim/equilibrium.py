@@ -156,19 +156,22 @@ def conditional_success_value(v: float, sigma: float, b: float) -> float:
     """Mean valuation given that it clears the bid: E[X | X > b].
 
     Args:
-        v: Mean of X.
+        v: Mean of X, in (-inf, inf).
         sigma: Standard deviation of X, in (0, inf).
-        b: The bid (truncation point).
+        b: The bid (truncation point), in (-inf, inf).
 
     Returns:
         ``v + σ·φ(z)/(1 − Φ(z))`` with z = (b − v)/σ, the truncated-normal
         mean.
 
     Raises:
-        ValueError: If sigma lies outside (0, inf), or the survival probability
-            underflows to zero (bid far above the support).
+        ValueError: If v, sigma or b lies outside its interval, or the
+            survival probability underflows to zero (bid far above the
+            support).
     """
+    require_real(v, "v")
     require_real(sigma, "sigma", 0, strict=True)
+    require_real(b, "b")
     z = (b - v) / sigma
     survival = normal_sf(z)
     if survival <= 0.0:
@@ -177,11 +180,12 @@ def conditional_success_value(v: float, sigma: float, b: float) -> float:
 
 
 def _support_terms(game: DiscreteTimeGame, b: float) -> tuple[float, float, float, float]:
-    """Common ingredients (z, F, 1−F, 1−Fⁿ) with out-of-support guards."""
+    """Common ingredients (z, F, 1−F, 1−Fⁿ) with out-of-support guards; a NaN
+    bid fails them too."""
     z = (b - game.v) / game.sigma
     cdf = normal_cdf(z)
     survival = normal_sf(z)
-    if cdf <= 0.0 or survival <= 0.0:
+    if not (cdf > 0.0 and survival > 0.0):
         raise ValueError(
             f"bid {b} is outside the valuation support (F in {{0, 1}})"
         )

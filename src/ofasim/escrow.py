@@ -17,20 +17,10 @@ per deposit, reserve, settle or cancel: ``available`` and ``reserve`` are
 O(1), ``prefetch_snapshot`` is one O(solvers) copy, and only ``pending`` scans
 the reservations. Mutations take a single internal lock (linearizable).
 
-Every stored amount (balance, available amount, reserved amount) is a reduced
-integer pair ``(numerator, denominator)``. ``reserve`` compares ``a·d < n·b``
-and stores ``(a·d − n·b, b·d)`` divided by its gcd; settling, cancelling and
-depositing add a pair the same way. Pairs are kept per entry, not over one
-common denominator per auctioneer: each required escrow's denominator carries
-its auction's gamma, so such a denominator would grow with every order. A
-``Fraction`` is built only for a value returned. Every amount (deposit, bid,
-gas price, charge) must be a non-negative ``int`` or ``Fraction``
-(``money.require_amount``), gamma and reserved gas ``int``s in range
-(``money.require_int``), and ledger ids non-empty strings
-(``money.require_id``); anything else is refused with ``ValueError``. A
-reservation is a ``PendingReservation`` named tuple: hashable and immutable,
-it iterates and equals a plain tuple of its values, and ``dataclasses.fields``
-does not apply to it.
+Every stored amount is a reduced integer pair ``(numerator, denominator)``,
+one per entry: a common denominator per auctioneer would carry every auction's
+gamma and grow with every order. A ``Fraction`` is built only for a value
+returned.
 """
 
 from __future__ import annotations

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from numbers import Real
+from typing import Iterator
 
 #: Number of fractional decimal digits accepted on input and emitted on output.
 FRACTIONAL_DIGITS = 18
@@ -88,18 +90,25 @@ def require_real(
         raise ValueError(f"{name} must lie in {opening}{low}, {high}{closing}")
 
 
+@contextmanager
+def float_range(name: str) -> Iterator[None]:
+    """Turn an ``OverflowError`` of a float conversion into a ``ValueError``
+    that names ``name``."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise ValueError(f"{name} is too large for a float") from exc
+
+
 def require_float(
     value: object, name: str, low: Real = -math.inf, high: Real = math.inf, strict: bool = False
 ) -> float:
     """``float(value)`` once :func:`require_real` accepts the float: the range
     is checked after rounding, so a tiny exact sigma that rounds to 0.0 is
-    refused. A value past the float range raises ``<name> is too large for a
-    float``."""
+    refused. A value past the float range is refused by :func:`float_range`."""
     if type(value) is not float and type(value) is not bool and isinstance(value, Real):
-        try:
+        with float_range(name):
             value = float(value)
-        except OverflowError:
-            raise ValueError(f"{name} is too large for a float") from None
     require_real(value, name, low, high, strict)
     return value
 
@@ -129,14 +138,21 @@ def parse_amount(text: str | int) -> Fraction:
         The exact rational value of the literal.
 
     Raises:
-        ValueError: If the literal is not a finite decimal number, carries
-            more than ``FRACTIONAL_DIGITS`` fractional digits, or is at least
+        ValueError: If ``text`` is neither a ``str`` nor an ``int`` (a bool
+            included): ``currency must be a decimal string``, and for a float
+            ``, not a float (binary floats would break exact accounting)``.
+            Also if the literal is not a finite decimal number, carries more
+            than ``FRACTIONAL_DIGITS`` fractional digits, or is at least
             10**4300 in magnitude.
     """
     if type(text) is not str:
         if type(text) is not int:
-            got = "not a bool" if type(text) is bool else f"got {type(text).__name__}"
-            raise ValueError(f"currency amount must be a decimal string, {got}")
+            if isinstance(text, float):
+                raise ValueError(
+                    "currency must be a decimal string, not a float "
+                    "(binary floats would break exact accounting)"
+                )
+            raise ValueError("currency must be a decimal string")
         if abs(text) >= _LIMIT:
             raise ValueError(_TOO_LARGE)
         return Fraction(text)

@@ -19,25 +19,14 @@ worst case over all outcome patterns is the guaranteed minimum
 Design notes:
   - Settlement is a pure function of (transaction, scripted behaviors); no
     hidden state, so outcome patterns can be enumerated exhaustively.
-  - One private routine, ``_pattern_terms``, holds the payoff and payout
-    rule: it gives the integer numerators of every amount of the pattern in
-    which a given operation is the first to succeed. The kernel builds a
-    ``SettlementResult`` from them; ``settle`` calls it for the first
-    scripted success and ``settle_patterns`` once per outcome pattern, and
-    the Monte-Carlo pattern table divides the same numerators straight to
-    floats. The payout is the winner bid plus the collected failure costs,
-    so conservation holds by construction; the tests check it against an
-    independent case analysis.
+  - ``_pattern_terms`` alone holds the payoff and payout rule, on integer
+    numerators over ``scale · gamma`` (``scale`` = lcm of the bid
+    denominators); ``settle``, ``settle_patterns`` and the Monte-Carlo
+    pattern table all read it. The payout is the winner bid plus the
+    collected failure costs, so conservation holds exactly, by construction.
   - Gas fees: each reverted operation pays gas_price · gas_used for itself;
     the winner pays for its own gas plus the user operations' gas. Summed
     across cases this accounts for exactly gas_price · total_gas_used.
-  - All currency is exact, and the kernel does its sums on integers. A
-    transaction carries its bids scaled once to integers b̂ᵢ = bidᵢ · scale
-    over a common denominator (``scale`` = lcm of the bid denominators).
-    Every failure cost, the payout and each payoff is then an integer
-    numerator over ``scale · gamma`` (times the gas-price denominator where
-    gas fees enter), and a ``Fraction`` is built only for each value the
-    result returns. Every identity above holds exactly.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ closed forms should use 3-standard-error bands.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .auction import AuctionTransaction, GasSchedule, SolverOperation, admit_operations
 from .equilibrium import normal_cdf, normal_sf
-from .money import format_amount
+from .money import float_range, format_amount
 from .scenarios import (  # noqa: F401  (the models and exact runners, re-exported)
     CHAIN_ACCESS_KINDS, MAX_RUNG_OPS, IidFailure, Model, NormalValuation, SimConfig, SpoofAttack,
     ThroughputSweep, Timeline, TimelineConfig, TimelineEvent, TimelineEventKind, _rung,
@@ -40,15 +39,6 @@ from .settlement import _pattern_terms
 
 #: Most proposals the valuation sampler draws at once, so memory stays flat.
 _BATCH = 16384
-
-
-@contextmanager
-def _float_range(what: str) -> Iterator[None]:
-    """Turn an ``OverflowError`` of a float conversion into a ``ValueError``."""
-    try:
-        yield
-    except OverflowError as exc:
-        raise ValueError(f"{what} is too large for a float") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +223,7 @@ def _pattern_columns(tx: AuctionTransaction) -> np.ndarray:
     den = tx.bid_scale * tx.schedule.gamma
     payoff_den = den * tx.schedule.gas_price.denominator
     rows, payouts = [], []
-    with _float_range("payoff"):
+    with float_range("payoff"):
         for k in range(n + 1):
             reverted, winner, payout = _pattern_terms(tx, k)
             row = [payoff / payoff_den for _, _, payoff in reverted]
@@ -243,7 +233,7 @@ def _pattern_columns(tx: AuctionTransaction) -> np.ndarray:
                 row += [0.0] * (n - k - 1)  # skipped ops
             rows.append(row)
             payouts.append(payout)
-    with _float_range("payout"):
+    with float_range("payout"):
         payouts = [payout / den for payout in payouts]
     payoffs = np.array(rows)
     return np.column_stack([payoffs, payoffs.sum(axis=1), payouts])
@@ -299,7 +289,7 @@ def run_normal_valuation(config: SimConfig) -> dict:
         raise TypeError("run_normal_valuation requires a NormalValuation model")
     tx = _game_transaction(model, None)
     ops, n = tx.solver_ops, model.n
-    with _float_range("bid"):
+    with float_range("bid"):
         bid_row = np.array([float(op.bid) for op in ops])
     executed = np.minimum(np.arange(1, n + 2), n)
     columns = np.column_stack([_pattern_columns(tx), executed])
@@ -337,7 +327,7 @@ def run_throughput_sweep(config: SimConfig) -> dict:
     rows = []
     for gamma in model.gammas:
         bids, bid_den, median, costs, cost_den = _rung(model, gamma)
-        with _float_range("failure cost"):  # int / int rounds as float() does
+        with float_range("failure cost"):  # int / int rounds as float() does
             cost_table = np.array([cost / cost_den for cost in costs])
         below = len(costs) - 1
         drawn = _pattern_sums(rng, config.trials, _iid_law(model.q, below))

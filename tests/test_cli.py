@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import enum
 import importlib
 import io
@@ -28,6 +29,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ofasim import cli
+from ofasim.auction import GasSchedule, SolverOperation
+from ofasim.scenarios import IidFailure, NormalValuation, ThroughputSweep, TimelineConfig
 
 
 @pytest.fixture(autouse=True)
@@ -751,6 +754,80 @@ class TestModelFields:
         # json reads 1e400 as inf
         path = normal_config_with_sigma(tmp_path, number)
         assert run_rejected(capsys, path) == f"error: config.model: {message}\n"
+
+
+# JSON object → (its parser, the dataclass its fields come from, the fields a
+# file may hold and the ones it must hold). The lists pin the file format, so
+# renaming a library field fails here rather than changing the format unseen.
+DERIVED = {
+    "schedule": (
+        cli._SCHEDULE, GasSchedule,
+        ["tx_gas_limit", "user_gas_consumed", "gas_price"],
+        ["tx_gas_limit", "user_gas_consumed"],
+    ),
+    "solver_op": (
+        cli._SOLVER_OP, SolverOperation,
+        ["solver_id", "bid", "gas_reserved", "gas_used", "behavior"],
+        ["solver_id", "bid", "gas_reserved"],
+    ),
+    "iid_failure": (
+        cli._MODELS["iid_failure"], IidFailure,
+        ["n", "q", "v", "bids", "gas_per_op", "gas_price"],
+        ["n", "q", "v", "bids"],
+    ),
+    "normal_valuation": (
+        cli._MODELS["normal_valuation"], NormalValuation,
+        ["n", "v", "sigma", "bids", "gas_per_op", "gas_price"],
+        ["n", "v", "sigma", "bids"],
+    ),
+    "throughput_sweep": (
+        cli._MODELS["throughput_sweep"], ThroughputSweep,
+        ["gammas", "gas_per_op", "bid_high", "bid_low", "q"],
+        ["gammas"],
+    ),
+    # the timeline adds the auction it runs to its latencies
+    "timeline": (
+        cli._MODELS["timeline"], TimelineConfig,
+        ["user_latency_ms", "auction_duration_ms", "execution_delay_ms",
+         "schedule", "solver_ops", "escrow_snapshot"],
+        [],
+    ),
+}
+_TIMELINE_OWN = ["schedule", "solver_ops", "escrow_snapshot"]
+
+
+def _refusal(parse, value):
+    with pytest.raises(cli.ScenarioError) as excinfo:
+        parse(value)
+    return excinfo.value.problem
+
+
+class TestDerivedSchema:
+    @pytest.mark.parametrize("key", DERIVED)
+    def test_a_json_object_takes_exactly_its_dataclass_fields(self, key):
+        parse, cls, fields, _ = DERIVED[key]
+        own = _TIMELINE_OWN if key == "timeline" else []
+        assert fields == [f.name for f in dataclasses.fields(cls) if f.init] + own
+        others = {name for entry in DERIVED.values() for name in entry[2]} | {"not_a_field"}
+        others = sorted(others - set(fields))
+        assert _refusal(parse, dict.fromkeys(fields + others)) == f"unknown field(s) {others}"
+
+    @pytest.mark.parametrize("key", DERIVED)
+    def test_a_json_object_requires_exactly_the_fields_without_a_default(self, key):
+        parse, cls, _, required = DERIVED[key]
+        missing = dataclasses.MISSING
+        assert required == [
+            f.name for f in dataclasses.fields(cls)
+            if f.default is missing and f.default_factory is missing
+        ]
+        if required:
+            assert _refusal(parse, {}) == f"missing field(s) {sorted(required)}"
+        else:
+            parse({})
+
+    def test_a_parser_for_a_field_the_dataclass_lacks_is_refused_when_built(self):
+        with pytest.raises(TypeError, match=r"^GasSchedule has no field\(s\) \['gas'\]$"):
+            cli._fields(GasSchedule, gas=cli._currency)
 
 
 class TestUsage:

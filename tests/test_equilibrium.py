@@ -189,6 +189,17 @@ class TestUtilityForms:
             discrete_time_utility(game, 100.0 - 80.0)
 
     @pytest.mark.parametrize(
+        "utility",
+        [discrete_time_utility, simplified_utility, rank_sum_utility, utility_gradient],
+        ids=lambda utility: utility.__name__,
+    )
+    def test_nan_bid_rejected(self, utility):
+        # a NaN bid used to pass the support guard and return NaN
+        game = DiscreteTimeGame(n=3, v=10.0, sigma=1.0)
+        with pytest.raises(ValueError, match=r"^bid nan is outside the valuation support"):
+            utility(game, math.nan)
+
+    @pytest.mark.parametrize(
         "v, sigma, message",
         [
             pytest.param(float("nan"), 5.0, "v must lie in (-inf, inf)", id="nan-5.0"),

@@ -38,12 +38,17 @@ class TestParseAmount:
             parse_amount("0." + "1" * (FRACTIONAL_DIGITS + 1))
 
     def test_float_rejected(self):
-        with pytest.raises(ValueError, match="decimal string, got float"):
+        with pytest.raises(ValueError) as excinfo:
             parse_amount(1.5)  # type: ignore[arg-type]
+        assert str(excinfo.value) == (
+            "currency must be a decimal string, not a float "
+            "(binary floats would break exact accounting)"
+        )
 
     def test_bool_rejected(self):
-        with pytest.raises(ValueError, match="not a bool"):
+        with pytest.raises(ValueError) as excinfo:
             parse_amount(True)  # type: ignore[arg-type]
+        assert str(excinfo.value) == "currency must be a decimal string"
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="finite"):

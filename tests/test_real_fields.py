@@ -67,8 +67,12 @@ FIELDS = [
      lambda x: DiscreteTimeGame(n=2, v=x, sigma=1.0), None),
     ("discrete_time_sigma", "sigma", 0, INF, True,
      lambda x: DiscreteTimeGame(n=2, v=10.0, sigma=x), None),
+    ("conditional_v", "v", -INF, INF, False,
+     lambda x: conditional_success_value(x, 1.0, 10.0), None),
     ("conditional_sigma", "sigma", 0, INF, True,
      lambda x: conditional_success_value(10.0, x, 10.0), None),
+    ("conditional_b", "b", -INF, INF, False,
+     lambda x: conditional_success_value(10.0, 1.0, x), None),
     ("baseline_utility_b", "b", 0, INF, False,
      lambda x: baseline_utility(GAME, x), None),
     ("deviation_b", "b", 0, INF, False,

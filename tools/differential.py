@@ -36,13 +36,18 @@ outcomes. The two interpreters hand their records back through a JSON file
 named by the ``DIFFERENTIAL_RECORDS`` environment variable.
 
 Each run also prints the package's net line count, as
-``cat SRC/ofasim/*.py | wc -l`` gives it, on a ``#`` line; ``--against``
-prints the change in it, which does not affect the exit status.
+``cat SRC/ofasim/*.py | wc -l`` gives it, on a ``#`` line, split into code,
+docstring, comment and blank lines: docstring lines are the spans of the
+module, class and function docstrings in the AST, comment and blank lines the
+others that hold only a comment or nothing, code lines the rest. So a change
+can tell a smaller design from shorter prose. ``--against`` prints each count
+for both sides and the change in it, which does not affect the exit status.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import enum
 import glob
@@ -180,13 +185,27 @@ def escrow_records(bench, ofasim, seed: int) -> tuple[int, Records]:
     return ESCROW_STEPS, list(zip(calls, map(canonical, outcomes)))
 
 
-def src_lines(src: str) -> int:
-    """Newlines in ``src/ofasim/*.py``, the count ``cat ... | wc -l`` prints."""
-    total = 0
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def src_lines(src: str) -> dict[str, int]:
+    """The lines of ``src/ofasim/*.py``, as ``cat ... | wc -l`` counts them,
+    and their split into code, docstring, comment and blank lines."""
+    counts = dict.fromkeys(("src lines", "code", "docstring", "comment", "blank"), 0)
     for path in glob.glob(os.path.join(src, "ofasim", "*.py")):
-        with open(path, "rb") as handle:
-            total += handle.read().count(b"\n")
-    return total
+        with open(path, encoding="utf-8") as handle:
+            source = handle.read()
+        docstrings = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        lines = source.split("\n")[:-1]  # what follows the last newline is no line to wc
+        counts["src lines"] += len(lines)
+        for number, line in enumerate(lines, 1):
+            text = line.strip()
+            kind = "blank" if not text else "comment" if text[0] == "#" else "code"
+            counts["docstring" if number in docstrings else kind] += 1
+    return counts
 
 
 def show_differences(key: str, here: list, against: list) -> None:
@@ -219,8 +238,9 @@ def compare(sources: list[str], seeds: list[int]) -> int:
             digests.append({line.split(" ops=")[0]: line for line in lines})
             with open(path, encoding="utf-8") as handle:
                 records.append(json.load(handle))
-    lines = [src_lines(src) for src in sources]
-    print(f"# src lines: {lines[0]} here, {lines[1]} against ({lines[0] - lines[1]:+d})")
+    here, against = (src_lines(src) for src in sources)
+    for key, count in here.items():
+        print(f"# {key}: {count} here, {against[key]} against ({count - against[key]:+d})")
     same = digests[0] == digests[1]
     print("identical" if same else "DIFFERENT")
     for key, line in digests[0].items():
@@ -241,7 +261,9 @@ def main() -> int:
     ofasim = importlib.import_module("ofasim")
     importlib.import_module("ofasim.cli")  # the package does not import its CLI
     bench = {name: importlib.import_module(name) for name in ("cli_batch", "auction_stream")}
-    print(f"# src lines: {src_lines(args.src)}", flush=True)
+    counts = src_lines(args.src)
+    split = ", ".join(f"{key} {counts[key]}" for key in ("code", "docstring", "comment", "blank"))
+    print(f"# src lines: {counts['src lines']} ({split})", flush=True)
     kept = {}
     for seed in args.seeds:
         for name, records_of in (
