@@ -194,27 +194,29 @@ def admit_operations(
         The admitted transaction (possibly with no operations).
     """
     ops = list(candidates)
-    full_scale, scaled = _scaled_bids(ops)
-    best: dict[str, tuple[tuple, SolverOperation]] = {}
-    for key, op in zip(_order_keys(ops, scaled), ops):
+    ratios = [op.bid.as_integer_ratio() for op in ops]
+    full_scale = math.lcm(*[d for _, d in ratios])
+    # (order key, op, bid denominator) of each solver's best-ranked op
+    best: dict[str, tuple[tuple, SolverOperation, int]] = {}
+    for op, (n, d) in zip(ops, ratios):
+        key = (-n * (full_scale // d), op.gas_reserved, op.solver_id)
         cur = best.get(op.solver_id)
         if cur is None or key < cur[0]:
-            best[op.solver_id] = (key, op)
-    admitted: list[SolverOperation] = []
-    keys: list[tuple] = []
+            best[op.solver_id] = (key, op, d)
+    chosen = []  # the admitted entries of best, in order
     remaining = schedule.gamma
-    for key, op in sorted(best.values(), key=itemgetter(0)):
-        if op.gas_reserved > remaining:
+    for entry in sorted(best.values(), key=itemgetter(0)):
+        if entry[1].gas_reserved > remaining:
             break
-        admitted.append(op)
-        keys.append(key)
-        remaining -= op.gas_reserved
+        chosen.append(entry)
+        remaining -= entry[1].gas_reserved
+    admitted = [op for _, op, _ in chosen]
     admitted_ids = {o.solver_id for o in admitted}
     values = {k: v for k, v in (private_values or {}).items() if k in admitted_ids}
     # the transaction's scale, the lcm of the admitted denominators, divides full_scale
-    scale = math.lcm(*(op.bid.denominator for op in admitted))
+    scale = math.lcm(*[d for _, _, d in chosen])
     factor = full_scale // scale
-    bids = tuple(-key[0] // factor for key in keys)
+    bids = tuple(-key[0] // factor for key, _, _ in chosen)
     # built without __post_init__, whose other checks hold by construction
     tx = object.__new__(AuctionTransaction)
     object.__setattr__(tx, "schedule", schedule)

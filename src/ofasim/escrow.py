@@ -16,6 +16,9 @@ Each auctioneer's solver → available map is kept current by one exact update
 per deposit, reserve, settle or cancel: ``available`` and ``reserve`` are
 O(1), ``prefetch_snapshot`` is one O(solvers) copy, and only ``pending`` scans
 the reservations. Mutations take a single internal lock (linearizable).
+``reserve`` checks both ids and the op's gas against gamma on every call, but
+checks and splits an auction's gamma and gas_price once: it reuses them while
+the same two objects come back, as they do for every candidate of an order.
 
 Every stored amount is a reduced integer pair ``(numerator, denominator)``,
 one per entry: a common denominator per auctioneer would carry every auction's
@@ -41,16 +44,22 @@ _ZERO = (0, 1)  # the pair of an absent entry
 class InsufficientEscrow(Exception):
     """Reservation rejected: available balance below the required escrow.
 
-    Signals that the auctioneer must exclude this bid from the array;
-    ``needed`` and ``available`` hold the two amounts compared. The message
-    is formatted only when read: a caller that drops the bid never reads it.
+    Signals that the auctioneer must exclude this bid from the array. Its
+    args are ``(solver, auctioneer, needed, available)``, the two amounts
+    compared as reduced ``(numerator, denominator)`` pairs; the ``needed`` and
+    ``available`` properties give them as Fractions. Those and the message
+    are built only when read: a caller that drops the bid never reads them.
     """
 
-    def __init__(
-        self, solver: str, auctioneer: str, needed: Fraction, available: Fraction
-    ) -> None:
-        super().__init__(solver, auctioneer, needed, available)
-        self.needed, self.available = needed, available
+    @property
+    def needed(self) -> Fraction:
+        """The required escrow of the refused operation."""
+        return Fraction(*self.args[2])
+
+    @property
+    def available(self) -> Fraction:
+        """The solver's available amount when it was refused."""
+        return Fraction(*self.args[3])
 
     def __str__(self) -> str:
         return (
@@ -59,16 +68,22 @@ class InsufficientEscrow(Exception):
         )
 
 
-def _required_escrow(
-    bid: Fraction, gas_reserved: int, gamma: int, gas_price: Fraction
-) -> tuple[int, int]:
-    """:func:`required_escrow` as a reduced pair; ``bid`` is an op's, already checked."""
+def _split_terms(gamma: int, gas_reserved: int, gas_price: Fraction) -> tuple[int, int, int]:
+    """Check gamma, then gas_reserved, then gas_price; return the auction's
+    terms as ``(pn·gamma, pd, pd·gamma)`` for ``gas_price = pn/pd``."""
     require_int(gamma, "gamma", 1)
     require_int(gas_reserved, "gas_reserved", 1, gamma)
     require_amount(gas_price, "gas_price")
-    bn, bd = bid.numerator, bid.denominator
-    pn, pd = gas_price.numerator, gas_price.denominator
-    n, d = gas_reserved * (bn * pd + pn * bd * gamma), bd * pd * gamma
+    pn, pd = gas_price.as_integer_ratio()
+    return pn * gamma, pd, pd * gamma
+
+
+def _escrow_pair(bid: Fraction, gas_reserved: int, terms: tuple[int, int, int]) -> tuple[int, int]:
+    """:func:`required_escrow` as a reduced pair, from a checked bid and gas
+    and the auction's :func:`_split_terms`."""
+    pg, pd, dg = terms
+    bn, bd = bid.as_integer_ratio()
+    n, d = gas_reserved * (bn * pd + pg * bd), bd * dg
     g = gcd(n, d)
     return n // g, d // g
 
@@ -93,7 +108,8 @@ def required_escrow(
             is not an ``int`` in [1, gamma].
     """
     require_amount(bid, "bid")
-    return Fraction(*_required_escrow(bid, gas_reserved, gamma, gas_price))
+    terms = _split_terms(gamma, gas_reserved, gas_price)
+    return Fraction(*_escrow_pair(bid, gas_reserved, terms))
 
 
 def _plus(x: tuple[int, int], n: int, d: int) -> tuple[int, int]:
@@ -160,6 +176,8 @@ class EscrowLedger:
         self._available: dict[str, dict[str, tuple[int, int]]] = {}
         self._pending: dict[int, PendingReservation] = {}
         self._handles = itertools.count(1)
+        # reserve's last checked (gamma, gas_price, split); no gamma is object()
+        self._terms: tuple = (object(), None, None)
 
     def _post(
         self, key: tuple[str, str], balance: tuple[int, int], available: tuple[int, int]
@@ -224,23 +242,29 @@ class EscrowLedger:
         """
         require_id(solver_id, "solver_id")
         require_id(auctioneer_id, "auctioneer_id")
-        needed = _required_escrow(op.bid, op.gas_reserved, gamma, gas_price)
-        n, d = needed
+        gas = op.gas_reserved
+        # checked values are exact and immutable, so the same two objects need no check
+        last_gamma, last_price, terms = self._terms
+        if gamma is last_gamma and gas_price is last_price:
+            require_int(gas, "gas_reserved", 1, gamma)
+        else:
+            terms = _split_terms(gamma, gas, gas_price)
+            self._terms = (gamma, gas_price, terms)
+        n, d = needed = _escrow_pair(op.bid, gas, terms)
         with self._lock:
             per_solver = self._available.get(auctioneer_id, {})
-            a, b = per_solver.get(solver_id, _ZERO)
-            if a * d < n * b:
-                raise InsufficientEscrow(
-                    solver_id, auctioneer_id, Fraction(n, d), Fraction(a, b)
-                )
+            a, b = available = per_solver.get(solver_id, _ZERO)
+            rest = a * d - n * b
+            if rest < 0:
+                raise InsufficientEscrow(solver_id, auctioneer_id, needed, available)
             if n:  # an unfunded pair holds only zeros and stays unmapped
-                num, den = a * d - n * b, b * d
-                g = gcd(num, den)
-                per_solver[solver_id] = (num // g, den // g)
-            reservation = PendingReservation(
-                next(self._handles), solver_id, auctioneer_id, op.solver_id, needed
+                den = b * d
+                g = gcd(rest, den)
+                per_solver[solver_id] = (rest // g, den // g)
+            handle = next(self._handles)
+            reservation = self._pending[handle] = tuple.__new__(
+                PendingReservation, (handle, solver_id, auctioneer_id, op.solver_id, needed)
             )
-            self._pending[reservation.handle] = reservation
             return reservation
 
     def settle_reservation(self, handle: int, charged: Fraction) -> None:

@@ -82,6 +82,12 @@ class TestResistance:
         )
         assert result == -50
 
+    def test_rate_keeps_the_gas_price_over_the_bid_denominator(self):
+        # (10 − 1) · (1 + (1/3)/10) = 93/10; flooring pn/bd in the rate gives 3/10
+        rivals = ((Fraction(1, 3), 1),)
+        value = censorship_resistance(CensorshipScenario(10, Fraction(1), rivals))
+        assert value == Fraction(93, 10)
+
     def test_uses_cheapest_rival_gas_and_best_rival_bid(self):
         rivals = (
             (Fraction(100), 400_000),

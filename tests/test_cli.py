@@ -896,6 +896,33 @@ def test_run_returns_the_code_of_main(tmp_path, monkeypatch, capsys, name, code)
     assert capsys.readouterr() == first
 
 
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: flushing it fails, and its descriptor
+    is a file the test owns."""
+
+    def __init__(self, descriptor: int) -> None:
+        super().__init__()
+        self.descriptor = descriptor
+
+    def flush(self) -> None:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self.descriptor
+
+
+def test_run_turns_a_closed_stdout_into_exit_1(tmp_path, monkeypatch):
+    write_json(tmp_path, "scenario.json", settle_scenario())
+    monkeypatch.setattr(sys, "argv", ["ofasim", "settle", str(tmp_path / "scenario.json")])
+    with open(tmp_path / "stdout", "wb") as target:
+        closed = _ClosedStdout(target.fileno())
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert cli.run() == 1
+        os.write(target.fileno(), b"lost")  # the descriptor now leads to devnull
+    assert closed.getvalue().startswith("{")
+    assert (tmp_path / "stdout").read_bytes() == b""
+
+
 class TestFloatRange:
     """Amounts that pass exact parsing but cannot become a finite float."""
 

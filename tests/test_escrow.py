@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import threading
 from decimal import Decimal
 from fractions import Fraction
@@ -233,6 +234,65 @@ def test_reserve_refuses_inexact_gamma_or_gas_price(gamma, price, message):
         assert excinfo.type is ValueError and str(excinfo.value) == message
     assert (ledger.to_json(), ledger.available("s1", "a"), ledger.pending("s1", "a")) == before
     assert before[2] == (held,)
+
+
+def test_alternating_terms_reserve_as_fresh_ledgers_do():
+    # the terms of two auctions, and equal but distinct objects of the first:
+    # the ledger's check-once cache misses on each switch and on each copy
+    big, price = 3 * GAMMA, Fraction(1, 100_000)
+    first, second = (GAMMA, PHI), (big, price)
+    copy = (int(str(GAMMA)), Fraction(3, 4_000_000))
+    assert copy == first and copy[0] is not GAMMA and copy[1] is not PHI
+    terms = (first, second, (GAMMA, price), (big, PHI), first, copy, second, copy, first)
+    ops = [op("s1", Fraction(7, 3)), op("s2", 50, 300_000), op("s3", 90, 900_000)]
+    funds = {"s1": Fraction(2), "s2": Fraction(60), "s3": Fraction(90)}
+    ledger = EscrowLedger()
+    for solver, amount in funds.items():
+        ledger.deposit(solver, "a", amount)
+    refused = set()
+    for gamma, gas_price in terms:
+        for operation in ops:
+            solver = operation.solver_id
+            fresh = EscrowLedger()
+            fresh.deposit(solver, "a", ledger.available(solver, "a"))
+            outcomes = []
+            for book in (ledger, fresh):
+                try:
+                    outcomes.append(book.reserve(solver, "a", operation, gamma, gas_price)[2:])
+                except InsufficientEscrow as exc:
+                    outcomes.append(exc.args[1:])
+                    refused.add(solver)
+            needed = required_escrow(operation.bid, operation.gas_reserved, gamma, gas_price)
+            assert outcomes[0] == outcomes[1]
+            assert needed.as_integer_ratio() in outcomes[0]
+            assert ledger.available(solver, "a") == fresh.available(solver, "a")
+    assert refused == set(funds)
+    for solver, amount in funds.items():
+        held = ledger.pending(solver, "a")
+        assert held and sum(r.amount for r in held) == amount - ledger.available(solver, "a")
+
+
+def test_cached_terms_still_refuse_bad_gas_and_bad_terms():
+    ledger = EscrowLedger()
+    ledger.deposit("s1", "a", 50)
+    ledger.reserve("s1", "a", op(gas=1), GAMMA, PHI)  # (GAMMA, PHI) are now cached
+    before = ledger.to_json(), ledger.available("s1", "a"), ledger.pending("s1", "a")
+    too_much_gas = SolverOperation("s1", Fraction(1), gas_reserved=GAMMA + 1)
+    refusals = [
+        (too_much_gas, GAMMA, PHI, "gas_reserved must lie in [1, 1000000]"),
+        (too_much_gas, GAMMA, 0.5, "gas_reserved must lie in [1, 1000000]"),
+        (op(), True, PHI, "gamma must be an int, got bool"),
+        (op(), 0, PHI, "gamma must lie in [1, inf]"),
+        (op(), GAMMA, -PHI, "gas_price must be non-negative"),
+        (op(), GAMMA, 0.5, "gas_price must be an int or a Fraction, got float"),
+    ]
+    for operation, gamma, price, message in refusals:
+        with pytest.raises(ValueError) as excinfo:
+            ledger.reserve("s1", "a", operation, gamma, price)
+        assert excinfo.type is ValueError and str(excinfo.value) == message
+        assert (ledger.to_json(), ledger.available("s1", "a"), ledger.pending("s1", "a")) == before
+    held = ledger.reserve("s1", "a", op(), GAMMA, PHI)
+    assert held.amount == required_escrow(Fraction(100), 100_000, GAMMA, PHI)
 
 
 def test_required_escrow_refuses_inexact_bid():
@@ -470,6 +530,38 @@ def test_random_interleaving_never_overdraws():
     assert ledger.available("s1", "a") >= 0
 
 
+def test_threads_under_their_own_terms_reserve_their_own_amounts():
+    # each thread reserves under its own (gamma, gas_price); the ledger's cache
+    # of checked terms is shared, so a torn or stale entry shows as a wrong amount
+    ledger = EscrowLedger()
+    ledger.deposit("s1", "a", Fraction(10**9))
+    terms = [(GAMMA * k, Fraction(k, 100_000)) for k in range(1, 5)]
+    wrong, errors = [], []
+
+    def worker(gamma, price):
+        try:
+            for gas in range(1_000, 400_000, 1_000):
+                held = ledger.reserve("s1", "a", op(bid=7, gas=gas), gamma, price)
+                if held.amount != required_escrow(Fraction(7), gas, gamma, price):
+                    wrong.append((gamma, price, gas))
+        except BaseException as exc:  # propagated to the main thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=pair) for pair in terms]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and wrong == []
+    assert len(ledger.pending("s1", "a")) == 4 * 399
+
+
 def test_random_sequence_matches_brute_force_oracle():
     # A seeded single-threaded sequence of deposits, reserves, settlements and
     # cancellations over two auctioneers. After every step, available(),
@@ -690,14 +782,18 @@ class LedgerMachine(RuleBasedStateMachine):
         auctioneer=st.sampled_from(AUCTIONEERS),
         bid=st.fractions(min_value=0, max_value=60, max_denominator=100) | st.just(Fraction(0)),
         gas=st.integers(1, GAMMA),
-        price=st.sampled_from([PHI, Fraction(1, 100_000), 0]),
+        # two objects per value, so the ledger's cache of checked terms flips
+        gamma=st.sampled_from([GAMMA, int(str(GAMMA))]),
+        price=st.sampled_from(
+            [PHI, Fraction(3, 4_000_000), Fraction(1, 100_000), Fraction(1, 100_000), 0, Fraction(0)]
+        ),
         near=st.none() | st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(10**6 + 1, 10**6)]),
         refused=st.none() | st.sampled_from(
             [("", "a", GAMMA, PHI), ("s1", None, GAMMA, PHI), ("s1", "a", True, PHI),
              ("s1", "a", 99_999, PHI), ("s1", "a", GAMMA, 0.5), ("s1", "a", GAMMA, -PHI)]
         ),
     )
-    def reserve(self, solver, auctioneer, bid, gas, price, near, refused):
+    def reserve(self, solver, auctioneer, bid, gas, gamma, price, near, refused):
         before = self.state()
         if refused:
             with pytest.raises(ValueError):
@@ -707,11 +803,11 @@ class LedgerMachine(RuleBasedStateMachine):
         key = (solver, auctioneer)
         free = self.deposited.get(key, 0) - self.charged.get(key, 0) - self.held(key)
         if near is not None:  # aim the bid so the hold is that share of what is free
-            bid = max(Fraction(0), free * near - price * gas) * GAMMA / gas
-        needed = bid * gas / GAMMA + price * gas  # the documented formula
+            bid = max(Fraction(0), free * near - price * gas) * gamma / gas
+        needed = bid * gas / gamma + price * gas  # the documented formula
         operation = op(solver, bid, gas)
         try:
-            reservation = self.ledger.reserve(solver, auctioneer, operation, GAMMA, price)
+            reservation = self.ledger.reserve(solver, auctioneer, operation, gamma, price)
         except InsufficientEscrow as exc:
             assert (exc.needed, exc.available) == (needed, free) and needed > free
             assert self.state() == before

@@ -25,6 +25,7 @@ from ofasim.equilibrium import (
     discrete_time_utility,
     normal_cdf,
 )
+from ofasim.escrow import required_escrow
 from ofasim.money import format_amount, parse_amount
 from ofasim.simulation import (
     CHAIN_ACCESS_KINDS,
@@ -422,7 +423,22 @@ class TestTimeline:
         assert ("bid_rejected", "b insufficient escrow (cached)") in kinds
         # guarantee covers the two admitted ops: (100·5e5 + 60·5e5) / 1e6
         assert report["guarantee_value"] == "80"
+        assert ("guarantee_issued", "value 80") in kinds
         assert report["chain_quiet_between_order_and_guarantee"]
+
+    def test_snapshot_equal_to_the_required_escrow_admits(self):
+        schedule = GasSchedule(tx_gas_limit=1_100_000, user_gas_consumed=100_000, gas_price=PHI)
+        candidates = (
+            SolverOperation("a", Fraction(100), 500_000),
+            SolverOperation("b", Fraction(80), 400_000),
+        )
+        snapshot = {"a": Fraction(0), "b": required_escrow(Fraction(80), 400_000, 1_000_000, PHI)}
+        timeline = Timeline(TimelineConfig(), schedule, candidates, snapshot)
+        report = run_timeline(SimConfig(trials=1, seed=1, model=timeline))
+        events = [(e["kind"], e["note"]) for e in report["events"]]
+        assert ("bid_rejected", "a insufficient escrow (cached)") in events
+        assert ("bid_admitted", "b escrow ok (cached)") in events
+        assert report["guarantee_value"] == "32"  # 80 · 400,000 / 1,000,000
 
     def test_an_auction_without_a_schedule_is_refused(self):
         op = SolverOperation("a", Fraction(1), 100_000)

@@ -13,8 +13,7 @@ lines, imports and ``global`` statements are skipped; a compound statement
 counts as run when its header ran.
 
 Only this process is traced, so code that the tests reach only through a
-subprocess shows as unrun: ``cli.run``, the ``__main__`` blocks and the
-package's PEP 562 ``__getattr__`` hook, among others. Tracing makes the suite
+subprocess shows as unrun, such as the ``__main__`` blocks. Tracing makes the suite
 about three times slower. The exit status is 0 once pytest has run, whatever
 its outcome (printed on the last line).
 """
