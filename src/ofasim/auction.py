@@ -109,21 +109,19 @@ class SolverOperation:
         """Canonical execution-order key: bid desc, gas asc, id asc.
 
         Orders exactly as the integer keys that admission and the order check
-        use (see :func:`_scaled_bids`).
+        use (see :func:`_order_keys`).
         """
         return (-self.bid, self.gas_reserved, self.solver_id)
 
 
-def _scaled_bids(ops: Sequence[SolverOperation]) -> tuple[int, tuple[int, ...]]:
-    """``(scale, bids)``: the lcm of the bid denominators and each bid times it."""
-    bids = [op.bid for op in ops]
-    scale = math.lcm(*(bid.denominator for bid in bids))
-    return scale, tuple(bid.numerator * (scale // bid.denominator) for bid in bids)
-
-
-def _order_keys(ops: Sequence[SolverOperation], bids: Sequence[int]) -> list[tuple]:
-    """Integer canonical-order keys ``(−scaled bid, gas_reserved, solver_id)``."""
-    return [(-bid, op.gas_reserved, op.solver_id) for bid, op in zip(bids, ops)]
+def _order_keys(ops: Sequence[SolverOperation]) -> tuple[int, list[tuple], list[int]]:
+    """``(scale, keys, denominators)``: the lcm of the bid denominators, each op's
+    integer key ``(−bid·scale, gas_reserved, solver_id)`` and bid denominator."""
+    ratios = [op.bid.as_integer_ratio() for op in ops]
+    dens = [d for _, d in ratios]
+    scale = math.lcm(*dens)
+    keys = [(-n * (scale // d), op.gas_reserved, op.solver_id) for op, (n, d) in zip(ops, ratios)]
+    return scale, keys, dens
 
 
 @dataclass(frozen=True)
@@ -156,10 +154,10 @@ class AuctionTransaction:
         ids = [op.solver_id for op in ops]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate solver_id in transaction")
-        scale, bids = _scaled_bids(ops)
-        keys = _order_keys(ops, bids)
+        scale, keys, _ = _order_keys(ops)
         if any(later < earlier for earlier, later in zip(keys, keys[1:])):
             raise ValueError("solver_ops not in canonical descending-bid order")
+        bids = tuple(-key[0] for key in keys)
         self._finish(ops, MappingProxyType(dict(self.private_values)), scale, bids)
 
     def _finish(self, *values: object) -> None:
@@ -194,12 +192,10 @@ def admit_operations(
         The admitted transaction (possibly with no operations).
     """
     ops = list(candidates)
-    ratios = [op.bid.as_integer_ratio() for op in ops]
-    full_scale = math.lcm(*[d for _, d in ratios])
+    full_scale, keys, dens = _order_keys(ops)
     # (order key, op, bid denominator) of each solver's best-ranked op
     best: dict[str, tuple[tuple, SolverOperation, int]] = {}
-    for op, (n, d) in zip(ops, ratios):
-        key = (-n * (full_scale // d), op.gas_reserved, op.solver_id)
+    for key, op, d in zip(keys, ops, dens):
         cur = best.get(op.solver_id)
         if cur is None or key < cur[0]:
             best[op.solver_id] = (key, op, d)

@@ -44,28 +44,35 @@ _ZERO = (0, 1)  # the pair of an absent entry
 class InsufficientEscrow(Exception):
     """Reservation rejected: available balance below the required escrow.
 
-    Signals that the auctioneer must exclude this bid from the array. Its
-    args are ``(solver, auctioneer, needed, available)``, the two amounts
-    compared as reduced ``(numerator, denominator)`` pairs; the ``needed`` and
-    ``available`` properties give them as Fractions. Those and the message
-    are built only when read: a caller that drops the bid never reads them.
+    Signals that the auctioneer must exclude this bid from the array. Its args
+    are ``(solver, auctioneer, needed, available)``, each amount a Fraction or,
+    as the ledger raises it, a reduced ``(numerator, denominator)`` pair. The
+    properties, repr and message give Fractions, built only when read.
     """
 
     @property
     def needed(self) -> Fraction:
         """The required escrow of the refused operation."""
-        return Fraction(*self.args[2])
+        return _fraction(self.args[2])
 
     @property
     def available(self) -> Fraction:
         """The solver's available amount when it was refused."""
-        return Fraction(*self.args[3])
+        return _fraction(self.args[3])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{(*self.args[:2], self.needed, self.available)!r}"
 
     def __str__(self) -> str:
         return (
             f"solver {self.args[0]!r} needs {format_amount(self.needed)} escrow with "
             f"{self.args[1]!r} but has {format_amount(self.available)} available"
         )
+
+
+def _fraction(amount: Fraction | tuple[int, int]) -> Fraction:
+    """An amount given as a Fraction or a ``(numerator, denominator)`` pair."""
+    return Fraction(*amount) if type(amount) is tuple else Fraction(amount)
 
 
 def _split_terms(gamma: int, gas_reserved: int, gas_price: Fraction) -> tuple[int, int, int]:

@@ -16,7 +16,6 @@ from ofasim.auction import (
     GasSchedule,
     SolverOperation,
     _order_keys,
-    _scaled_bids,
     admit_operations,
 )
 from ofasim.settlement import guaranteed_minimum
@@ -323,9 +322,9 @@ def _reference_admission(candidates, schedule):
 def test_integer_order_matches_the_fraction_order(seed):
     rng = np.random.default_rng(seed)
     candidates = _tied_candidates(rng, int(rng.integers(0, 25)))
-    scale, bids = _scaled_bids(candidates)
-    assert all(Fraction(b, scale) == c.bid for b, c in zip(bids, candidates))
-    keys = _order_keys(candidates, bids)
+    scale, keys, dens = _order_keys(candidates)
+    assert all(Fraction(-key[0], scale) == c.bid for key, c in zip(keys, candidates))
+    assert dens == [c.bid.denominator for c in candidates]
     by_integer = [c for _, c in sorted(zip(keys, candidates), key=lambda pair: pair[0])]
     by_fraction = sorted(candidates, key=SolverOperation.sort_key)
     assert [id(c) for c in by_integer] == [id(c) for c in by_fraction]

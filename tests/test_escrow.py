@@ -325,6 +325,15 @@ def test_rejection_message_is_formatted_on_demand():
     assert str(exc) == "solver 's1' needs 10.075 escrow with 'a' but has 1.925 available"
     assert (exc.needed, exc.available) == (parse_amount("10.075"), parse_amount("1.925"))
     assert type(exc.needed) is Fraction and type(exc.available) is Fraction
+    assert repr(exc) == "InsufficientEscrow('s1', 'a', Fraction(403, 40), Fraction(77, 40))"
+
+
+def test_rejection_built_from_fractions_reads_as_the_ledger_raises_it():
+    exc = InsufficientEscrow("s1", "a", parse_amount("10.075"), parse_amount("1.925"))
+    assert str(exc) == "solver 's1' needs 10.075 escrow with 'a' but has 1.925 available"
+    assert (exc.needed, exc.available) == (parse_amount("10.075"), parse_amount("1.925"))
+    assert type(exc.needed) is Fraction and type(exc.available) is Fraction
+    assert repr(exc) == "InsufficientEscrow('s1', 'a', Fraction(403, 40), Fraction(77, 40))"
 
 
 def test_pending_reservation_is_an_immutable_hashable_record():

@@ -2,22 +2,21 @@
 
 Usage (from the repository root):
 
-    python3 tools/pairs.py --against DIR --workload W [--pairs N] [--seconds S]
-        [--first-seed K]
+    python3 tools/pairs.py --against DIR --workload W [--pairs N] [--first-seed K]
 
 For pair i (seeds K, K+1, ...) it runs the benchmark command of
 ``BENCHMARK.json`` (``python3 bench/run.py --workload W --seed K+i --seconds S
---trace 0``) once in DIR, the parent, and once in this checkout, the change,
-each in its own directory. Even pairs run the parent first, odd pairs the
-change, so a drift of the machine's speed does not always favour one side.
-``--seconds`` defaults to the ``run_seconds`` of ``BENCHMARK.json``, and
-``--pairs`` to 10.
+--trace 0``, where S is its ``run_seconds``) once in DIR, the parent, and once
+in this checkout, the change, each in its own directory. Even pairs run the
+parent first, odd pairs the change, so a drift of the machine's speed does
+not always favour one side. ``--pairs`` defaults to 10.
 
 It prints one line per pair (every end-to-end metric of both sides and the
 rounds each side ran, read from the run's record under ``.bench_build/``),
 then per metric each side's median and quartiles, the change's wins (ties
 count for neither side) and a verdict, then each side's failed share and
-rounds. The verdict applies the rule of the design guide on measurement:
+rounds and the seeds whose run failed other than by a known fault of the
+workload (``correct`` false in the run's result). The verdict is:
 
 - ``gain``: at least 10 pairs ran, the change wins at least nine tenths of
   them, and its median is better than the parent's by more than the
@@ -29,9 +28,11 @@ rounds. The verdict applies the rule of the design guide on measurement:
   the bound, unless every run of the change beats every run of the parent;
 - ``within bound``: otherwise.
 
-It exits 1 when a metric is worse beyond its bound or the change fails a
-larger share of operations than the parent, and 0 otherwise. Only the
-standard library is used.
+A ``gain`` reads ``no gain: new fault`` when a run of the change has a
+failure that is not a known fault while the parent's run on the same seed has
+none. It exits 1 in that case, when a metric is worse beyond its bound, or
+when the change fails a larger share of operations than the parent, and 0
+otherwise. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ def main() -> int:
     parser.add_argument("--against", required=True, metavar="DIR", help="the parent checkout")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
@@ -107,7 +107,7 @@ def main() -> int:
         parser.error(f"--workload must be one of BENCHMARK.json's workloads, not {args.workload!r}")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    seconds = benchmark["run_seconds"] if args.seconds is None else args.seconds
+    seconds = benchmark["run_seconds"]
     checkouts = {"parent": os.path.abspath(args.against), "change": ROOT}
     metrics = benchmark["end_to_end"]
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
@@ -129,12 +129,20 @@ def main() -> int:
         print(f"pair {pair + 1} seed {seed}: {shown}  rounds {rounds}", flush=True)
     print(f"{'metric':<12} {'unit':<5} {'parent median [q1, q3]':<30} "
           f"{'change median [q1, q3]':<30} {'change/parent':<14} {'wins':<6} verdict")
-    bad = False
+    seeds = range(args.first_seed, last_seed + 1)
+    # seeds where the change has a failure that is not a known fault and the parent has none
+    new_faults = [
+        seed for seed, p, c in zip(seeds, runs["parent"], runs["change"])
+        if p["correct"] and not c["correct"]
+    ]
+    bad = bool(new_faults)
     for metric in metrics:
         name = metric["name"]
         values = {side: [run["metrics"][name]["value"] for run in runs[side]] for side in SIDES}
         wins, said = verdict(values["parent"], values["change"], metric["better"], metric["bound"])
         bad = bad or said == "worse beyond bound"
+        if said == "gain" and new_faults:
+            said = "no gain: new fault"
         spans = {
             side: "{1:.4g} [{0:.4g}, {2:.4g}]".format(*quartiles(values[side])) for side in SIDES
         }
@@ -147,10 +155,14 @@ def main() -> int:
         attempted = sum(run["attempted"] for run in runs[side])
         shares[side] = failed / attempted if attempted else 0.0
         rounds = [run["rounds"] for run in runs[side]]
-        print(f"{side}: failed {failed} of {attempted} ({shares[side]:.4%}); rounds {rounds}")
+        unknown = [seed for seed, run in zip(seeds, runs[side]) if not run["correct"]]
+        print(f"{side}: failed {failed} of {attempted} ({shares[side]:.4%}); "
+              f"not only known faults at seeds {unknown}; rounds {rounds}")
     if shares["change"] > shares["parent"]:
         print("the change fails a larger share of operations than the parent")
         bad = True
+    if new_faults:
+        print(f"the change fails where the parent does not, at seeds {new_faults}")
     return 1 if bad else 0
 
 
