@@ -39,9 +39,16 @@ _EXPORTS = {
         "OpOutcome", "SettlementResult", "failure_cost", "guaranteed_minimum", "settle",
         "settle_patterns", "solver_payoff",
     ),
-    # The Monte-Carlo runners need numpy; they load on first use (PEP 562), so
-    # that the models, the exact runners and every other module import without it.
     "simulation": ("run_iid_failure", "run_normal_valuation", "run_throughput_sweep"),
+}
+
+#: Modules that load on first use (PEP 562), with their names: ``import ofasim``
+#: runs only the exact core that admits, settles and escrows an order, and the
+#: Monte-Carlo runners need numpy, which nothing else loads.
+_LAZY = {
+    name: module
+    for module in ("censorship", "equilibrium", "scenarios", "simulation")
+    for name in (module, *_EXPORTS[module])
 }
 
 __version__ = "0.1.0"
@@ -49,19 +56,20 @@ __version__ = "0.1.0"
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 for _module, _names in _EXPORTS.items():
-    if _module != "simulation":
+    if _module not in _LAZY:
         _source = importlib.import_module(f".{_module}", __name__)
         globals().update({name: getattr(_source, name) for name in _names})
 del _module, _names, _source
 
 
 def __getattr__(name: str) -> object:
-    if name != "simulation" and name not in _EXPORTS["simulation"]:
+    module = _LAZY.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # import_module, not ``from . import``: that statement calls this hook again
-    simulation = importlib.import_module(".simulation", __name__)
-    return simulation if name == "simulation" else getattr(simulation, name)
+    source = importlib.import_module(f".{module}", __name__)
+    return source if name == module else getattr(source, name)
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS["simulation"]) | {"simulation"})
+    return sorted(set(globals()) | set(_LAZY))

@@ -18,8 +18,10 @@ at most one operation per solver (its best-ranked one).
 
 Bids are ordered as integers: an array's bids are scaled once by the lcm of
 their denominators, and the order keys are ``(−bid·scale, gas_reserved,
-solver_id)``, compared without any Fraction arithmetic. A transaction keeps
-its scaled bids for the settlement kernel.
+solver_id, index)``, compared without any Fraction arithmetic. Admission sorts
+all candidates once by these keys and walks that ranking, skipping a solver it
+has already admitted. A transaction keeps its scaled bids for the settlement
+kernel.
 
 All types are immutable values; instances are safe to share across threads.
 """
@@ -30,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -116,11 +117,15 @@ class SolverOperation:
 
 def _order_keys(ops: Sequence[SolverOperation]) -> tuple[int, list[tuple], list[int]]:
     """``(scale, keys, denominators)``: the lcm of the bid denominators, each op's
-    integer key ``(−bid·scale, gas_reserved, solver_id)`` and bid denominator."""
+    integer key ``(−bid·scale, gas_reserved, solver_id, index)`` and bid
+    denominator; the index only breaks a tie between two ops of one solver."""
     ratios = [op.bid.as_integer_ratio() for op in ops]
     dens = [d for _, d in ratios]
     scale = math.lcm(*dens)
-    keys = [(-n * (scale // d), op.gas_reserved, op.solver_id) for op, (n, d) in zip(ops, ratios)]
+    keys = [
+        (-n * (scale // d), op.gas_reserved, op.solver_id, i)
+        for i, (op, (n, d)) in enumerate(zip(ops, ratios))
+    ]
     return scale, keys, dens
 
 
@@ -193,28 +198,24 @@ def admit_operations(
     """
     ops = list(candidates)
     full_scale, keys, dens = _order_keys(ops)
-    # (order key, op, bid denominator) of each solver's best-ranked op
-    best: dict[str, tuple[tuple, SolverOperation, int]] = {}
-    for key, op, d in zip(keys, ops, dens):
-        cur = best.get(op.solver_id)
-        if cur is None or key < cur[0]:
-            best[op.solver_id] = (key, op, d)
-    chosen = []  # the admitted entries of best, in order
+    chosen, admitted_ids = [], set()  # the admitted keys, in order, and their ids
     remaining = schedule.gamma
-    for entry in sorted(best.values(), key=itemgetter(0)):
-        if entry[1].gas_reserved > remaining:
+    # a solver's first key in the ranking is its best-ranked op
+    for key in sorted(keys):
+        if key[2] in admitted_ids:
+            continue
+        if key[1] > remaining:
             break
-        chosen.append(entry)
-        remaining -= entry[1].gas_reserved
-    admitted = [op for _, op, _ in chosen]
-    admitted_ids = {o.solver_id for o in admitted}
+        chosen.append(key)
+        admitted_ids.add(key[2])
+        remaining -= key[1]
     values = {k: v for k, v in (private_values or {}).items() if k in admitted_ids}
     # the transaction's scale, the lcm of the admitted denominators, divides full_scale
-    scale = math.lcm(*[d for _, _, d in chosen])
+    scale = math.lcm(*[dens[key[3]] for key in chosen])
     factor = full_scale // scale
-    bids = tuple(-key[0] // factor for key, _, _ in chosen)
+    bids = tuple(-key[0] // factor for key in chosen)
     # built without __post_init__, whose other checks hold by construction
     tx = object.__new__(AuctionTransaction)
     object.__setattr__(tx, "schedule", schedule)
-    tx._finish(tuple(admitted), MappingProxyType(values), scale, bids)
+    tx._finish(tuple(ops[key[3]] for key in chosen), MappingProxyType(values), scale, bids)
     return tx

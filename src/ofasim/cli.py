@@ -51,8 +51,8 @@ from .censorship import CensorshipScenario, resistance_sweep
 from .equilibrium import DiscreteTimeGame, optimal_bid_details
 from .money import ZERO, format_amount, parse_amount
 from .scenarios import (
-    IidFailure, NormalValuation, SimConfig, SpoofAttack, ThroughputSweep, Timeline,
-    TimelineConfig, run_simulation,
+    MAX_GRID_POINTS, IidFailure, NormalValuation, SimConfig, SpoofAttack, ThroughputSweep,
+    Timeline, TimelineConfig, run_simulation,
 )
 from .settlement import guaranteed_minimum, settle
 
@@ -469,11 +469,6 @@ def _flag_amount(text: str, flag: str) -> Fraction:
         return parse_amount(text)
     except ValueError as exc:
         raise ScenarioError(f"{flag}: {exc}") from exc
-
-
-#: Most points one sweep grid may hold: sigma values in ``sweep equilibrium``,
-#: gammas in ``sweep censorship``.
-MAX_GRID_POINTS = 10_000
 
 
 def _sweep_censorship(args: SimpleNamespace) -> list[list]:

@@ -13,7 +13,8 @@ reserved amount, and frees the remainder at once. Hence available ≥ 0,
 balance ≥ Σ pending (the escrow inequality), and charges never exceed deposits.
 
 Each auctioneer's solver → available map is kept current by one exact update
-per deposit, reserve, settle or cancel: ``available`` and ``reserve`` are
+per deposit, reserve, settle or cancel, each one in-place addition of a
+reduced pair to one map entry: ``available`` and ``reserve`` are
 O(1), ``prefetch_snapshot`` is one O(solvers) copy, and only ``pending`` scans
 the reservations. Mutations take a single internal lock (linearizable).
 ``reserve`` checks both ids and the op's gas against gamma on every call, but
@@ -119,11 +120,17 @@ def required_escrow(
     return Fraction(*_escrow_pair(bid, gas_reserved, terms))
 
 
-def _plus(x: tuple[int, int], n: int, d: int) -> tuple[int, int]:
-    """``x + n/d`` as a reduced pair."""
-    num, den = x[0] * d + n * x[1], x[1] * d
+def _add(entries: dict, key: object, n: int, d: int) -> bool:
+    """Add ``n/d`` to ``entries[key]`` (zero when absent) in place as a reduced
+    pair, unless the sum is negative; return whether it did. The lock is held."""
+    a, b = entries.get(key, _ZERO)
+    num = a * d + n * b
+    if num < 0:
+        return False
+    den = b * d
     g = gcd(num, den)
-    return num // g, den // g
+    entries[key] = (num // g, den // g)
+    return True
 
 
 class PendingReservation(NamedTuple):
@@ -186,23 +193,15 @@ class EscrowLedger:
         # reserve's last checked (gamma, gas_price, split); no gamma is object()
         self._terms: tuple = (object(), None, None)
 
-    def _post(
-        self, key: tuple[str, str], balance: tuple[int, int], available: tuple[int, int]
-    ) -> None:
-        """Add (numerator, denominator) pairs to a balance and to its available
-        amount; the lock is held."""
-        self._balances[key] = _plus(self._balances.get(key, _ZERO), *balance)
-        per_solver = self._available.setdefault(key[1], {})
-        per_solver[key[0]] = _plus(per_solver.get(key[0], _ZERO), *available)
-
     def deposit(self, solver_id: str, auctioneer_id: str, amount: Fraction) -> None:
         """Credit a solver's escrow balance with an auctioneer."""
         require_id(solver_id, "solver_id")
         require_id(auctioneer_id, "auctioneer_id")
         require_amount(amount, "deposit amount")
-        exact = (amount.numerator, amount.denominator)
+        n, d = amount.numerator, amount.denominator
         with self._lock:
-            self._post((solver_id, auctioneer_id), exact, exact)
+            _add(self._balances, (solver_id, auctioneer_id), n, d)
+            _add(self._available.setdefault(auctioneer_id, {}), solver_id, n, d)
 
     def balance(self, solver_id: str, auctioneer_id: str) -> Fraction:
         """Deposited balance, ignoring pending reservations."""
@@ -260,14 +259,10 @@ class EscrowLedger:
         n, d = needed = _escrow_pair(op.bid, gas, terms)
         with self._lock:
             per_solver = self._available.get(auctioneer_id, {})
-            a, b = available = per_solver.get(solver_id, _ZERO)
-            rest = a * d - n * b
-            if rest < 0:
+            # a zero escrow always fits, and an unfunded pair stays unmapped
+            if n and not _add(per_solver, solver_id, -n, d):
+                available = per_solver.get(solver_id, _ZERO)
                 raise InsufficientEscrow(solver_id, auctioneer_id, needed, available)
-            if n:  # an unfunded pair holds only zeros and stays unmapped
-                den = b * d
-                g = gcd(rest, den)
-                per_solver[solver_id] = (rest // g, den // g)
             handle = next(self._handles)
             reservation = self._pending[handle] = tuple.__new__(
                 PendingReservation, (handle, solver_id, auctioneer_id, op.solver_id, needed)
@@ -299,8 +294,9 @@ class EscrowLedger:
                     f"{format_amount(reservation.amount)} (settlement-engine bug)"
                 )
             del self._pending[handle]
-            key = (reservation.solver_id, reservation.auctioneer_id)
-            self._post(key, (-cn, cd), (an * cd - cn * ad, ad * cd))
+            solver, auctioneer = reservation.solver_id, reservation.auctioneer_id
+            _add(self._balances, (solver, auctioneer), -cn, cd)
+            _add(self._available.setdefault(auctioneer, {}), solver, an * cd - cn * ad, ad * cd)
 
     def cancel_reservation(self, handle: int) -> None:
         """Release a stale reservation without charging anything.
@@ -317,8 +313,7 @@ class EscrowLedger:
                 raise KeyError(f"no pending reservation with handle {handle}")
             n, d = held.amount_pair
             if n:  # nonzero only on a funded pair
-                per_solver = self._available[held.auctioneer_id]
-                per_solver[held.solver_id] = _plus(per_solver[held.solver_id], n, d)
+                _add(self._available[held.auctioneer_id], held.solver_id, n, d)
 
     def prefetch_snapshot(self, auctioneer_id: str) -> Mapping[str, Fraction]:
         """Immutable solver → available-balance view for one auctioneer.

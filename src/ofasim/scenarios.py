@@ -22,6 +22,9 @@ from .settlement import guaranteed_minimum, settle
 
 #: Most operations one throughput rung may hold (each is a bid and a cost row).
 MAX_RUNG_OPS = 1_000_000
+#: Most points one grid may hold: throughput gammas here, and in the CLI the
+#: sigma values of ``sweep equilibrium`` and gammas of ``sweep censorship``.
+MAX_GRID_POINTS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +111,10 @@ class ThroughputSweep:
     at the median bid rank ⌈N/2⌉ is the measured one: it always executes and
     reverts, every higher-bidding op reverts too, and the lower-bidding ops
     fail independently with probability q — so the measured expectation
-    isolates how the penalty itself scales with the budget. Each gamma must
-    hold from one to ``MAX_RUNG_OPS`` operations of ``gas_per_op``; q lies
-    in (0, 1) and is stored as a float.
+    isolates how the penalty itself scales with the budget. There are at most
+    ``MAX_GRID_POINTS`` gammas, and each must hold from one to
+    ``MAX_RUNG_OPS`` operations of ``gas_per_op``; q lies in (0, 1) and is
+    stored as a float.
     """
 
     gammas: tuple[int, ...]
@@ -123,6 +127,8 @@ class ThroughputSweep:
         object.__setattr__(self, "gammas", tuple(self.gammas))
         if not self.gammas:
             raise ValueError("gammas must be non-empty")
+        if len(self.gammas) > MAX_GRID_POINTS:
+            raise ValueError(f"gammas must hold at most {MAX_GRID_POINTS} entries")
         require_int(self.gas_per_op, "gas_per_op", 1)
         widest = (MAX_RUNG_OPS + 1) * self.gas_per_op - 1
         for index, gamma in enumerate(self.gammas):
@@ -387,7 +393,9 @@ def run_timeline(config: SimConfig) -> dict:
 
     Report includes the full event log, the user-side guarantee timestamp
     (user latency out + auction duration + user latency back), the guarantee
-    value, and the structural chain-quiet flag.
+    value, and the chain-quiet flag. That flag is structural, not measured: it
+    is true by construction, since the events sit at fixed offsets of
+    non-negative latencies and the sort that orders them is stable.
     """
     model = config.model
     if not isinstance(model, Timeline):

@@ -24,6 +24,9 @@ Design notes:
     denominators); ``settle``, ``settle_patterns`` and the Monte-Carlo
     pattern table all read it. The payout is the winner bid plus the
     collected failure costs, so conservation holds exactly, by construction.
+  - ``settle`` and ``settle_patterns`` fill each result's maps in one pass over
+    those terms and skip the constructor, whose copies guard a caller's maps:
+    these are fresh, so they are only wrapped read-only.
   - Gas fees: each reverted operation pays gas_price · gas_used for itself;
     the winner pays for its own gas plus the user operations' gas. Summed
     across cases this accounts for exactly gas_price · total_gas_used.
@@ -173,40 +176,44 @@ def _settle_first_success(tx: AuctionTransaction, first: int) -> SettlementResul
     den = tx.bid_scale * tx.schedule.gamma
     pd = tx.schedule.gas_price.denominator
     ops = tx.solver_ops
-    reverted = ops[:first]
 
-    costs, gas_charges, payoffs = {}, {}, {}
-    for op, (cost, fee, payoff) in zip(reverted, reverted_terms):
+    costs, gas_charges, payoffs, executed, reverted_set = {}, {}, {}, [], []
+    total_gas_used = tx.schedule.user_gas_consumed
+    for op, (cost, fee, payoff) in zip(ops, reverted_terms):
         sid = op.solver_id
         costs[sid] = Fraction(cost, den)
         gas_charges[sid] = Fraction(fee, pd)
         payoffs[sid] = Fraction(payoff, den * pd)
-    executed = [(op.solver_id, OpOutcome.REVERTED) for op in reverted]
-    total_gas_used = tx.schedule.user_gas_consumed + sum(op.gas_used for op in reverted)
-    winner = None
+        executed.append((sid, OpOutcome.REVERTED))
+        reverted_set.append(sid)
+        total_gas_used += op.gas_used
+    winner = winner_bid = None
     if winner_terms is not None:
-        winner = ops[first]
-        sid = winner.solver_id
+        op = ops[first]
+        winner, winner_bid = op.solver_id, op.bid
         fee, payoff, payoff_den = winner_terms
-        gas_charges[sid] = Fraction(fee, pd)
-        payoffs[sid] = Fraction(payoff, payoff_den)
-        executed.append((sid, OpOutcome.SUCCEEDED))
-        total_gas_used += winner.gas_used
+        gas_charges[winner] = Fraction(fee, pd)
+        payoffs[winner] = Fraction(payoff, payoff_den)
+        executed.append((winner, OpOutcome.SUCCEEDED))
+        total_gas_used += op.gas_used
     for op in ops[first + 1 :]:
         payoffs[op.solver_id] = ZERO
         executed.append((op.solver_id, OpOutcome.SKIPPED))
 
-    return SettlementResult(
-        winner=winner.solver_id if winner is not None else None,
+    # built without __post_init__: its copies guard a caller's maps, and these are fresh
+    result = object.__new__(SettlementResult)
+    vars(result).update(
+        winner=winner,
         executed=tuple(executed),
-        failure_costs=costs,
-        solver_payoffs=payoffs,
+        failure_costs=MappingProxyType(costs),
+        solver_payoffs=MappingProxyType(payoffs),
         beneficiary_payout=Fraction(payout, den),
         total_gas_used=total_gas_used,
-        reverted_set=tuple(op.solver_id for op in reverted),
-        winner_bid=winner.bid if winner is not None else None,
-        gas_charges=gas_charges,
+        reverted_set=tuple(reverted_set),
+        winner_bid=winner_bid,
+        gas_charges=MappingProxyType(gas_charges),
     )
+    return result
 
 
 def settle(tx: AuctionTransaction) -> SettlementResult:

@@ -1,5 +1,6 @@
-"""The package imports its exact modules, the simulation models and the exact
-runners without numpy, and loads the Monte-Carlo runners on first use."""
+"""The package imports its exact core without numpy, and loads the censorship,
+equilibrium and simulation-model modules and the Monte-Carlo runners on first
+use."""
 
 from __future__ import annotations
 
@@ -15,15 +16,19 @@ PROBE = """
 import sys
 import ofasim
 assert "numpy" not in sys.modules, "import ofasim loaded numpy"
-assert "ofasim.simulation" not in sys.modules
+lazy = ["censorship", "equilibrium", "scenarios", "simulation"]
+loaded = [module for module in lazy if f"ofasim.{module}" in sys.modules]
+assert not loaded, f"import ofasim loaded {loaded}"
 assert set(ofasim.__all__) <= set(dir(ofasim))
 assert ofasim.__all__ == sorted(set(ofasim.__all__)), "__all__ unsorted or repeated"
 assert "EmpiricalStat" not in ofasim.__all__
 for module, names in ofasim._EXPORTS.items():
     if module != "simulation":
+        resolved = [getattr(ofasim, name) for name in names]  # loads a lazy module
         source = sys.modules[f"ofasim.{module}"]
-        for name in names:
-            assert getattr(ofasim, name) is getattr(source, name), name
+        assert getattr(ofasim, module) is source, module
+        for name, value in zip(names, resolved):
+            assert value is getattr(source, name), name
 leaked = {"_module", "_names", "_source", "module", "names", "name"} & set(dir(ofasim))
 assert not leaked, leaked
 from ofasim import EscrowLedger, guaranteed_minimum, settle

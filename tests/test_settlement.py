@@ -7,8 +7,10 @@ later operations are skipped).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -23,9 +25,11 @@ from ofasim.auction import (
 )
 from ofasim.settlement import (
     OpOutcome,
+    SettlementResult,
     failure_cost,
     guaranteed_minimum,
     settle,
+    settle_patterns,
     solver_payoff,
 )
 
@@ -240,6 +244,24 @@ def test_beneficiary_payout_conserves_bid_plus_penalties(seed):
         result.failure_costs.values()
     )
     assert result.beneficiary_payout == collected
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_settlement_builds_what_the_constructor_builds(seed):
+    # settle skips the constructor's copies; its results must not differ
+    tx = random_transaction(np.random.default_rng(seed), min_solvers=0, max_solvers=6)
+    for result in [settle(tx), *settle_patterns(tx)]:
+        fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(SettlementResult)}
+        built = SettlementResult(**fields)
+        for name, value in fields.items():
+            assert value == getattr(built, name), name
+            assert type(value) is type(getattr(built, name)), name
+        for name in ("failure_costs", "solver_payoffs", "gas_charges"):
+            assert type(fields[name]) is MappingProxyType, name
+            with pytest.raises(TypeError):
+                fields[name]["intruder"] = Fraction(1)
+        assert type(result.executed) is type(result.reverted_set) is tuple
 
 
 @settings(max_examples=40, deadline=None)

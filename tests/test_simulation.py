@@ -6,6 +6,7 @@ derived closed forms; determinism checks require bit-identical reports.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import tracemalloc
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from ofasim import cli, simulation
 from ofasim.auction import Behavior, GasSchedule, SolverOperation
 from ofasim.censorship import CensorshipScenario, censorship_resistance
 from ofasim.equilibrium import (
@@ -27,6 +29,7 @@ from ofasim.equilibrium import (
 )
 from ofasim.escrow import required_escrow
 from ofasim.money import format_amount, parse_amount
+from ofasim.scenarios import MAX_GRID_POINTS
 from ofasim.simulation import (
     CHAIN_ACCESS_KINDS,
     MAX_RUNG_OPS,
@@ -791,6 +794,31 @@ class TestRungBound:
         message = f"gammas[1] must lie in [{gas}, {gamma - 1}]"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ThroughputSweep(gammas=(gas, gamma), gas_per_op=gas)
+
+    def test_one_more_gamma_than_max_grid_points_is_refused_before_any_rung_runs(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        assert cli.MAX_GRID_POINTS is MAX_GRID_POINTS
+        assert len(ThroughputSweep(gammas=(7,) * MAX_GRID_POINTS, gas_per_op=7).gammas) == 10_000
+        message = f"gammas must hold at most {MAX_GRID_POINTS} entries"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ThroughputSweep(gammas=(7,) * (MAX_GRID_POINTS + 1), gas_per_op=7)
+
+        def no_rung(config):
+            raise AssertionError("a rung ran")
+
+        monkeypatch.setattr(simulation, "run_throughput_sweep", no_rung)
+        gammas = [100_000] * (MAX_GRID_POINTS + 1)
+        config = {"schema": "simulate/1", "seed": 1, "trials": 10,
+                  "model": {"kind": "throughput_sweep", "gammas": gammas}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        for argv, context in (
+            (["sweep", "throughput", "--gammas", ",".join(map(str, gammas))], ""),
+            (["simulate", str(path)], "config.model: "),
+        ):
+            assert cli.main(argv) == 1
+            assert capsys.readouterr() == ("", f"error: {context}{message}\n")
 
     @pytest.mark.parametrize("gas", [1, 7, 100_000])
     def test_median_failure_costs_refuses_one_more_op(self, gas):

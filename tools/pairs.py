@@ -28,6 +28,12 @@ workload (``correct`` false in the run's result). The verdict is:
   the bound, unless every run of the change beats every run of the parent;
 - ``within bound``: otherwise.
 
+Last comes a least-squares fit of ``peak_rss_mb`` against the rounds run, over
+every run of both sides (its intercept and MiB per round), and each side's
+median residual from that fit. The harness keeps memory per round it runs, so
+a faster side reads as more memory; the residuals compare the two sides at
+equal rounds, apart from that.
+
 A ``gain`` reads ``no gain: new fault`` when a run of the change has a
 failure that is not a known fault while the parent's run on the same seed has
 none. It exits 1 in that case, when a metric is worse beyond its bound, or
@@ -94,6 +100,24 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return wins, "within bound"
 
 
+def memory_fit(runs: dict[str, list[dict]]) -> None:
+    """Print the fit of ``peak_rss_mb`` against rounds over all runs and each
+    side's median residual from it."""
+    points = [(run["rounds"], run["metrics"]["peak_rss_mb"]["value"]) for side in SIDES
+              for run in runs[side]]
+    try:
+        slope, intercept = statistics.linear_regression(*zip(*points))
+    except statistics.StatisticsError:  # fewer than two runs, or equal rounds in all
+        print("peak_rss_mb fit: none, the rounds run do not vary")
+        return
+    print(f"peak_rss_mb fit over {len(points)} runs: {intercept:.4g} MiB "
+          f"+ {slope:.4g} MiB per round")
+    for side in SIDES:
+        residuals = [run["metrics"]["peak_rss_mb"]["value"] - intercept - slope * run["rounds"]
+                     for run in runs[side]]
+        print(f"{side}: median residual {statistics.median(residuals):+.4g} MiB")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", required=True, metavar="DIR", help="the parent checkout")
@@ -158,6 +182,7 @@ def main() -> int:
         unknown = [seed for seed, run in zip(seeds, runs[side]) if not run["correct"]]
         print(f"{side}: failed {failed} of {attempted} ({shares[side]:.4%}); "
               f"not only known faults at seeds {unknown}; rounds {rounds}")
+    memory_fit(runs)
     if shares["change"] > shares["parent"]:
         print("the change fails a larger share of operations than the parent")
         bad = True
