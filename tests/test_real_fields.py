@@ -1,7 +1,8 @@
 """Every real-valued field is checked by ``money.require_real``, and only there.
 
 Each field below gets a bool, a str, None, NaN, both infinities and the
-values at or just past each finite bound. The library refuses each bad value
+values at or just past each finite bound; each float field also gets an exact
+10**400, past the float range. The library refuses each bad value
 with one of the helper's two messages; the CLI passes JSON numbers through
 unchanged, so a JSON config holding one ends in exit 1 with exactly that
 message as its one ``error:`` line and nothing on stdout. The float models
@@ -106,10 +107,20 @@ def _accepted(low, high, strict):
     return ([] if strict else finite) + [inside]
 
 
+# the float models convert first, so an exact number past the float range is refused
+BEYOND_FLOAT = {
+    "iid_q": 10**400, "throughput_q": 10**400, "normal_v": Fraction(10) ** 400,
+    "normal_sigma": 10**400, "discrete_time_v": 10**400, "discrete_time_sigma": Fraction(10**400),
+}
 REFUSALS = [
     pytest.param(build, json_of, value, f"{name} {message}", id=f"{key}-{value!r}")
     for key, name, low, high, strict, build, json_of in FIELDS
     for value, message in _refused(low, high, strict)
+] + [
+    pytest.param(build, json_of, BEYOND_FLOAT[key], f"{name} is too large for a float",
+                 id=f"{key}-10**400")
+    for key, name, low, high, strict, build, json_of in FIELDS
+    if key in BEYOND_FLOAT
 ]
 
 

@@ -165,23 +165,6 @@ class TestNormalValuation:
         assert within_three_se(report["scaled_per_execution_payoff"], expected)
 
     @pytest.mark.parametrize(
-        "v, sigma, message",
-        [
-            pytest.param(100.0, float("nan"), "sigma must lie in (0, inf)", id="100.0-nan"),
-            pytest.param(100.0, float("inf"), "sigma must lie in (0, inf)", id="100.0-inf"),
-            pytest.param(float("nan"), 5.0, "v must lie in (-inf, inf)", id="nan-5.0"),
-            # math.isfinite used to raise OverflowError here
-            pytest.param(
-                1.0, 10**400, "sigma is too large for a float", id="int-sigma-beyond-float"
-            ),
-        ],
-    )
-    def test_non_finite_parameters_rejected(self, v, sigma, message):
-        # a NaN sigma used to pass and yield an all-revert report
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            NormalValuation(n=2, v=v, sigma=sigma, bids=(Fraction(99),) * 2)
-
-    @pytest.mark.parametrize(
         "v, sigma, bids",
         [
             (1e17, 1.0, (Fraction(10**17),)),  # no float lies within sigma of v
@@ -651,11 +634,6 @@ def test_winner_far_above_its_bid_keeps_finite_statistics():
     stat = report["per_solver"]["s000"]
     assert abs(stat["mean"] - 1e160) <= 3 * stat["std_error"]
     assert stat["std_error"] == pytest.approx(1e150 / math.sqrt(1000), rel=0.1)
-
-
-def test_normal_valuation_rejects_v_beyond_float_range():
-    with pytest.raises(ValueError, match="v is too large for a float"):
-        NormalValuation(n=1, v=Fraction(10) ** 400, sigma=1.0, bids=(Fraction(1),))
 
 
 MEMORY_MODELS = {
