@@ -12,7 +12,10 @@ its dataclass's fields, required where the dataclass has no default; only the
 two file roots, the spoof model and its rivals have shapes of their own.
 Unknown fields are refused at every nesting level, currency is read by
 ``money.parse_amount`` (decimal strings, never floats), and
-``NaN``/``Infinity`` are refused everywhere. Other values reach the library
+``NaN``/``Infinity`` are refused everywhere. A ``normal_valuation``'s ``v``
+is such a decimal string, as in ``iid_failure``, though the model stores a
+float: reading it as a JSON number would refuse the existing files, which
+write it as a string (``"v": "100"``). Other values reach the library
 as given: it checks values, the CLI only the JSON's shape. An optional field
 left out takes the library's default; so does a ``sweep`` flag for a model
 field that has one. Reports print as ``json.dumps(report, indent=2)`` would,
@@ -642,7 +645,7 @@ _USAGE = "usage: ofasim settle FILE | simulate FILE | sweep KIND [--flag VALUE .
 def _help() -> NoReturn:
     flags = [f"  {flag:<17}{default}" for flag, (_, default) in _SWEEP_OPTIONS.items()]
     print(_USAGE, f"KIND: {', '.join(_SWEEPS)}. sweep flags, defaults (--rival BID:GAS repeats):",
-          *flags, sep="\n")
+          *flags, "sweep equilibrium's b*/v depends on the unit of --v (see README).", sep="\n")
     raise SystemExit(0)
 
 

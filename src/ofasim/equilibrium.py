@@ -37,8 +37,8 @@ Two symmetric bidding games over a common prize:
     A caution on units: σ·f(b) = φ((b − v)/σ) is a pure number, while the
     other terms are in the currency unit of v and b, so U is not homogeneous
     in (v, σ, b) and b*/v depends on the unit v is written in. The same game,
-    σ/v = 0.05 and n = 2, has an interior optimum b*/v = 0.97336 at v = 1 and
-    returns the bracket edge, b*/v = 0.7, at v = 10 and at v = 1000.
+    σ/v = 0.05 and n = 2, reports b*/v = 0.97336 at v = 1, a local maximum
+    below the edge's utility, and the bracket edge, 0.7, at v = 10 and 1000.
 
 Normal CDF/PDF come from ``math.erfc`` (absolute error well below 1e-12);
 identity tolerances elsewhere are kept an order of magnitude looser.

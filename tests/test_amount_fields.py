@@ -7,18 +7,17 @@ messages. A JSON config reaches an amount field only with a parsed decimal
 (the CLI refuses a float, bool or other non-string itself), so each field a
 JSON config reaches also gets a negative decimal through ``cli.main``: exit 1,
 exactly the library message as the one ``error:`` line, nothing on stdout.
-The signed fields accept -1/3.
+The signed fields get the same four types and accept -1/3. A refused
+deposit, charge or reserve leaves the ledger as it was.
 """
 
 from __future__ import annotations
 
-import json
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from ofasim import cli
 from ofasim.auction import (
     AuctionTransaction,
     Behavior,
@@ -39,62 +38,61 @@ from ofasim.simulation import (
     TimelineConfig,
 )
 
-BIDS = (Fraction(5), Fraction(4))
-IID = {"n": 2, "q": 0.5, "v": Fraction(10), "bids": BIDS}
-NORMAL = {"n": 2, "v": 10.0, "sigma": 1.0, "bids": BIDS}
-SCENARIO = {"gamma": 1000, "gas_price": Fraction(0), "rival_ops": ((Fraction(3), 1),)}
+from _fields import (
+    IID,
+    IID_JSON,
+    NORMAL,
+    NORMAL_JSON,
+    RIVAL_JSON,
+    SCENARIO,
+    SPOOF_JSON,
+    assert_cli_refuses,
+    run_cli,
+    settle_json,
+    simulate_json,
+)
+
 SCHEDULE = GasSchedule(tx_gas_limit=1000, user_gas_consumed=0)
 OP = SolverOperation(solver_id="a", bid=Fraction(5), gas_reserved=100, behavior=Behavior.SUCCEED)
 RESULT = settle(admit_operations([OP], SCHEDULE))
+TIMELINE_JSON = {"schedule": {"tx_gas_limit": 1000, "user_gas_consumed": 0}}
 
 
-def _funded_ledger():
+def _on_a_ledger(call):
+    """``call(ledger, held)`` on a funded ledger holding one reservation; if
+    it raises, the ledger must be as it was."""
     ledger = EscrowLedger()
     ledger.deposit("a", "x", 10)
-    return ledger
-
-
-def _settle_reservation(charge):
-    ledger = _funded_ledger()
     held = ledger.reserve("a", "x", OP, 1000, 0)
-    ledger.settle_reservation(held.handle, charge)
+    before = ledger.to_json(), ledger.available("a", "x"), ledger.pending("a", "x")
+    try:
+        call(ledger, held)
+    except ValueError:
+        assert (ledger.to_json(), ledger.available("a", "x"), ledger.pending("a", "x")) == before
+        raise
 
-
-def _settle(op=None, schedule=None, **top):
-    op = {"solver_id": "a", "bid": "5", "gas_reserved": 100, **(op or {})}
-    schedule = {"tx_gas_limit": 1000, "user_gas_consumed": 0, **(schedule or {})}
-    return {"schema": "settle/1", "schedule": schedule, "solver_ops": [op], **top}
-
-
-def _simulate(kind, model):
-    return {"schema": "simulate/1", "seed": 1, "trials": 10, "model": {"kind": kind, **model}}
-
-
-_IID_JSON = {"n": 2, "q": 0.5, "v": "10", "bids": ["5", "4"]}
-_NORMAL_JSON = {"n": 2, "v": "10", "sigma": 1.0, "bids": ["5", "4"]}
-_RIVAL = {"bid": "3", "gas_reserved": 1}
-_SPOOF_JSON = {"gamma": 1000, "rivals": [_RIVAL]}
-_TIMELINE_JSON = {"schedule": {"tx_gas_limit": 1000, "user_gas_consumed": 0}}
 
 # (id, name in the message, build(value), json(decimal string) or None)
 FIELDS = [
     ("schedule_gas_price", "gas_price",
      lambda x: GasSchedule(tx_gas_limit=1000, user_gas_consumed=0, gas_price=x),
-     lambda x: _settle(schedule={"gas_price": x})),
+     lambda x: settle_json(schedule={"gas_price": x})),
     ("solver_bid", "bid",
      lambda x: SolverOperation(solver_id="a", bid=x, gas_reserved=100),
-     lambda x: _settle(op={"bid": x})),
+     lambda x: settle_json(op={"bid": x})),
     ("private_value", "private value",
      lambda x: AuctionTransaction(schedule=SCHEDULE, solver_ops=(OP,), private_values={"a": x}),
-     lambda x: _settle(private_values={"a": x})),
+     lambda x: settle_json(private_values={"a": x})),
     ("admitted_private_value", "private value",
      lambda x: admit_operations([OP], SCHEDULE, {"a": x}), None),
     ("censorship_gas_price", "gas_price",
      lambda x: CensorshipScenario(**{**SCENARIO, "gas_price": x}),
-     lambda x: _simulate("spoof_attack", {**_SPOOF_JSON, "gas_price": x})),
+     lambda x: simulate_json("spoof_attack", {**SPOOF_JSON, "gas_price": x})),
     ("rival_bid", "rival bid",
      lambda x: CensorshipScenario(**{**SCENARIO, "rival_ops": ((x, 1),)}),
-     lambda x: _simulate("spoof_attack", {**_SPOOF_JSON, "rivals": [{**_RIVAL, "bid": x}]})),
+     lambda x: simulate_json(
+         "spoof_attack", {**SPOOF_JSON, "rivals": [{**RIVAL_JSON, "bid": x}]}
+     )),
     ("naive_gas_price", "gas_price", lambda x: naive_censorship_cost(1000, x), None),
     ("sweep_gas_price", "gas_price",
      lambda x: resistance_sweep([1000], [Fraction(1), x], CensorshipScenario(**SCENARIO)), None),
@@ -102,51 +100,69 @@ FIELDS = [
     ("required_escrow_gas_price", "gas_price",
      lambda x: required_escrow(Fraction(5), 100, 1000, x), None),
     ("reserve_gas_price", "gas_price",
-     lambda x: _funded_ledger().reserve("a", "x", OP, 1000, x), None),
-    ("deposit", "deposit amount", lambda x: EscrowLedger().deposit("a", "x", x), None),
-    ("charge", "charge", _settle_reservation, None),
+     lambda x: _on_a_ledger(lambda ledger, held: ledger.reserve("a", "x", OP, 1000, x)), None),
+    ("deposit", "deposit amount",
+     lambda x: _on_a_ledger(lambda ledger, held: ledger.deposit("a", "x", x)), None),
+    ("charge", "charge",
+     lambda x: _on_a_ledger(lambda ledger, held: ledger.settle_reservation(held.handle, x)),
+     None),
     ("failing_bid", "failing_bid", lambda x: failure_cost(x, None, 1, 1), None),
     ("successful_bid", "successful_bid", lambda x: failure_cost(Fraction(1), x, 1, 1), None),
     ("solver_payoff", "private_value", lambda x: solver_payoff(RESULT, "a", x), None),
     ("iid_v", "v",
      lambda x: IidFailure(**{**IID, "v": x}),
-     lambda x: _simulate("iid_failure", {**_IID_JSON, "v": x})),
+     lambda x: simulate_json("iid_failure", {**IID_JSON, "v": x})),
     ("iid_bid", "bid",
      lambda x: IidFailure(**{**IID, "bids": (Fraction(5), x)}),
-     lambda x: _simulate("iid_failure", {**_IID_JSON, "bids": ["5", x]})),
+     lambda x: simulate_json("iid_failure", {**IID_JSON, "bids": ["5", x]})),
     ("iid_gas_price", "gas_price",
      lambda x: IidFailure(**IID, gas_price=x),
-     lambda x: _simulate("iid_failure", {**_IID_JSON, "gas_price": x})),
+     lambda x: simulate_json("iid_failure", {**IID_JSON, "gas_price": x})),
     ("normal_bid", "bid",
      lambda x: NormalValuation(**{**NORMAL, "bids": (Fraction(5), x)}),
-     lambda x: _simulate("normal_valuation", {**_NORMAL_JSON, "bids": ["5", x]})),
+     lambda x: simulate_json("normal_valuation", {**NORMAL_JSON, "bids": ["5", x]})),
     ("normal_gas_price", "gas_price",
      lambda x: NormalValuation(**NORMAL, gas_price=x),
-     lambda x: _simulate("normal_valuation", {**_NORMAL_JSON, "gas_price": x})),
+     lambda x: simulate_json("normal_valuation", {**NORMAL_JSON, "gas_price": x})),
     ("throughput_bid_high", "bid_high",
      lambda x: ThroughputSweep(gammas=(1000,), gas_per_op=100, bid_high=x, bid_low=Fraction(0)),
-     lambda x: _simulate(
+     lambda x: simulate_json(
          "throughput_sweep", {"gammas": [1000], "gas_per_op": 100, "bid_high": x, "bid_low": "0"}
      )),
     ("throughput_bid_low", "bid_low",
      lambda x: ThroughputSweep(gammas=(1000,), gas_per_op=100, bid_low=x),
-     lambda x: _simulate("throughput_sweep", {"gammas": [1000], "gas_per_op": 100, "bid_low": x})),
+     lambda x: simulate_json(
+         "throughput_sweep", {"gammas": [1000], "gas_per_op": 100, "bid_low": x}
+     )),
     ("escrow_snapshot", "escrow snapshot amount",
      lambda x: Timeline(config=TimelineConfig(), schedule=SCHEDULE, escrow_snapshot={"a": x}),
-     lambda x: _simulate("timeline", {**_TIMELINE_JSON, "escrow_snapshot": {"a": x}})),
+     lambda x: simulate_json("timeline", {**TIMELINE_JSON, "escrow_snapshot": {"a": x}})),
+]
+# (id, name in the message, build(value)) of the signed amounts, which no JSON
+# config reaches with anything but a parsed decimal
+SIGNED = [
+    ("attacker_value", "attacker_value",
+     lambda x: CensorshipScenario(**SCENARIO, attacker_value=x)),
+    ("bid_margin", "bid_margin",
+     lambda x: SpoofAttack(scenario=CensorshipScenario(**SCENARIO), bid_margin=x)),
+    ("format_amount", "amount", format_amount),
 ]
 
 REFUSED = [0.5, True, "1", Decimal(1)]
 NEGATIVE = [-1, Fraction(-1, 3)]
 
-MESSAGES = [
-    *((value, f"must be an int or a Fraction, got {type(value).__name__}") for value in REFUSED),
-    *((value, "must be non-negative") for value in NEGATIVE),
+INEXACT = [
+    (value, f"must be an int or a Fraction, got {type(value).__name__}") for value in REFUSED
 ]
+MESSAGES = INEXACT + [(value, "must be non-negative") for value in NEGATIVE]
 REFUSALS = [
     pytest.param(build, value, f"{name} {message}", id=f"{key}-{value!r}")
     for key, name, build, _ in FIELDS
     for value, message in MESSAGES
+] + [
+    pytest.param(build, value, f"{name} {message}", id=f"{key}-{value!r}")
+    for key, name, build in SIGNED
+    for value, message in INEXACT
 ]
 
 
@@ -166,27 +182,17 @@ def test_library_accepts_zero(key, name, build, json_of):
 JSON_FIELDS = [field for field in FIELDS if field[3] is not None]
 
 
-def _run(tmp_path, config):
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
-    return cli.main([config["schema"].split("/")[0], str(path)])
-
-
 @pytest.mark.parametrize(
     "key, name, build, json_of", JSON_FIELDS, ids=[field[0] for field in JSON_FIELDS]
 )
 def test_cli_ends_in_the_library_message(tmp_path, capsys, key, name, build, json_of):
-    assert _run(tmp_path, json_of("-0.5")) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert captured.err.endswith(f": {name} must be non-negative\n")
+    assert_cli_refuses(tmp_path, capsys, json_of("-0.5"), f"{name} must be non-negative")
 
 
 def test_cli_runs_each_config_at_zero(tmp_path, capsys):
     # the JSON configs above are valid away from the tested value
     for key, name, build, json_of in JSON_FIELDS:
-        assert _run(tmp_path, json_of("0")) == 0, key
+        assert run_cli(tmp_path, json_of("0")) == 0, key
     capsys.readouterr()
 
 
@@ -197,6 +203,6 @@ def test_the_signed_amounts_accept_a_negative_value(tmp_path, capsys):
     assert SpoofAttack(scenario=scenario, bid_margin=minus_a_third).bid_margin == minus_a_third
     assert format_amount(minus_a_third) == "-0.333333333333333333"
     signed = {"attacker_value": "-0.5", "bid_margin": "-0.5"}
-    spoof = _simulate("spoof_attack", {**_SPOOF_JSON, **signed})
-    assert _run(tmp_path, spoof) == 0
+    spoof = simulate_json("spoof_attack", {**SPOOF_JSON, **signed})
+    assert run_cli(tmp_path, spoof) == 0
     assert capsys.readouterr().err == ""

@@ -300,6 +300,14 @@ class TestSweepEquilibrium:
         rows = list(csv.reader(io.StringIO(captured.out)))
         assert float(rows[1][3]) == pytest.approx(3470.0, abs=1e-6)
 
+    def test_a_one_point_grid_keeps_its_point(self, capsys):
+        # sigma_max + 1e-9 rounds to sigma_max at 1e16, so the grid's edge is inclusive
+        argv = ["sweep", "equilibrium", "--v", "3500", "--sigma-min", "1e16",
+                "--sigma-max", "1e16", "--sigma-step", "4", "--n", "2"]
+        assert cli.main(argv) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [row[:2] for row in rows[1:]] == [["2", "1e+16"]]
+
     @pytest.mark.parametrize("step", ["0", "-0.5", "nan"])
     def test_non_positive_sigma_step_is_rejected(self, tmp_path, capsys, step):
         # A step that never advances sigma used to loop forever.
@@ -980,8 +988,14 @@ def test_throughput_rejects_non_positive_gas_per_op(capsys, gas):
             ["--sigma-min=-1e17", "--sigma-max", "1"],
             f"the sigma grid has more than {cli.MAX_GRID_POINTS} points",
         ),
+        # 2**53 + 1 rounds back to 2**53, though 2**53 - 1 does not
+        (
+            ["--sigma-min", "9007199254740992", "--sigma-max", "9007199254740992",
+             "--sigma-step", "1"],
+            "--sigma-step is too small to advance sigma at --sigma-max",
+        ),
     ],
-    ids=["step_does_not_advance", "too_many_points", "stuck_below_sigma_max"],
+    ids=["step_does_not_advance", "too_many_points", "stuck_below_sigma_max", "step_rounds_back"],
 )
 def test_unbounded_sigma_grid_is_rejected_before_any_work(flags, message):
     # In a subprocess with a timeout and 1 GiB of address space, so a grid

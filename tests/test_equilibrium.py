@@ -187,6 +187,10 @@ class TestUtilityForms:
         game = DiscreteTimeGame(n=3, v=100.0, sigma=2.0)
         with pytest.raises(ValueError, match="outside the valuation support"):
             discrete_time_utility(game, 100.0 - 80.0)
+        # far above v, 1 - F rounds to 0: refused, not divided by
+        with pytest.raises(ValueError) as excinfo:
+            discrete_time_utility(game, 180.0)
+        assert str(excinfo.value) == "bid 180.0 is outside the valuation support (F in {0, 1})"
 
     @pytest.mark.parametrize(
         "utility",
@@ -289,11 +293,14 @@ class TestUtilityGradient:
 
 class TestOptimalBid:
     def test_large_prize_has_no_interior_optimum(self):
-        # monotone over the whole bracket: the argmax is its lower edge
-        for n, sigma in [(2, 0.5), (5, 5.0), (25, 12.0)]:
-            details = optimal_bid_details(DiscreteTimeGame(n=n, v=3500.0, sigma=sigma))
+        # monotone over the whole bracket: the argmax is its lower edge. The last
+        # two rows are one game, sigma/v = 0.05 and n = 2, in two units: b*/v = 0.7
+        for n, v, sigma in [(2, 3500.0, 0.5), (5, 3500.0, 5.0), (25, 3500.0, 12.0),
+                            (2, 10.0, 0.5), (2, 1000.0, 50.0)]:
+            details = optimal_bid_details(DiscreteTimeGame(n=n, v=v, sigma=sigma))
             assert not details.interior
             assert details.bid == pytest.approx(details.lower, abs=1e-4)
+            assert details.lower == v - BRACKET_SIGMAS * sigma
 
     def test_no_interior_diagnostics_point_at_the_lower_edge(self):
         game = DiscreteTimeGame(n=5, v=3500.0, sigma=5.0)
@@ -305,6 +312,15 @@ class TestOptimalBid:
         assert details.gradient_upper < 0
         assert details.utility_lower > details.utility_upper
         assert details.bid == pytest.approx(details.lower, abs=1e-4)
+
+    def test_b_star_over_v_depends_on_the_unit_of_v(self):
+        # the game of the last two rows above at v = 1: the utility adds a pure
+        # number to currency terms, so the search reports an interior point,
+        # b*/v = 0.97336, not 0.7. It is a local maximum only: the lower edge's
+        # utility is higher, a fault of the search this test does not pin
+        details = optimal_bid_details(DiscreteTimeGame(n=2, v=1.0, sigma=0.05))
+        assert details.interior
+        assert details.bid == pytest.approx(0.9733592517555292, abs=1e-8)
 
     @pytest.mark.parametrize(
         "n,v,sigma,frozen",

@@ -879,13 +879,6 @@ LedgerMachine.TestCase.settings = settings(
 TestLedgerMachine = LedgerMachine.TestCase
 
 
-def test_negative_deposit_is_refused():
-    ledger = EscrowLedger()
-    with pytest.raises(ValueError, match="^deposit amount must be non-negative$"):
-        ledger.deposit("s1", "a", Fraction(-1, 3))
-    assert ledger.balance("s1", "a") == 0
-
-
 def test_cancelling_an_unknown_handle_raises_key_error():
     ledger = EscrowLedger()
     ledger.deposit("s1", "a", Fraction(100))

@@ -1,17 +1,17 @@
 """Every real-valued field is checked by ``money.require_real``, and only there.
 
-Each field below gets a bool, a str, None, NaN, both infinities and the
-values at or just past each finite bound; each float field also gets an exact
-10**400, past the float range. The library refuses each bad value
-with one of the helper's two messages; the CLI passes JSON numbers through
-unchanged, so a JSON config holding one ends in exit 1 with exactly that
-message as its one ``error:`` line and nothing on stdout. The float models
-store floats, so an exact sigma runs the same sampler as its float.
+Each field below gets a bool, a str, None, NaN, both infinities, the value
+at or just past each finite bound, and 1 past each strict bound; each float
+field also gets an exact 10**400, past the float range. The library refuses
+each bad value with one of the helper's two messages; the CLI passes JSON
+numbers through unchanged, so a JSON config holding one ends in exit 1 with
+exactly that message as its one ``error:`` line and nothing on stdout. The
+float models store floats, so an exact sigma runs the same sampler as its
+float.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -33,33 +33,24 @@ from ofasim.simulation import (
     run_normal_valuation,
 )
 
+from _fields import IID, IID_JSON, NORMAL, NORMAL_JSON, assert_cli_refuses, simulate_json
+
 INF = math.inf
-BIDS = (Fraction(5), Fraction(4))
-IID = {"n": 2, "q": 0.5, "v": Fraction(10), "bids": BIDS}
-NORMAL = {"n": 2, "v": 10.0, "sigma": 1.0, "bids": BIDS}
 GAME = BaselineGame(n=2, q=Fraction(1, 2), v=Fraction(100))
-
-
-def _simulate(kind, model):
-    return {"schema": "simulate/1", "seed": 1, "trials": 10, "model": {"kind": kind, **model}}
-
-
-_IID_JSON = {"n": 2, "q": 0.5, "v": "10", "bids": ["5", "4"]}
-_NORMAL_JSON = {"n": 2, "v": "10", "sigma": 1.0, "bids": ["5", "4"]}
 
 # (id, name in the message, low, high, strict, build(value), json(value) or None)
 FIELDS = [
     ("iid_q", "q", 0, 1, False,
      lambda x: IidFailure(**{**IID, "q": x}),
-     lambda x: _simulate("iid_failure", {**_IID_JSON, "q": x})),
+     lambda x: simulate_json("iid_failure", {**IID_JSON, "q": x})),
     ("throughput_q", "q", 0, 1, True,
      lambda x: ThroughputSweep(gammas=(1000,), gas_per_op=100, q=x),
-     lambda x: _simulate("throughput_sweep", {"gammas": [1000], "gas_per_op": 100, "q": x})),
+     lambda x: simulate_json("throughput_sweep", {"gammas": [1000], "gas_per_op": 100, "q": x})),
     ("normal_v", "v", -INF, INF, False,
      lambda x: NormalValuation(**{**NORMAL, "v": x}), None),
     ("normal_sigma", "sigma", 0, INF, True,
      lambda x: NormalValuation(**{**NORMAL, "sigma": x}),
-     lambda x: _simulate("normal_valuation", {**_NORMAL_JSON, "sigma": x})),
+     lambda x: simulate_json("normal_valuation", {**NORMAL_JSON, "sigma": x})),
     ("baseline_q", "q", 0, 1, True,
      lambda x: BaselineGame(n=2, q=x, v=Fraction(10)), None),
     ("baseline_v", "v", 0, INF, True,
@@ -96,7 +87,8 @@ def _refused(low, high, strict):
     outside = [math.nan, INF, -INF]
     for bound, away in ((low, -INF), (high, INF)):
         if math.isfinite(bound):
-            outside.append(bound if strict else math.nextafter(bound, away))
+            beyond = bound + (1 if away > 0 else -1)
+            outside += [bound, beyond] if strict else [math.nextafter(bound, away)]
     return cases + [(value, f"must lie in {_interval(low, high, strict)}") for value in outside]
 
 
@@ -152,13 +144,7 @@ def test_library_accepts_the_closed_bounds_and_the_inside(
     ],
 )
 def test_cli_ends_in_the_library_message(tmp_path, capsys, build, json_of, value, message):
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(json_of(value)), encoding="utf-8")
-    assert cli.main(["simulate", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert captured.err.endswith(f": {message}\n")
+    assert_cli_refuses(tmp_path, capsys, json_of(value), message)
 
 
 @pytest.mark.parametrize("text", ["0", "1", "nan", "inf", "-inf"])

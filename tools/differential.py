@@ -35,13 +35,15 @@ prints its first ``SHOWN`` differing records, each with what it ran and both
 outcomes. The two interpreters hand their records back through a JSON file
 named by the ``DIFFERENTIAL_RECORDS`` environment variable.
 
-Each run also prints the package's net line count, as
-``cat SRC/ofasim/*.py | wc -l`` gives it, on a ``#`` line, split into code,
-docstring, comment and blank lines: docstring lines are the spans of the
-module, class and function docstrings in the AST, comment and blank lines the
-others that hold only a comment or nothing, code lines the rest. So a change
-can tell a smaller design from shorter prose. ``--against`` prints each count
-for both sides and the change in it, which does not affect the exit status.
+Each run also prints, on a ``#`` line, the package's net line count, as
+``cat SRC/ofasim/*.py | wc -l`` gives it, and beside it that of the
+``tests/*.py`` next to ``SRC``, each split into code, docstring, comment and
+blank lines: docstring lines are the spans of the module, class and function
+docstrings in the AST, comment and blank lines the others that hold only a
+comment or nothing, code lines the rest. So a change can tell a smaller
+design, or a smaller suite, from shorter prose. ``--against`` prints each
+count for both sides and the change in it, which does not affect the exit
+status.
 """
 
 from __future__ import annotations
@@ -188,11 +190,14 @@ def escrow_records(bench, ofasim, seed: int) -> tuple[int, Records]:
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def src_lines(src: str) -> dict[str, int]:
-    """The lines of ``src/ofasim/*.py``, as ``cat ... | wc -l`` counts them,
-    and their split into code, docstring, comment and blank lines."""
-    counts = dict.fromkeys(("src lines", "code", "docstring", "comment", "blank"), 0)
-    for path in glob.glob(os.path.join(src, "ofasim", "*.py")):
+KINDS = ("lines", "code", "docstring", "comment", "blank")
+
+
+def line_counts(pattern: str) -> dict[str, int]:
+    """The lines of the files ``pattern`` matches, as ``cat PATTERN | wc -l``
+    counts them, and their split into code, docstring, comment and blank lines."""
+    counts = dict.fromkeys(KINDS, 0)
+    for path in glob.glob(pattern):
         with open(path, encoding="utf-8") as handle:
             source = handle.read()
         docstrings = set()
@@ -200,12 +205,18 @@ def src_lines(src: str) -> dict[str, int]:
             if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
                 docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
         lines = source.split("\n")[:-1]  # what follows the last newline is no line to wc
-        counts["src lines"] += len(lines)
+        counts["lines"] += len(lines)
         for number, line in enumerate(lines, 1):
             text = line.strip()
             kind = "blank" if not text else "comment" if text[0] == "#" else "code"
             counts["docstring" if number in docstrings else kind] += 1
     return counts
+
+
+def tree_lines(src: str) -> dict[str, dict[str, int]]:
+    """``line_counts`` of ``src/ofasim`` and of the ``tests/`` beside ``src``."""
+    tests = os.path.join(os.path.dirname(os.path.abspath(src)), "tests", "*.py")
+    return {"src": line_counts(os.path.join(src, "ofasim", "*.py")), "tests": line_counts(tests)}
 
 
 def show_differences(key: str, here: list, against: list) -> None:
@@ -238,9 +249,11 @@ def compare(sources: list[str], seeds: list[int]) -> int:
             digests.append({line.split(" ops=")[0]: line for line in lines})
             with open(path, encoding="utf-8") as handle:
                 records.append(json.load(handle))
-    here, against = (src_lines(src) for src in sources)
-    for key, count in here.items():
-        print(f"# {key}: {count} here, {against[key]} against ({count - against[key]:+d})")
+    here, against = (tree_lines(src) for src in sources)
+    for tree, counts in here.items():
+        for key, count in counts.items():
+            theirs = against[tree][key]
+            print(f"# {tree} {key}: {count} here, {theirs} against ({count - theirs:+d})")
     same = digests[0] == digests[1]
     print("identical" if same else "DIFFERENT")
     for key, line in digests[0].items():
@@ -261,9 +274,11 @@ def main() -> int:
     ofasim = importlib.import_module("ofasim")
     importlib.import_module("ofasim.cli")  # the package does not import its CLI
     bench = {name: importlib.import_module(name) for name in ("cli_batch", "auction_stream")}
-    counts = src_lines(args.src)
-    split = ", ".join(f"{key} {counts[key]}" for key in ("code", "docstring", "comment", "blank"))
-    print(f"# src lines: {counts['src lines']} ({split})", flush=True)
+    shown = []
+    for tree, counts in tree_lines(args.src).items():
+        split = ", ".join(f"{key} {counts[key]}" for key in KINDS[1:])
+        shown.append(f"{tree} lines: {counts['lines']} ({split})")
+    print(f"# {'; '.join(shown)}", flush=True)
     kept = {}
     for seed in args.seeds:
         for name, records_of in (
