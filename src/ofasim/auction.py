@@ -19,9 +19,11 @@ at most one operation per solver (its best-ranked one).
 Bids are ordered as integers: an array's bids are scaled once by the lcm of
 their denominators, and the order keys are ``(−bid·scale, gas_reserved,
 solver_id, index)``, compared without any Fraction arithmetic. Admission sorts
-all candidates once by these keys and walks that ranking, skipping a solver it
-has already admitted. A transaction keeps its scaled bids for the settlement
-kernel.
+all candidates once by these keys and walks that ranking once, skipping a
+solver it has already admitted and collecting the admitted indices, from which
+it builds the transaction's fields. It checks every private value it is given,
+as the constructor does, and keeps those of the admitted solvers. A
+transaction keeps its scaled bids for the settlement kernel.
 
 All types are immutable values; instances are safe to share across threads.
 """
@@ -162,15 +164,13 @@ class AuctionTransaction:
         scale, keys, _ = _order_keys(ops)
         if any(later < earlier for earlier, later in zip(keys, keys[1:])):
             raise ValueError("solver_ops not in canonical descending-bid order")
-        bids = tuple(-key[0] for key in keys)
-        self._finish(ops, MappingProxyType(dict(self.private_values)), scale, bids)
-
-    def _finish(self, *values: object) -> None:
-        """Set the fields after ``schedule`` to ``values``, in order, then check
-        the private values: the part of construction admission goes through."""
-        names = ("solver_ops", "private_values", "bid_scale", "scaled_bids")
-        for name, value in zip(names, values):
-            object.__setattr__(self, name, value)
+        # a frozen dataclass keeps its fields in __dict__, written here in one call
+        self.__dict__.update(
+            solver_ops=ops,
+            private_values=MappingProxyType(dict(self.private_values)),
+            bid_scale=scale,
+            scaled_bids=tuple([-key[0] for key in keys]),
+        )
         for value in self.private_values.values():
             require_amount(value, "private value")
 
@@ -191,31 +191,45 @@ def admit_operations(
     Args:
         candidates: Individually valid solver operations.
         schedule: Gas parameters; fixes the budget.
-        private_values: Optional solver_id → private value map for reporting.
+        private_values: Optional solver_id → private value map for reporting;
+            every value is checked, and the admitted solvers' are kept.
 
     Returns:
         The admitted transaction (possibly with no operations).
+
+    Raises:
+        ValueError: If a private value is not an ``int`` or ``Fraction`` or
+            is negative, whether or not its solver is admitted.
     """
     ops = list(candidates)
     full_scale, keys, dens = _order_keys(ops)
-    chosen, admitted_ids = [], set()  # the admitted keys, in order, and their ids
+    chosen, admitted_ids = [], set()  # the admitted indices, in order, and their ids
     remaining = schedule.gamma
     # a solver's first key in the ranking is its best-ranked op
-    for key in sorted(keys):
-        if key[2] in admitted_ids:
+    for _, gas, solver_id, index in sorted(keys):
+        if solver_id in admitted_ids:
             continue
-        if key[1] > remaining:
+        if gas > remaining:
             break
-        chosen.append(key)
-        admitted_ids.add(key[2])
-        remaining -= key[1]
-    values = {k: v for k, v in (private_values or {}).items() if k in admitted_ids}
+        chosen.append(index)
+        admitted_ids.add(solver_id)
+        remaining -= gas
+    values = {}
+    if private_values:
+        for solver_id, value in private_values.items():
+            require_amount(value, "private value")
+            if solver_id in admitted_ids:
+                values[solver_id] = value
     # the transaction's scale, the lcm of the admitted denominators, divides full_scale
-    scale = math.lcm(*[dens[key[3]] for key in chosen])
+    scale = math.lcm(*[dens[i] for i in chosen])
     factor = full_scale // scale
-    bids = tuple(-key[0] // factor for key in chosen)
     # built without __post_init__, whose other checks hold by construction
     tx = object.__new__(AuctionTransaction)
-    object.__setattr__(tx, "schedule", schedule)
-    tx._finish(tuple(ops[key[3]] for key in chosen), MappingProxyType(values), scale, bids)
+    tx.__dict__.update(
+        schedule=schedule,
+        solver_ops=tuple([ops[i] for i in chosen]),
+        private_values=MappingProxyType(values),
+        bid_scale=scale,
+        scaled_bids=tuple([-keys[i][0] // factor for i in chosen]),
+    )
     return tx

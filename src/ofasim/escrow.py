@@ -20,6 +20,10 @@ the reservations. Mutations take a single internal lock (linearizable).
 ``reserve`` checks both ids and the op's gas against gamma on every call, but
 checks and splits an auction's gamma and gas_price once: it reuses them while
 the same two objects come back, as they do for every candidate of an order.
+Per candidate it tests the ids and gas by exact type and range inline, calling
+a ``require_*`` check only to word a refusal, computes the required escrow in
+one call shared with :func:`required_escrow`, and writes the subtraction from
+the available entry out in place.
 
 Every stored amount is a reduced integer pair ``(numerator, denominator)``,
 one per entry: a common denominator per auctioneer would carry every auction's
@@ -246,23 +250,33 @@ class EscrowLedger:
             InsufficientEscrow: If available balance is below the required
                 escrow; the ledger is left unchanged.
         """
-        require_id(solver_id, "solver_id")
-        require_id(auctioneer_id, "auctioneer_id")
+        # exact types pass here; anything else goes to the checks that word the refusal
+        if not (
+            type(solver_id) is str and solver_id and type(auctioneer_id) is str and auctioneer_id
+        ):
+            require_id(solver_id, "solver_id")
+            require_id(auctioneer_id, "auctioneer_id")
         gas = op.gas_reserved
         # checked values are exact and immutable, so the same two objects need no check
         last_gamma, last_price, terms = self._terms
-        if gamma is last_gamma and gas_price is last_price:
-            require_int(gas, "gas_reserved", 1, gamma)
-        else:
+        if gamma is not last_gamma or gas_price is not last_price:
             terms = _split_terms(gamma, gas, gas_price)
             self._terms = (gamma, gas_price, terms)
+        elif type(gas) is not int or not 0 < gas <= gamma:
+            require_int(gas, "gas_reserved", 1, gamma)
         n, d = needed = _escrow_pair(op.bid, gas, terms)
         with self._lock:
-            per_solver = self._available.get(auctioneer_id, {})
             # a zero escrow always fits, and an unfunded pair stays unmapped
-            if n and not _add(per_solver, solver_id, -n, d):
-                available = per_solver.get(solver_id, _ZERO)
-                raise InsufficientEscrow(solver_id, auctioneer_id, needed, available)
+            if n:
+                per_solver = self._available.get(auctioneer_id)
+                a, b = available = per_solver.get(solver_id, _ZERO) if per_solver else _ZERO
+                # _add(per_solver, solver_id, -n, d), written out: one call less per candidate
+                rest = a * d - n * b
+                if rest < 0:
+                    raise InsufficientEscrow(solver_id, auctioneer_id, needed, available)
+                den = b * d
+                g = gcd(rest, den)
+                per_solver[solver_id] = (rest // g, den // g)
             handle = next(self._handles)
             reservation = self._pending[handle] = tuple.__new__(
                 PendingReservation, (handle, solver_id, auctioneer_id, op.solver_id, needed)

@@ -37,11 +37,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter, mul
 from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .auction import AuctionTransaction, Behavior
 from .money import ZERO, require_amount, require_int
+
+_GAS_RESERVED = attrgetter("gas_reserved")
 
 
 class OpOutcome(Enum):
@@ -283,7 +286,5 @@ def guaranteed_minimum(tx: AuctionTransaction) -> Fraction:
     Equals the payout when every operation reverts, which is the minimum over
     all outcome patterns: ``Σ b̂ᵢ · gas_reservedᵢ`` over ``scale · gamma``.
     """
-    weighted = sum(
-        bid * op.gas_reserved for bid, op in zip(tx.scaled_bids, tx.solver_ops)
-    )
+    weighted = sum(map(mul, tx.scaled_bids, map(_GAS_RESERVED, tx.solver_ops)))
     return Fraction(weighted, tx.bid_scale * tx.schedule.gamma)

@@ -55,6 +55,10 @@ from _fields import (
 SCHEDULE = GasSchedule(tx_gas_limit=1000, user_gas_consumed=0)
 OP = SolverOperation(solver_id="a", bid=Fraction(5), gas_reserved=100, behavior=Behavior.SUCCEED)
 RESULT = settle(admit_operations([OP], SCHEDULE))
+# a second solver's op that does not fit beside OP, so admission drops it
+DROPPED = SolverOperation(solver_id="b", bid=Fraction(1), gas_reserved=1000)
+OP_JSON = {"solver_id": "a", "bid": "5", "gas_reserved": 100}
+DROPPED_JSON = {"solver_id": "b", "bid": "1", "gas_reserved": 1000}
 TIMELINE_JSON = {"schedule": {"tx_gas_limit": 1000, "user_gas_consumed": 0}}
 
 
@@ -85,6 +89,13 @@ FIELDS = [
      lambda x: settle_json(private_values={"a": x})),
     ("admitted_private_value", "private value",
      lambda x: admit_operations([OP], SCHEDULE, {"a": x}), None),
+    # admission checks every given value, not only those it keeps
+    ("dropped_private_value", "private value",
+     lambda x: admit_operations([OP, DROPPED], SCHEDULE, {"a": 1, "b": x}),
+     lambda x: settle_json(solver_ops=[OP_JSON, DROPPED_JSON], private_values={"b": x})),
+    ("unknown_private_value", "private value",
+     lambda x: admit_operations([OP], SCHEDULE, {"z": x}),
+     lambda x: settle_json(private_values={"z": x})),
     ("censorship_gas_price", "gas_price",
      lambda x: CensorshipScenario(**{**SCENARIO, "gas_price": x}),
      lambda x: simulate_json("spoof_attack", {**SPOOF_JSON, "gas_price": x})),

@@ -8,6 +8,7 @@ import sys
 import threading
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ofasim.escrow import (
     required_escrow,
 )
 from ofasim.money import parse_amount
-from ofasim.settlement import settle
+from ofasim.settlement import guaranteed_minimum, settle
 from ofasim.simulation import SimConfig, Timeline, TimelineConfig, run_timeline
 
 PHI = Fraction(3, 4_000_000)  # 7.5e-7
@@ -278,8 +279,13 @@ def test_cached_terms_still_refuse_bad_gas_and_bad_terms():
     ledger.reserve("s1", "a", op(gas=1), GAMMA, PHI)  # (GAMMA, PHI) are now cached
     before = ledger.to_json(), ledger.available("s1", "a"), ledger.pending("s1", "a")
     too_much_gas = SolverOperation("s1", Fraction(1), gas_reserved=GAMMA + 1)
+    # op-like records that skipped SolverOperation's own checks
+    no_gas = SimpleNamespace(solver_id="s1", bid=Fraction(1), gas_reserved=0)
+    bool_gas = SimpleNamespace(solver_id="s1", bid=Fraction(1), gas_reserved=True)
     refusals = [
         (too_much_gas, GAMMA, PHI, "gas_reserved must lie in [1, 1000000]"),
+        (no_gas, GAMMA, PHI, "gas_reserved must lie in [1, 1000000]"),
+        (bool_gas, GAMMA, PHI, "gas_reserved must be an int, got bool"),
         (too_much_gas, GAMMA, 0.5, "gas_reserved must lie in [1, 1000000]"),
         (op(), True, PHI, "gamma must be an int, got bool"),
         (op(), 0, PHI, "gamma must lie in [1, inf]"),
@@ -757,6 +763,48 @@ def test_online_stream_matches_a_fraction_dict_ledger():
     assert all(count > 0 for count in counts.values()), counts
 
 
+def test_admitted_holds_back_the_guaranteed_minimum():
+    # The stream's call pattern: per seeded order, reserve every candidate on a
+    # funded ledger (thinly funded solvers are refused), then admit the
+    # reserved ops. Each hold is the op's required escrow, as a reduced pair,
+    # and the admitted holds less their gas prepayment sum to exactly the floor.
+    rng = random.Random(20_261_022)
+    auctioneer, solvers = "auctioneer", [f"s{i:02d}" for i in range(30)]
+    ledger = EscrowLedger()
+    for i, sid in enumerate(solvers):
+        low, high = (3, 12) if i % 5 == 0 else (60, 200)
+        ledger.deposit(sid, auctioneer, Fraction(rng.randint(low * 100, high * 100), 100))
+    refused = admitted = 0
+    for _ in range(60):
+        gamma = rng.randint(1_000_000, 3_000_000)
+        price = Fraction(rng.choice((1, 2, 3)), 100_000)
+        user_gas = rng.randint(50_000, 300_000)
+        chosen = rng.sample(solvers, rng.randint(3, 12))
+        chosen += rng.sample(chosen, len(chosen) // 4)  # a few solvers send a second op
+        reserved, held = [], {}
+        for sid in chosen:
+            bid = Fraction(rng.randint(50 * 10_000, 150 * 10_000), 10_000)
+            candidate = op(sid, bid, int(gamma * rng.uniform(0.04, 0.24)))
+            try:
+                reservation = ledger.reserve(sid, auctioneer, candidate, gamma, price)
+            except InsufficientEscrow:
+                refused += 1
+                continue
+            needed = required_escrow(bid, candidate.gas_reserved, gamma, price)
+            assert reservation.amount_pair == needed.as_integer_ratio()
+            reserved.append(candidate)
+            held[id(candidate)] = reservation
+        tx = admit_operations(reserved, GasSchedule(gamma + user_gas, user_gas, price))
+        backing = sum(
+            (held[id(o)].amount - price * o.gas_reserved for o in tx.solver_ops), Fraction(0)
+        )
+        assert backing == guaranteed_minimum(tx)
+        admitted += len(tx.solver_ops)
+        for reservation in held.values():
+            ledger.cancel_reservation(reservation.handle)
+    assert refused > 0 and admitted > 0
+
+
 class LedgerMachine(RuleBasedStateMachine):
     """Deposits, reserves (funded, unfunded and rejected), settlements and
     cancellations over two auctioneers, checked after every step against a
@@ -771,6 +819,7 @@ class LedgerMachine(RuleBasedStateMachine):
         self.charged: dict[tuple[str, str], Fraction] = {}
         self.live: dict[int, tuple[tuple[str, str], Fraction]] = {}  # handle → (pair, hold)
         self.settled: list[tuple[Fraction, Fraction]] = []  # (balance taken, its hold)
+        self.returned: list[tuple[int, int]] = []  # raw pairs reserve returned or raised
 
     def state(self):
         ledger, keys = self.ledger, [(s, a) for s in self.SOLVERS for a in self.AUCTIONEERS]
@@ -820,8 +869,10 @@ class LedgerMachine(RuleBasedStateMachine):
         except InsufficientEscrow as exc:
             assert (exc.needed, exc.available) == (needed, free) and needed > free
             assert self.state() == before
+            self.returned += exc.args[2:]
             return
         assert needed <= free and reservation.amount == needed
+        self.returned.append(reservation.amount_pair)
         self.live[reservation.handle] = (key, needed)
 
     @precondition(lambda self: self.live)
@@ -867,10 +918,15 @@ class LedgerMachine(RuleBasedStateMachine):
                 assert sorted((r.handle, r.amount) for r in ledger.pending(s, a)) == sorted(
                     (h, hold) for h, (k, hold) in self.live.items() if k == key
                 )
+        assert all(charge <= hold for charge, hold in self.settled)
+
+    @invariant()
+    def pairs_stay_reduced(self):
+        ledger = self.ledger
         pairs = list(ledger._balances.values()) + [r.amount_pair for r in ledger._pending.values()]
         pairs += [pair for per_solver in ledger._available.values() for pair in per_solver.values()]
-        assert all(d > 0 and math.gcd(n, d) == 1 for n, d in pairs)
-        assert all(charge <= hold for charge, hold in self.settled)
+        pairs += self.returned
+        assert all(type(n) is type(d) is int and d > 0 and math.gcd(n, d) == 1 for n, d in pairs)
 
 
 LedgerMachine.TestCase.settings = settings(

@@ -20,9 +20,13 @@ It also runs one seeded ``escrow`` session of ``ESCROW_STEPS`` random ledger
 calls: deposits, reserves (accepted, short of escrow, or refused for a bad
 id, gamma, gas or price), settlements (some overcharged), cancellations
 (some of unknown handles) and snapshots. Its digest covers every outcome,
-each exception's type and message (``InsufficientEscrow`` included), the
-``pending()`` amounts and the final balances, so it checks the ledger's
-error paths, which ``auction_stream`` never reaches.
+each exception's type and message, the ``pending()`` amounts and the final
+balances, so it checks the ledger's error paths, which ``auction_stream``
+never reaches. Amounts are digested exactly: each reservation's ``amount``
+and raw ``amount_pair``, and each ``InsufficientEscrow``'s ``needed`` and
+``available`` and the raw pairs it was raised with (its message rounds to 18
+digits), so a pair that is off by a rounding or left unreduced shows as a
+differing record.
 
 Equal lines for two checkouts mean a change kept all three outputs
 identical. ``--against DIR`` makes that one command: it runs the digests for
@@ -161,7 +165,9 @@ def escrow_records(bench, ofasim, seed: int) -> tuple[int, Records]:
                 )
                 r = ledger.reserve(solver, auctioneer, op, gamma, price)
                 live.append((r.handle, r.amount))
-                outcome = (r.handle, r.solver_id, r.auctioneer_id, r.op_ref, r.amount)
+                outcome = (
+                    r.handle, r.solver_id, r.auctioneer_id, r.op_ref, r.amount, r.amount_pair
+                )
             elif roll < 0.9 and live:  # a refused call leaves its hold pending for good
                 handle, amount = live.pop(rng.randrange(len(live)))
                 if rng.random() < 0.05:
@@ -176,9 +182,12 @@ def escrow_records(bench, ofasim, seed: int) -> tuple[int, Records]:
             else:
                 outcome = (
                     dict(ledger.prefetch_snapshot(auctioneer)),
-                    [(r.handle, r.amount) for r in ledger.pending(solver, auctioneer)],
+                    [(r.handle, r.amount_pair) for r in ledger.pending(solver, auctioneer)],
                 )
-        except (ofasim.escrow.InsufficientEscrow, ValueError, KeyError) as exc:
+        except ofasim.escrow.InsufficientEscrow as exc:
+            # the message rounds to 18 digits; the amounts and raw pairs are exact
+            outcome = (exc, exc.needed, exc.available, exc.args[2:])
+        except (ValueError, KeyError) as exc:
             outcome = exc
         calls.append(f"step {step}: {call}")
         outcomes.append(outcome)
